@@ -61,7 +61,6 @@ from .mesh import (
 from .powers import (
     DerivativeCoeffs,
     FormalPowerTable,
-    SPPSSolution,
     compute_A,
     evaluate_derivatives,
     evaluate_solution,
@@ -69,7 +68,6 @@ from .powers import (
     initial_matrix,
     initial_values,
     series_coefficients_at_node,
-    solution_family,
     tail_ratio,
 )
 from .problem import ProblemConfig, dump_config, load_config
@@ -82,7 +80,6 @@ from .spectral import (
     Eigenvalue,
     Interval,
     Workspace,
-    boundary_matrix,
     build_workspace,
     characteristic_polynomials,
     eigenfunction,
@@ -106,15 +103,15 @@ __all__ = [
     "apply_coefficients", "apply_factorized", "build_seed_system",
     "check_nonvanishing", "operator_residual", "polya_factors",
     "polya_system", "wronskians",
-    "DerivativeCoeffs", "FormalPowerTable", "SPPSSolution", "compute_A",
+    "DerivativeCoeffs", "FormalPowerTable", "compute_A",
     "evaluate_derivatives", "evaluate_solution", "formal_powers",
     "initial_matrix", "initial_values", "series_coefficients_at_node",
-    "solution_family", "tail_ratio",
+    "tail_ratio",
     "Expression", "evaluate_constant", "parse_expression",
     "tabulate_expression",
     "ProblemConfig", "dump_config", "load_config",
     "BoundaryConditions", "CharacteristicFunction", "Disk", "EigenOptions",
-    "EigenResult", "Eigenvalue", "Interval", "Workspace", "boundary_matrix",
+    "EigenResult", "Eigenvalue", "Interval", "Workspace",
     "build_workspace", "characteristic_polynomials", "eigenfunction",
     "find_eigenvalues", "solve_initial_value", "with_truncation",
     "__version__",

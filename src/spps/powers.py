@@ -36,14 +36,6 @@ if TYPE_CHECKING:  # import only for annotations, the dependency is one-way
 TAIL_WARN = 1e-12
 
 
-def rising_factorial(x: float, n: int) -> float:
-    """x (x+1) ... (x+n-1); the empty product for n = 0."""
-    out = 1.0
-    for t in range(n):
-        out *= x + t
-    return out
-
-
 @dataclass(frozen=True)
 class DerivativeCoeffs:
     """Triangular table A[ell][alpha] of derivative coefficients.
@@ -124,16 +116,29 @@ def formal_powers(fac: "PolyaFactorization", r: SampledFunction,
     from k modulo n, and at the wrap (j congruent to k mod n) it is
     b_n b_0 r, which is where the weight enters.
     """
+    if r.mesh != fac.mesh:
+        raise ValueError("weight and factorization live on different meshes")
+    return _grow_powers(fac, r, [(ones(fac.mesh),)] * fac.n, truncation)
+
+
+def _grow_powers(fac: "PolyaFactorization", r: SampledFunction, rows,
+                 truncation: int) -> FormalPowerTable:
+    """Table at ``truncation`` whose row k starts with ``rows[k - 1]``.
+
+    Each row is cut to its length at ``truncation`` and, where it is
+    shorter, continued by the recursion of :func:`formal_powers` from its
+    last column. The table at a lower truncation is an exact prefix of the
+    table at a higher one, so a continued table equals a rebuilt one.
+    """
     n = fac.n
     if truncation < 0:
         raise ValueError("truncation order must be nonnegative")
-    if r.mesh != fac.mesh:
-        raise ValueError("weight and factorization live on different meshes")
     wrap = fac.b[n] * fac.b[0] * r
     ks: list[tuple[SampledFunction, ...]] = []
-    for k in range(1, n + 1):
-        xs: list[SampledFunction] = [ones(fac.mesh)]
-        for j in range(1, truncation * n + k):
+    for k, row in enumerate(rows, start=1):
+        stop = truncation * n + k
+        xs = list(row[:stop])
+        for j in range(len(xs), stop):
             step = (k - j) % n
             mult = wrap if step == 0 else fac.b[step]
             xs.append(float(j) * cumulative_integral(mult * xs[j - 1]))
@@ -300,42 +305,3 @@ def series_coefficients_at_node(table: FormalPowerTable, coeffs: DerivativeCoeff
                 continue
             out[m] += a * rf[j] * table.x[k - 1][j].values[node]
     return out
-
-
-class SPPSSolution:
-    """One series solution u_k with cached evaluations keyed by lambda."""
-
-    def __init__(self, table: FormalPowerTable, coeffs: DerivativeCoeffs,
-                 b0: SampledFunction, k: int):
-        self.table = table
-        self.coeffs = coeffs
-        self.b0 = b0
-        self.k = k
-        self._values: dict[complex, SampledFunction] = {}
-        self._derivs: dict[tuple[complex, int], SampledFunction] = {}
-
-    def value(self, lam: complex) -> SampledFunction:
-        lam = complex(lam)
-        if lam not in self._values:
-            self._values[lam] = evaluate_solution(self.table, self.b0, self.k, lam)
-        return self._values[lam]
-
-    def derivative(self, lam: complex, ell: int) -> SampledFunction:
-        lam = complex(lam)
-        key = (lam, ell)
-        if key not in self._derivs:
-            self._derivs[key] = evaluate_derivatives(
-                self.table, self.coeffs, self.k, lam, ell)
-        return self._derivs[key]
-
-    def initial_values(self) -> np.ndarray:
-        return initial_values(self.coeffs, self.b0, self.k)
-
-    def tail_ratio(self, lam: complex) -> float:
-        return tail_ratio(self.table, self.k, complex(lam))
-
-
-def solution_family(table: FormalPowerTable, coeffs: DerivativeCoeffs,
-                    b0: SampledFunction) -> list[SPPSSolution]:
-    """The full basis u_1..u_n as cached series solutions."""
-    return [SPPSSolution(table, coeffs, b0, k) for k in range(1, table.n + 1)]

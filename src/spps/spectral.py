@@ -37,8 +37,8 @@ from .mesh import Mesh, SampledFunction
 from .powers import (
     DerivativeCoeffs,
     FormalPowerTable,
+    _grow_powers,
     compute_A,
-    evaluate_derivatives,
     evaluate_solution,
     formal_powers,
     initial_matrix,
@@ -113,10 +113,15 @@ def build_workspace(
 
 
 def with_truncation(ws: Workspace, truncation: int) -> Workspace:
-    """Same workspace with the power table rebuilt at another truncation."""
+    """Same workspace with the power table at another truncation.
+
+    A larger truncation extends the existing table from its last column, so
+    only the new formal powers are integrated; a smaller one keeps a prefix
+    of it. Either way the table equals the one :func:`formal_powers` builds.
+    """
     if truncation == ws.truncation:
         return ws
-    table = formal_powers(ws.fac, ws.op.r, truncation)
+    table = _grow_powers(ws.fac, ws.table.weight, ws.table.x, truncation)
     return replace(ws, table=table)
 
 
@@ -218,36 +223,16 @@ class BoundaryConditions:
         return cls(left, right)
 
 
-def boundary_matrix(ws: Workspace, bc: BoundaryConditions,
-                    lam: complex) -> np.ndarray:
-    """The n-by-n matrix whose kernel holds eigenfunction coefficients."""
-    n = ws.n
-    if bc.n != n:
-        raise ValueError(f"boundary conditions are {bc.n}-dimensional, "
-                         f"operator order is {n}")
-    lam = complex(lam)
-    first, last = 0, ws.mesh.n - 1
-    rows = np.zeros((n, 2 * n), dtype=complex)  # rows[ell] then rows[n+ell]
-    for k in range(1, n + 1):
-        u = evaluate_solution(ws.table, ws.b0, k, lam)
-        rows[0, k - 1] = u.values[first]
-        rows[0, n + k - 1] = u.values[last]
-        for ell in range(1, n):
-            du = evaluate_derivatives(ws.table, ws.coeffs, k, lam, ell)
-            rows[ell, k - 1] = du.values[first]
-            rows[ell, n + k - 1] = du.values[last]
-    mat = bc.left @ rows[:, :n] + bc.right @ rows[:, n:]
-    return mat
-
-
 def eigenfunction(ws: Workspace, bc: BoundaryConditions,
                   lam: complex) -> SampledFunction:
     """Combination of basis solutions closest to satisfying the conditions.
 
-    Takes the right singular vector of the boundary matrix for its smallest
-    singular value and normalizes the result so its largest sample is 1.
+    Evaluates the boundary matrix from the characteristic polynomials at
+    ``lam``, takes its right singular vector for the smallest singular value,
+    and sums the basis solutions with those coefficients over the whole mesh,
+    normalized so the largest sample is 1.
     """
-    mat = boundary_matrix(ws, bc, lam)
+    mat = characteristic_polynomials(ws, bc).matrix(lam)
     _, _, vh = np.linalg.svd(mat)
     coeff = vh[-1].conj()
     lam = complex(lam)
@@ -290,16 +275,17 @@ class CharacteristicFunction:
         return self._matrices(lams)[0]
 
     def _matrices(self, lams: np.ndarray) -> np.ndarray:
-        """Stack of boundary matrices, shape (len(lams), n, n)."""
+        """Stack of boundary matrices, shape (len(lams), n, n).
+
+        One Horner recurrence runs over the whole stack, highest coefficient
+        first, with the same operations per entry as a scalar Horner loop.
+        """
         n = self.n
-        out = np.zeros((len(lams), n, n), dtype=complex)
-        for i in range(n):
-            for k in range(n):
-                acc = np.zeros(len(lams), dtype=complex)
-                for c in self.poly[i, k][::-1]:
-                    acc = acc * lams + c
-                out[:, i, k] = acc
-        return out
+        acc = np.zeros((len(lams), n, n), dtype=complex)
+        scale = lams[:, None, None]
+        for m in range(self.degree, -1, -1):
+            acc = acc * scale + self.poly[:, :, m]
+        return acc
 
     def det(self, lam: complex) -> complex:
         return complex(np.linalg.det(self.matrix(lam)))
@@ -619,9 +605,12 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     For an :class:`Interval` the real determinant is scanned for sign
     changes and each bracket is bisected; for a :class:`Disk` the
     determinant polynomial is solved directly. Every candidate is then
-    (a) re-located with a larger series truncation, and (b) checked by
-    reconstructing its eigenfunction and measuring the equation residual.
-    Candidates failing either check are reported as rejected.
+    (a) re-located with the series truncation raised by
+    ``options.persistence_extra`` (the power table is extended, not
+    rebuilt), and (b) checked by :func:`eigenfunction` at that truncation,
+    whose full-mesh equation residual must stay below
+    ``options.residual_tol``. Candidates failing either check are reported
+    as rejected.
 
     Raises
     ------

@@ -20,9 +20,7 @@ from spps.powers import (
     formal_powers,
     initial_matrix,
     initial_values,
-    rising_factorial,
     series_coefficients_at_node,
-    solution_family,
     tail_ratio,
 )
 
@@ -47,15 +45,6 @@ def exponential_factorization(mesh):
     sys = SolutionSystem.from_functions(
         op, [tabulate(mesh, np.exp), tabulate(mesh, lambda t: np.exp(2 * t))])
     return op, polya_factors(wronskians(sys))
-
-
-# -- rising_factorial ------------------------------------------------------------
-
-def test_rising_factorial_values():
-    assert rising_factorial(3, 0) == 1.0
-    assert rising_factorial(3, 1) == 3.0
-    assert rising_factorial(3, 4) == 3 * 4 * 5 * 6
-    assert rising_factorial(1, 5) == 120.0
 
 
 # -- derivative coefficient table ------------------------------------------------
@@ -328,21 +317,3 @@ def test_series_coefficients_reproduce_evaluation():
             horner1 = horner1 * lam + c
         du = evaluate_derivatives(table, A, k, lam, 1)
         assert horner1 == pytest.approx(du.values[node], rel=1e-11)
-
-
-# -- solution family ------------------------------------------------------------------
-
-def test_solution_family_caches_and_solves():
-    m = Mesh(0.0, 1.0, 801)
-    op, fac = exponential_factorization(m)
-    table = formal_powers(fac, op.r, truncation=30)
-    A = compute_A(fac)
-    from spps.factorization import operator_residual
-    fam = solution_family(table, A, fac.b[0])
-    assert len(fam) == 2
-    for sol in fam:
-        u = sol.value(1.0)
-        assert u is sol.value(1.0)  # cached
-        assert operator_residual(op, u, lam=1.0) < 1e-8
-        du = sol.derivative(1.0, 1)
-        assert du is sol.derivative(1.0, 1)

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+import spps.powers
 from spps import Mesh, constant, ones, tabulate, zeros
 from spps.errors import RegionTruncationError
 from spps.factorization import OperatorSpec, SolutionSystem, operator_residual
+from spps.powers import evaluate_derivatives, evaluate_solution, formal_powers
 from spps.spectral import (
     BoundaryConditions,
+    CharacteristicFunction,
     Disk,
     EigenOptions,
     Interval,
     Workspace,
-    boundary_matrix,
     build_workspace,
     characteristic_polynomials,
     eigenfunction,
@@ -132,17 +134,52 @@ def test_separated_validates_orders():
 
 # -- characteristic function ---------------------------------------------------------
 
+def direct_boundary_matrix(ws, bc, lam):
+    """Boundary matrix from full-mesh series values at the two end nodes."""
+    n, last = ws.n, ws.mesh.n - 1
+    left = np.zeros((n, n), dtype=complex)
+    right = np.zeros((n, n), dtype=complex)
+    for k in range(1, n + 1):
+        for ell in range(n):
+            if ell == 0:
+                y = evaluate_solution(ws.table, ws.b0, k, lam)
+            else:
+                y = evaluate_derivatives(ws.table, ws.coeffs, k, lam, ell)
+            left[ell, k - 1] = y.values[0]
+            right[ell, k - 1] = y.values[last]
+    return bc.left @ left + bc.right @ right
+
+
 def test_polynomials_match_direct_matrix():
     ws = dirichlet_workspace()
     bc = BoundaryConditions.separated(2, [0], [0])
     charfn = characteristic_polynomials(ws, bc)
     for lam in (0.5, -3.0, 2.0 - 1.0j):
-        direct = boundary_matrix(ws, bc, lam)
+        direct = direct_boundary_matrix(ws, bc, lam)
         viapoly = charfn.matrix(lam)
         assert np.max(np.abs(direct - viapoly)) < 1e-12 * max(
             1.0, np.max(np.abs(direct)))
         assert charfn.det(lam) == pytest.approx(
             complex(np.linalg.det(direct)), rel=1e-10)
+
+
+def test_matrices_match_per_entry_horner():
+    rng = np.random.default_rng(7)
+    poly = rng.standard_normal((4, 4, 46)) + 1j * rng.standard_normal((4, 4, 46))
+    charfn = CharacteristicFunction(poly)
+    lams = np.array([0.3, -2.0 + 0.5j, 7.5, -11.0j, 25.0])
+    want = np.zeros((len(lams), 4, 4), dtype=complex)
+    for s, lam in enumerate(lams):
+        for i in range(4):
+            for k in range(4):
+                acc = 0j
+                for c in poly[i, k][::-1]:
+                    acc = acc * lam + c
+                want[s, i, k] = acc
+    assert np.array_equal(charfn._matrices(lams), want)
+    assert np.array_equal(charfn.det_samples(lams), np.linalg.det(want))
+    for lam in lams:
+        assert charfn.det(lam) == charfn.det_samples([lam])[0]
 
 
 def test_determinant_roots_at_known_eigenvalues():
@@ -309,12 +346,48 @@ def test_disk_empty_when_no_eigenvalues_inside():
 
 # -- truncation refresh ------------------------------------------------------------------
 
-def test_with_truncation_rebuilds_table():
+def test_with_truncation_extends_table():
     ws = dirichlet_workspace(truncation=10)
     ws2 = with_truncation(ws, 15)
     assert ws2.truncation == 15
     assert ws2.fac is ws.fac
     assert with_truncation(ws, 10) is ws
+    rebuilt = formal_powers(ws.fac, ws.op.r, 15)
+    for k in (1, 2):
+        row, old = ws2.table.x[k - 1], ws.table.x[k - 1]
+        assert len(row) == len(rebuilt.x[k - 1]) == 15 * 2 + k
+        for got, want in zip(row, rebuilt.x[k - 1]):
+            assert np.array_equal(got.values, want.values)
+        assert all(a is b for a, b in zip(row, old))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_with_truncation_integrates_only_new_powers(n, monkeypatch):
+    ws = pure_workspace(Mesh(0.0, 1.0, 201), n, truncation=8)
+    calls = []
+    original = spps.powers.cumulative_integral
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(spps.powers, "cumulative_integral", counting)
+    with_truncation(ws, 13)
+    # each of the n solution indices gains 5 n formal powers, one
+    # integration each; a rebuild would integrate all (M + 5) n + k - 1
+    assert len(calls) == n * 5 * n
+
+
+def test_with_truncation_lower_keeps_prefix():
+    ws = dirichlet_workspace(truncation=10)
+    low = with_truncation(ws, 6)
+    assert low.truncation == 6
+    for k in (1, 2):
+        row, old = low.table.x[k - 1], ws.table.x[k - 1]
+        assert len(row) == 6 * 2 + k
+        assert all(a is b for a, b in zip(row, old))
+    with pytest.raises(ValueError):
+        with_truncation(ws, -1)
 
 
 # -- against the shooting oracle ------------------------------------------------------------
