@@ -52,10 +52,7 @@ from .mesh import (
     format_json,
     ones,
     reciprocal,
-    scale,
     tabulate,
-    write_csv,
-    write_json,
     zeros,
 )
 from .powers import (
@@ -97,8 +94,7 @@ __all__ = [
     "WronskianFloorError",
     "FD_ACCURACY", "QUADRATURE_DEGREE", "Mesh", "SampledFunction",
     "constant", "coordinate", "cumulative_integral", "differentiate",
-    "format_csv", "format_json", "ones", "reciprocal", "scale", "tabulate",
-    "write_csv", "write_json", "zeros",
+    "format_csv", "format_json", "ones", "reciprocal", "tabulate", "zeros",
     "OperatorSpec", "PolyaFactorization", "SolutionSystem",
     "apply_coefficients", "apply_factorized", "build_seed_system",
     "check_nonvanishing", "operator_residual", "polya_factors",

@@ -16,7 +16,7 @@ randomized procedure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -100,11 +100,10 @@ class SolutionSystem:
 
     @classmethod
     def from_functions(cls, op: OperatorSpec, funcs: Sequence[SampledFunction],
-                       verify: bool = True,
                        wronskian_floor: float = WRONSKIAN_FLOOR,
                        residual_tol: float = RESIDUAL_TOL) -> "SolutionSystem":
         """Wrap explicitly given solutions, tabulating derivatives by finite
-        differences, optionally verifying residuals and Wronskian floors.
+        differences, and verify their residuals and Wronskian floors.
 
         The residual check differentiates n times, so its roundoff floor
         grows like eps / h^n; the default tolerance is calibrated for
@@ -117,22 +116,15 @@ class SolutionSystem:
         derivs = tuple(
             (f,) + tuple(differentiate(f, ell) for ell in range(1, n))
             for f in funcs)
-        res = float("nan")
-        if verify:
-            res = max(operator_residual(op, f) for f in funcs)
-            if not res <= residual_tol:
-                raise ResidualVerificationError(
-                    f"seed function residual {res:.3e} exceeds {residual_tol:.1e}",
-                    residual=res)
-        sys = cls(op, derivs, retries=0, residual_max=res)
-        W = wronskians(sys)
-        report = check_nonvanishing(W[1:], wronskian_floor)
-        if verify and not report.passed:
-            e = report.entries[report.worst]
-            raise WronskianFloorError(
-                f"W_{report.worst + 1} relative min modulus {e.relative:.3e} "
-                f"below floor {wronskian_floor:.1e}",
-                index=report.worst + 1, node=e.node, x=e.x)
+        res = max(operator_residual(op, f) for f in funcs)
+        if not res <= residual_tol:
+            raise ResidualVerificationError(
+                f"seed function residual {res:.3e} exceeds {residual_tol:.1e}",
+                residual=res)
+        sys = cls(op, derivs, residual_max=res)
+        report = check_nonvanishing(wronskians(sys)[1:], wronskian_floor)
+        if not report.passed:
+            raise _floor_error(report)
         object.__setattr__(sys, "wronskian_min", report.min_relative)
         return sys
 
@@ -185,27 +177,41 @@ def check_nonvanishing(fs: Sequence[SampledFunction],
     return NonvanishingReport(tuple(entries), floor)
 
 
+def _floor_error(report: NonvanishingReport) -> WronskianFloorError:
+    """The error for a failed report, naming its worst Wronskian and node."""
+    j = report.worst
+    e = report.entries[j]
+    return WronskianFloorError(
+        f"W_{j + 1} has relative min modulus {e.relative:.3e} below the "
+        f"{report.floor:.1e} floor at node {e.node} (x={e.x:.6g})",
+        index=j + 1, node=e.node, x=e.x)
+
+
 # -- Wronskians and factors ---------------------------------------------------
 
-def wronskians(sys: SolutionSystem) -> list[SampledFunction]:
-    """Nested Wronskians [W_0, W_1, ..., W_n] with W_0 = 1.
+def _nested_wronskians(derivs: Sequence[Sequence[SampledFunction]]
+                       ) -> list[SampledFunction]:
+    """Nested Wronskians [W_0, W_1, ..., W_m] of m derivative rows.
 
-    W_j is the determinant of the j x j matrix of derivatives of the first j
-    solutions, evaluated nodewise (LU with partial pivoting under the hood).
+    ``derivs[k][ell]`` is the ell-th derivative of solution k. W_0 = 1 and
+    W_1 is the first solution itself; W_j for j >= 2 is the determinant of
+    the j x j matrix of derivatives of the first j solutions, evaluated
+    nodewise (LU with partial pivoting under the hood).
     """
-    mesh = sys.op.mesh
-    n = sys.op.n
-    out = [ones(mesh)]
-    for j in range(1, n + 1):
-        if j == 1:
-            out.append(sys.derivs[0][0])
-            continue
+    mesh = derivs[0][0].mesh
+    out = [ones(mesh), derivs[0][0]]
+    for j in range(2, len(derivs) + 1):
         mats = np.empty((mesh.n, j, j), dtype=np.complex128)
         for k in range(j):
             for ell in range(j):
-                mats[:, ell, k] = sys.derivs[k][ell].values
+                mats[:, ell, k] = derivs[k][ell].values
         out.append(SampledFunction(mesh, np.linalg.det(mats)))
     return out
+
+
+def wronskians(sys: SolutionSystem) -> list[SampledFunction]:
+    """Nested Wronskians [W_0, W_1, ..., W_n] of a solution system, W_0 = 1."""
+    return _nested_wronskians(sys.derivs)
 
 
 @dataclass(frozen=True)
@@ -244,12 +250,7 @@ def polya_factors(W: Sequence[SampledFunction],
         raise ValueError("need Wronskians W_0..W_n with n >= 2")
     report = check_nonvanishing(W[1:], floor)
     if not report.passed:
-        j = report.worst
-        e = report.entries[j]
-        raise WronskianFloorError(
-            f"W_{j + 1} has relative min modulus {e.relative:.3e} below the "
-            f"{floor:.1e} floor at node {e.node} (x={e.x:.6g})",
-            index=j + 1, node=e.node, x=e.x)
+        raise _floor_error(report)
     b = [W[1]]
     for j in range(1, n):
         b.append(W[j - 1] * W[j + 1] / (W[j] * W[j]))
@@ -374,21 +375,27 @@ def _recombine(derivs: list[list[SampledFunction]],
     return out
 
 
-def _wronskian_relative_min(derivs: list[list[SampledFunction]]) -> float:
-    """min over j of (min|W_j| / max|W_j|) for the leading Wronskians."""
-    mesh = derivs[0][0].mesh
-    m = len(derivs)
-    worst = math.inf
-    for j in range(1, m + 1):
-        mats = np.empty((mesh.n, j, j), dtype=np.complex128)
-        for k in range(j):
-            for ell in range(j):
-                mats[:, ell, k] = derivs[k][ell].values
-        w = np.abs(np.linalg.det(mats))
-        hi = float(np.max(w))
-        rel = float(np.min(w)) / hi if hi > 0 else 0.0
-        worst = min(worst, rel)
-    return worst
+def _recombine_until_nonvanishing(rows: list[list[SampledFunction]],
+                                  rng: np.random.Generator, floor: float,
+                                  max_retries: int, stage: str):
+    """Draw recombinations of ``rows`` until all nested Wronskians clear
+    ``floor``.
+
+    Returns the accepted rows, their Wronskians [W_0..W_m], the
+    nonvanishing report and the number of draws beyond the first.
+    """
+    m = len(rows)
+    best = -math.inf
+    for attempt in range(max_retries + 1):
+        trial = _recombine(rows, _combination_matrix(rng, m, attempt))
+        W = _nested_wronskians(trial)
+        report = check_nonvanishing(W[1:], floor)
+        if report.passed:
+            return trial, W, report, attempt
+        best = max(best, report.min_relative)
+    raise SeedConstructionError(
+        f"order-{m} {stage} recombination exhausted {max_retries} retries",
+        best_wronskian_min=best)
 
 
 def build_seed_system(op: OperatorSpec,
@@ -444,29 +451,9 @@ def build_seed_system(op: OperatorSpec,
             family.append([cumulative_integral(zrow[0])] + list(zrow[:m - 1]))
 
         # stage A: recombine until the homogeneous-part factorization exists
-        cand = None
-        best = -math.inf
-        for attempt in range(max_retries + 1):
-            trial = _recombine(family, _combination_matrix(rng, m, attempt))
-            rel = _wronskian_relative_min(trial)
-            best = max(best, rel)
-            if rel > wronskian_floor:
-                cand = trial
-                retries += attempt
-                break
-        if cand is None:
-            retries += max_retries
-            raise SeedConstructionError(
-                f"order-{m} family recombination exhausted {max_retries} retries",
-                best_wronskian_min=best)
-
-        W = [ones(mesh)]
-        for j in range(1, m + 1):
-            mats = np.empty((mesh.n, j, j), dtype=np.complex128)
-            for k in range(j):
-                for ell in range(j):
-                    mats[:, ell, k] = cand[k][ell].values
-            W.append(SampledFunction(mesh, np.linalg.det(mats)))
+        _, W, _, attempt = _recombine_until_nonvanishing(
+            family, rng, wronskian_floor, max_retries, "family")
+        retries += attempt
         fac = polya_factors(W, wronskian_floor)
         coeffs = compute_A(fac)
         table = formal_powers(fac, op.phi[m - 1], truncation)
@@ -480,31 +467,16 @@ def build_seed_system(op: OperatorSpec,
             sols.append(row)
 
         # stage B: recombine the new solutions until their Wronskians pass
-        picked = None
-        best = -math.inf
-        for attempt in range(max_retries + 1):
-            trial = _recombine(sols, _combination_matrix(rng, m, attempt))
-            rel = _wronskian_relative_min(trial)
-            best = max(best, rel)
-            if rel > wronskian_floor:
-                picked = trial
-                retries += attempt
-                break
-        if picked is None:
-            retries += max_retries
-            raise SeedConstructionError(
-                f"order-{m} solution recombination exhausted {max_retries} retries",
-                best_wronskian_min=best)
-        level = picked
+        level, _, report, attempt = _recombine_until_nonvanishing(
+            sols, rng, wronskian_floor, max_retries, "solution")
+        retries += attempt
 
     # final verification against the full operator
-    final = [row[:n] for row in level]
-    sub_op = op
-    res = max(operator_residual(sub_op, row[0]) for row in final)
+    res = max(operator_residual(op, row[0]) for row in level)
     if not res <= residual_tol:
         raise ResidualVerificationError(
             f"constructed system residual {res:.3e} exceeds {residual_tol:.1e}",
             residual=res)
-    wmin = _wronskian_relative_min(final)
-    return SolutionSystem(op, tuple(tuple(row) for row in final),
-                          retries=retries, wronskian_min=wmin, residual_max=res)
+    return SolutionSystem(op, tuple(tuple(row) for row in level),
+                          retries=retries, wronskian_min=report.min_relative,
+                          residual_max=res)

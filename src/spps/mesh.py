@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -139,12 +139,6 @@ class SampledFunction:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def min_abs(self) -> float:
-        return float(np.min(np.abs(self.values)))
-
-    def at_basepoint(self) -> complex:
-        return complex(self.values[self.mesh.i0])
-
     def decimate(self, stride: int) -> "SampledFunction":
         return SampledFunction(self.mesh.decimate(stride), self.values[::stride])
 
@@ -204,9 +198,6 @@ class SampledFunction:
     def __neg__(self):
         return SampledFunction(self.mesh, -self.values)
 
-    def conj(self) -> "SampledFunction":
-        return SampledFunction(self.mesh, np.conj(self.values))
-
     def __repr__(self) -> str:
         return f"SampledFunction(n={self.mesh.n}, max|f|={self.max_abs():.3g})"
 
@@ -236,22 +227,6 @@ def tabulate(mesh: Mesh, fn: Callable) -> SampledFunction:
 
 
 # -- pointwise operations ---------------------------------------------------
-
-def add(f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    return f + g
-
-
-def sub(f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    return f - g
-
-
-def mul(f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    return f * g
-
-
-def scale(f: SampledFunction, c: complex) -> SampledFunction:
-    return f * c
-
 
 def reciprocal(f: SampledFunction, floor: float = 1e-14) -> SampledFunction:
     """Pointwise 1/f.
@@ -414,11 +389,6 @@ def format_csv(f: SampledFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(f: SampledFunction, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_csv(f))
-
-
 def format_json(f: SampledFunction) -> str:
     """JSON object with x/re/im arrays at full double precision."""
     payload = {
@@ -427,12 +397,6 @@ def format_json(f: SampledFunction) -> str:
         "im": [float(f"{v.imag:.17g}") for v in f.values],
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def write_json(f: SampledFunction, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_json(f))
-        fh.write("\n")
 
 
 def ladder_strides(mesh: Mesh, low: int = 65, high: int = 161) -> list[int]:

@@ -148,6 +148,7 @@ def _grow_powers(fac: "PolyaFactorization", r: SampledFunction, rows,
 
 # -- series evaluation ---------------------------------------------------------
 
+# plain `s += term` costs 0.68 / 0.27 accuracy digits on eig_interval / eig_disk
 def _kahan_add(s: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
     y = term - comp
     t = s + y

@@ -49,13 +49,13 @@ Coefficients, seeds, and scalar values are expressions in ``x`` (see
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, ExpressionError
 from .expressions import evaluate_constant, tabulate_expression
-from .factorization import OperatorSpec, SolutionSystem, build_seed_system
+from .factorization import OperatorSpec, SolutionSystem
 from .mesh import Mesh
 from .spectral import (
     BoundaryConditions,
@@ -126,11 +126,10 @@ class ProblemConfig:
     def make_workspace(self) -> Workspace:
         op = self.make_operator()
         seed = self.make_seed(op)
-        if seed is not None:
-            return build_workspace(op, seed=seed, truncation=self.truncation)
         return build_workspace(
-            op, truncation=self.truncation, rng_seed=self.rng_seed,
-            max_retries=self.max_retries)
+            op, seed=seed, truncation=self.truncation, rng_seed=self.rng_seed,
+            max_retries=self.max_retries, wronskian_floor=self.wronskian_floor,
+            residual_tol=self.residual_tol)
 
     def make_boundary(self) -> BoundaryConditions | None:
         if self.boundary_rows is None:

@@ -25,6 +25,8 @@ from .errors import (
     TruncationWarning,
 )
 from .factorization import (
+    RESIDUAL_TOL,
+    WRONSKIAN_FLOOR,
     OperatorSpec,
     PolyaFactorization,
     SolutionSystem,
@@ -87,6 +89,8 @@ def build_workspace(
     truncation: int = 30,
     rng_seed: int = 0,
     max_retries: int = 25,
+    wronskian_floor: float = WRONSKIAN_FLOOR,
+    residual_tol: float = RESIDUAL_TOL,
 ) -> Workspace:
     """Factorize the operator and precompute its formal power table.
 
@@ -101,12 +105,16 @@ def build_workspace(
         Number of series terms in the spectral parameter.
     rng_seed, max_retries :
         Passed through to the seed builder when ``seed`` is omitted.
+    wronskian_floor, residual_tol :
+        Checks of the seed builder; the Wronskian floor also applies to the
+        factorization of an explicit ``seed``.
     """
     if seed is None:
         seed = build_seed_system(
             op, rng_seed=rng_seed, max_retries=max_retries,
-            truncation=truncation)
-    fac = polya_factors(wronskians(seed))
+            truncation=truncation, wronskian_floor=wronskian_floor,
+            residual_tol=residual_tol)
+    fac = polya_factors(wronskians(seed), wronskian_floor)
     table = formal_powers(fac, op.r, truncation)
     coeffs = compute_A(fac)
     return Workspace(op, fac, table, coeffs, seed)
@@ -568,9 +576,16 @@ def _refine_on(charfn: CharacteristicFunction, lam: float,
 def _disk_candidates(charfn: CharacteristicFunction, region: Disk,
                      options: EigenOptions) -> list[complex]:
     margin = options.margin_for(region)
-    scale = max(1.0, abs(region.center) + region.radius)
+    # float: an integer scale would raise to powers in wrapping int64
+    scale = max(1.0, float(abs(region.center) + region.radius))
     coeffs = charfn.det_polynomial()
-    scaled = coeffs * scale ** np.arange(len(coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = coeffs * scale ** np.arange(len(coeffs))
+    if not np.all(np.isfinite(scaled)):
+        raise RegionTruncationError(
+            f"disk of radius {region.radius:g} about {region.center:g} is out "
+            f"of reach at this truncation: the degree-{len(coeffs) - 1} "
+            f"characteristic polynomial overflows when scaled to it")
     top = np.max(np.abs(scaled))
     if top == 0.0:
         raise ValueError(

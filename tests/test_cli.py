@@ -232,6 +232,60 @@ def test_wrong_seed_solutions_exit_code(tmp_path, capsys):
     assert "residual" in err
 
 
+def test_wronskian_floor_reaches_factorization(tmp_path, capsys):
+    # W_1 = y1 dips to 5e-7 of its maximum at x = 1: below the default floor
+    # of 1e-6, above the configured 1e-7
+    path = tmp_path / "p.ini"
+    path.write_text("[problem]\norder = 2\ninterval = 0 1\n"
+                    "phi1 = 0\nphi2 = 0\n"
+                    "[seed_system]\ny1 = 1.0000005 - x\ny2 = 1\n"
+                    "[tolerances]\nwronskian_floor = 1e-7\n",
+                    encoding="utf-8")
+    code, out, err = run_main(capsys, "verify", "--config", str(path))
+    assert code == 0, err
+    assert json.loads(out)["wronskian_min"] == pytest.approx(5e-7, rel=1e-6)
+
+
+def test_residual_tolerance_reaches_random_seed(tmp_path, capsys):
+    text = "[problem]\norder = 2\ninterval = 0 1\nphi1 = x\nphi2 = 1\n"
+    path = tmp_path / "p.ini"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_main(capsys, "verify", "--config", str(path))
+    assert code == 0
+    residual = json.loads(out)["residual_max"]
+    path.write_text(text + f"[tolerances]\nresidual = {residual / 10:.3e}\n",
+                    encoding="utf-8")
+    code, out, err = run_main(capsys, "verify", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "residual" in err
+
+
+def test_wronskian_floor_reaches_random_seed(tmp_path, capsys):
+    # no relative Wronskian minimum exceeds 1, so every draw fails
+    path = tmp_path / "p.ini"
+    path.write_text("[problem]\norder = 2\ninterval = 0 1\nphi1 = x\n"
+                    "phi2 = 1\n[random]\nmax_retries = 2\n"
+                    "[tolerances]\nwronskian_floor = 1\n", encoding="utf-8")
+    code, out, err = run_main(capsys, "verify", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "recombination exhausted 2 retries" in err
+
+
+def test_disk_too_large_exit_code(tmp_path, capsys):
+    path = tmp_path / "p.ini"
+    path.write_text("[problem]\norder = 2\ninterval = 0 1\n"
+                    "phi1 = 0\nphi2 = 0\n[mesh]\nnodes = 201\n"
+                    "[series]\ntruncation = 60\n"
+                    "[boundary]\nrow1 = 1 0 ; 0 0\nrow2 = 0 0 ; 1 0\n"
+                    "[eig]\nregion = disk 0 0 300\n", encoding="utf-8")
+    code, out, err = run_main(capsys, "eig", "--config", str(path))
+    assert code == 3
+    assert out == ""
+    assert "truncation" in err and "degree-130" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from spps import Mesh, constant, coordinate, ones, tabulate, zeros
+from spps import (
+    Mesh,
+    constant,
+    coordinate,
+    differentiate,
+    ones,
+    tabulate,
+    zeros,
+)
 from spps.errors import (
     ResidualVerificationError,
+    SeedConstructionError,
     WronskianFloorError,
 )
 from spps.factorization import (
@@ -224,6 +233,21 @@ def test_from_functions_rejects_dependent_seed():
         SolutionSystem.from_functions(op, [e, 2.0 * e])
 
 
+def test_from_functions_and_polya_factors_raise_the_same_floor_error():
+    m = Mesh(0.0, 1.0, 401)
+    op = make_op(m, [constant(m, 0.0), constant(m, -1.0)])
+    e = tabulate(m, np.exp)
+    funcs = [e, 2.0 * e]
+    with pytest.raises(WronskianFloorError) as seeded:
+        SolutionSystem.from_functions(op, funcs)
+    sys = SolutionSystem(op, [(f, differentiate(f, 1)) for f in funcs])
+    with pytest.raises(WronskianFloorError) as factored:
+        polya_factors(wronskians(sys))
+    assert seeded.value.index == factored.value.index == 2
+    assert seeded.value.node == factored.value.node
+    assert str(seeded.value) == str(factored.value)
+
+
 # -- build_seed_system ----------------------------------------------------------------
 
 def test_build_seed_for_zero_coefficients_spans_polynomials():
@@ -277,3 +301,25 @@ def test_build_seed_derivative_tables_match_fd():
         fd = differentiate(row[0], 1)
         err = np.max(np.abs(fd.values - row[1].values))
         assert err < 1e-7 * max(1.0, row[0].max_abs())
+
+
+def test_build_seed_exhausted_budget_names_stage():
+    m = Mesh(0.0, 1.0, 101)
+    op = d_power_op(m, 2)
+    # no relative Wronskian minimum exceeds 1, so every draw fails
+    with pytest.raises(SeedConstructionError, match="family") as exc:
+        build_seed_system(op, max_retries=2, wronskian_floor=1.0)
+    assert exc.value.best_wronskian_min <= 1.0
+
+
+@pytest.mark.parametrize("phis", [
+    lambda m: [coordinate(m), ones(m)],
+    lambda m: [coordinate(m), ones(m), tabulate(m, np.sin)],
+    lambda m: [zeros(m), constant(m, -2.0), zeros(m), ones(m)],
+], ids=["order2", "order3", "order4"])
+def test_build_seed_wronskian_min_is_final_report(phis):
+    m = Mesh(0.0, 1.0, 401)
+    op = make_op(m, phis(m))
+    sys = build_seed_system(op, rng_seed=2)
+    report = check_nonvanishing(wronskians(sys)[1:])
+    assert sys.wronskian_min == report.min_relative

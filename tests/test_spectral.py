@@ -344,6 +344,23 @@ def test_disk_empty_when_no_eigenvalues_inside():
     assert result.eigenvalues == ()
 
 
+@pytest.mark.parametrize("disk", [Disk(0.0, 300.0), Disk(0, 300)],
+                         ids=["float", "int"])
+def test_disk_too_large_for_truncation_raises(disk):
+    # y'' = lam y on [0, 1]: the fine determinant polynomial has degree 130,
+    # and 300**130 overflows a double (or wraps an int64 for an int radius)
+    mesh = Mesh(0.0, 1.0, 201)
+    op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    ws = build_workspace(op, truncation=60)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    found = find_eigenvalues(ws, bc, Interval(-300.0, -0.5)).values
+    np.testing.assert_allclose(
+        sorted(z.real for z in found), [-(np.pi * k) ** 2 for k in range(5, 0, -1)],
+        rtol=1e-8)
+    with pytest.raises(RegionTruncationError, match="radius 300 .* degree-130"):
+        find_eigenvalues(ws, bc, disk)
+
+
 # -- truncation refresh ------------------------------------------------------------------
 
 def test_with_truncation_extends_table():
