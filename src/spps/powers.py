@@ -152,7 +152,8 @@ def _grow_powers(fac: "PolyaFactorization", r: SampledFunction, rows,
 def _kahan_add(s: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
     y = term - comp
     t = s + y
-    comp[:] = (t - s) - y
+    np.subtract(t, s, out=comp)
+    comp -= y
     s[:] = t
 
 
@@ -177,13 +178,12 @@ def _solution_sum(table: FormalPowerTable, k: int,
     s = np.zeros(mesh.n, dtype=np.complex128)
     comp = np.zeros(mesh.n, dtype=np.complex128)
     c = 1.0 / math.factorial(k - 1)
-    last = 0.0
     for m in range(M + 1):
         term = c * table.x[k - 1][m * n + k - 1].values
         _kahan_add(s, comp, term)
-        last = float(np.max(np.abs(term)))
         if m < M:
             c = c * lam / _consecutive_product(m * n + k, (m + 1) * n + k - 1)
+    last = float(np.max(np.abs(term)))
     top = float(np.max(np.abs(s)))
     ratio = math.inf if top == 0.0 and last > 0.0 else (last / top if top else 0.0)
     return s, ratio

@@ -231,16 +231,29 @@ class BoundaryConditions:
         return cls(left, right)
 
 
-def eigenfunction(ws: Workspace, bc: BoundaryConditions,
+def eigenfunction(ws: Workspace,
+                  bc: BoundaryConditions | CharacteristicFunction,
                   lam: complex) -> SampledFunction:
     """Combination of basis solutions closest to satisfying the conditions.
 
     Evaluates the boundary matrix from the characteristic polynomials at
     ``lam``, takes its right singular vector for the smallest singular value,
     and sums the basis solutions with those coefficients over the whole mesh,
-    normalized so the largest sample is 1.
+    normalized so the largest sample is 1. ``bc`` is either the boundary
+    conditions or the :class:`CharacteristicFunction` that
+    :func:`characteristic_polynomials` already assembled from them for
+    ``ws``, which is then used as it is.
     """
-    mat = characteristic_polynomials(ws, bc).matrix(lam)
+    if isinstance(bc, CharacteristicFunction):
+        charfn = bc
+        if charfn.n != ws.n or charfn.degree != ws.truncation:
+            raise ValueError(
+                f"characteristic function of order {charfn.n} and degree "
+                f"{charfn.degree} does not belong to a workspace of order "
+                f"{ws.n} at truncation {ws.truncation}")
+    else:
+        charfn = characteristic_polynomials(ws, bc)
+    mat = charfn.matrix(lam)
     _, _, vh = np.linalg.svd(mat)
     coeff = vh[-1].conj()
     lam = complex(lam)
@@ -489,26 +502,49 @@ def _check_tail(ws: Workspace, region, options: EigenOptions) -> None:
             stacklevel=3)
 
 
-def _bisect_root(fn, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Standard bisection; fn must be real-valued with a sign change."""
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
+def _bisect_roots(fn, lo, hi, flo, fhi) -> np.ndarray:
+    """Bisect the brackets [lo[i], hi[i]] in lockstep, one ``fn`` call a step.
+
+    ``fn`` maps an array of points to real values. Each bracket takes the
+    steps of a standard scalar bisection: an endpoint value of 0 returns that
+    endpoint; a midpoint equal to an endpoint, or with value 0, is returned;
+    the sign test keeps the half with the sign change; the bracket closes at
+    its midpoint once narrower than 1e-15 relative, or after 200 steps. Each
+    bracket stops on its own and only open brackets are evaluated, so every
+    root equals the one the scalar bisection gives.
+    """
+    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
+    root = np.where(flo == 0.0, lo, hi)
+    active = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
+        mid = 0.5 * (lo[active] + hi[active])
+        done = (mid == lo[active]) | (mid == hi[active])
+        root[active[done]] = mid[done]
+        active, mid = active[~done], mid[~done]
+        if len(active) == 0:
+            break
         fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo < 1e-15 * max(1.0, abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+        done = fmid == 0.0
+        root[active[done]] = mid[done]
+        active, mid, fmid = active[~done], mid[~done], fmid[~done]
+        left = (flo[active] < 0) != (fmid < 0)
+        hi[active[left]], fhi[active[left]] = mid[left], fmid[left]
+        lo[active[~left]], flo[active[~left]] = mid[~left], fmid[~left]
+        a, b = lo[active], hi[active]
+        done = b - a < 1e-15 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        root[active[done]] = 0.5 * (a[done] + b[done])
+        active = active[~done]
+    root[active] = 0.5 * (lo[active] + hi[active])
+    return root
+
+
+def _real_values(charfn: CharacteristicFunction, norm: complex):
+    """Real part of the normalized determinant, as a function of an array."""
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        return (charfn.det_samples(x) / norm).real
+
+    return fn
 
 
 def _real_det(charfn: CharacteristicFunction, imag_noise: float,
@@ -534,43 +570,24 @@ def _real_det(charfn: CharacteristicFunction, imag_noise: float,
 
 
 def _interval_candidates(charfn: CharacteristicFunction, region: Interval,
-                         options: EigenOptions, norm: complex) -> list[float]:
+                         options: EigenOptions, norm: complex) -> np.ndarray:
+    """Sorted roots of the real determinant on the interval, within its margin.
+
+    The determinant is sampled on ``options.samples`` grid points; grid
+    points where it is exactly 0 are roots, and every grid step across which
+    it changes sign is a bracket. All brackets are bisected together.
+    """
     margin = options.margin_for(region)
     lo, hi = region.lo + margin, region.hi - margin
     if lo >= hi:
         raise ValueError("interval is narrower than the boundary margin")
     grid = np.linspace(lo, hi, options.samples)
     f = _real_det(charfn, options.imag_noise, grid, norm)
-
-    def fn(x: float) -> float:
-        return (charfn.det(x) / norm).real
-
-    roots: list[float] = [float(g) for g, v in zip(grid, f) if v == 0.0]
-    for i in range(len(grid) - 1):
-        if f[i] == 0.0 or f[i + 1] == 0.0:
-            continue
-        if (f[i] < 0) != (f[i + 1] < 0):
-            roots.append(_bisect_root(fn, float(grid[i]), float(grid[i + 1]),
-                                      float(f[i]), float(f[i + 1])))
-    return sorted(roots)
-
-
-def _refine_on(charfn: CharacteristicFunction, lam: float,
-               window: float, norm: complex) -> float | None:
-    """Root of the refined determinant within +-window, if any."""
-
-    def fn(x: float) -> float:
-        return (charfn.det(x) / norm).real
-
-    lo, hi = lam - window, lam + window
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0) == (fhi < 0):
-        return None
-    return _bisect_root(fn, lo, hi, flo, fhi)
+    a, b = f[:-1], f[1:]
+    i = np.flatnonzero((a != 0.0) & (b != 0.0) & ((a < 0) != (b < 0)))
+    found = _bisect_roots(_real_values(charfn, norm),
+                          grid[i], grid[i + 1], f[i], f[i + 1])
+    return np.sort(np.concatenate([grid[f == 0.0], found]))
 
 
 def _disk_candidates(charfn: CharacteristicFunction, region: Disk,
@@ -618,12 +635,13 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     """Eigenvalues of L y = lam r y under the boundary conditions in a region.
 
     For an :class:`Interval` the real determinant is scanned for sign
-    changes and each bracket is bisected; for a :class:`Disk` the
-    determinant polynomial is solved directly. Every candidate is then
-    (a) re-located with the series truncation raised by
-    ``options.persistence_extra`` (the power table is extended, not
-    rebuilt), and (b) checked by :func:`eigenfunction` at that truncation,
-    whose full-mesh equation residual must stay below
+    changes and all brackets are bisected together, one batched determinant
+    evaluation per step; for a :class:`Disk` the determinant polynomial is
+    solved directly. Every candidate is then (a) re-located with the series
+    truncation raised by ``options.persistence_extra`` (the power table is
+    extended, not rebuilt; on an interval every candidate's window is
+    bisected in the same lockstep), and (b) checked by :func:`eigenfunction`
+    at that truncation, whose full-mesh equation residual must stay below
     ``options.residual_tol``. Candidates failing either check are reported
     as rejected.
 
@@ -651,15 +669,15 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
 
     if isinstance(region, Interval):
         candidates = _interval_candidates(charfn, region, options, norm)
-        refined: list[complex] = []
-        for lam in candidates:
-            tol = options.persistence_for(lam)
-            lam2 = _refine_on(charfn_fine, lam, tol, norm)
-            if lam2 is None:
-                rejected.append((complex(lam),
-                                 "no root nearby at refined truncation"))
-                continue
-            refined.append(complex(lam2))
+        window = np.array([options.persistence_for(lam) for lam in candidates])
+        lo, hi = candidates - window, candidates + window
+        fn = _real_values(charfn_fine, norm)
+        flo, fhi = np.split(fn(np.concatenate([lo, hi])), 2)
+        keep = (flo == 0.0) | (fhi == 0.0) | ((flo < 0) != (fhi < 0))
+        rejected += [(complex(lam), "no root nearby at refined truncation")
+                     for lam in candidates[~keep]]
+        refined = [complex(lam) for lam in _bisect_roots(
+            fn, lo[keep], hi[keep], flo[keep], fhi[keep])]
     elif isinstance(region, Disk):
         candidates = _disk_candidates(charfn, region, options)
         fine_roots = np.asarray(
@@ -686,7 +704,7 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
         unique.append(lam)
 
     for lam in unique:
-        y = eigenfunction(fine, bc, lam)
+        y = eigenfunction(fine, charfn_fine, lam)
         res = operator_residual(ws.op, y, lam=lam)
         if res > options.residual_tol:
             rejected.append((lam, f"equation residual {res:.3e} exceeds "

@@ -1,5 +1,8 @@
 """Formal powers, derivative coefficient tables, and series evaluation."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,6 +192,34 @@ def test_truncation_warning_raised_when_tail_large():
     assert tail_ratio(table, 1, 400.0) > 1e-12
     with pytest.warns(TruncationWarning):
         evaluate_solution(table, fac.b[0], 1, 400.0)
+
+
+def test_tail_ratio_and_solution_from_kahan_sum():
+    m = Mesh(0.0, 1.0, 401, 0)
+    op, fac = exponential_factorization(m)
+    table = formal_powers(fac, op.r, truncation=12)
+    n, M = 2, 12
+    for k in (1, 2):
+        for lam in (3.0, -40.0 + 5.0j, 400.0):
+            s = np.zeros(m.n, dtype=complex)
+            comp = np.zeros(m.n, dtype=complex)
+            c = 1.0 / math.factorial(k - 1)
+            for mm in range(M + 1):
+                term = c * table.main(k, mm).values
+                y = term - comp
+                t = s + y
+                comp = (t - s) - y
+                s = t
+                prod = 1.0
+                for j in range(mm * n + k, (mm + 1) * n + k):
+                    prod *= j
+                c = c * lam / prod
+            want = np.max(np.abs(term)) / np.max(np.abs(s))
+            assert tail_ratio(table, k, lam) == want
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                u = evaluate_solution(table, fac.b[0], k, lam)
+            assert np.array_equal(u.values, fac.b[0].values * s)
 
 
 def test_no_warning_when_series_converged():

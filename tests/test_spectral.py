@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spps.powers
 from spps import Mesh, constant, ones, tabulate, zeros
@@ -19,6 +21,7 @@ from spps.spectral import (
     characteristic_polynomials,
     eigenfunction,
     find_eigenvalues,
+    _bisect_roots,
     solve_initial_value,
     with_truncation,
 )
@@ -48,6 +51,59 @@ def dirichlet_workspace(nmesh=401, truncation=30, basepoint=None):
     else:
         mesh = Mesh(0.0, np.pi, nmesh, basepoint)
     return pure_workspace(mesh, 2, truncation)
+
+
+def double_well_workspace():
+    """y'' - 50 exp(-8 (x - pi)^2) y = lam y on [0, 2 pi], random seed."""
+    mesh = Mesh(0.0, 2 * np.pi, 801)
+    well = tabulate(mesh, lambda t: -50.0 * np.exp(-8.0 * (t - np.pi) ** 2))
+    op = OperatorSpec(2, (zeros(mesh), well), ones(mesh))
+    return build_workspace(op, truncation=60, rng_seed=0)
+
+
+def scalar_bisect(fn, lo, hi, flo, fhi):
+    """Reference: the one-bracket-at-a-time bisection, fn called per point."""
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        fmid = fn(mid)
+        if fmid == 0.0:
+            return mid
+        if (flo < 0) != (fmid < 0):
+            hi, fhi = mid, fmid
+        else:
+            lo, flo = mid, fmid
+        if hi - lo < 1e-15 * max(1.0, abs(lo), abs(hi)):
+            return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def assert_bisect_matches_scalar(fn, lo, hi):
+    """_bisect_roots gives the scalar roots and evaluates the same points."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    scalar_points = []
+
+    def scalar_fn(x):
+        scalar_points.append(x)
+        return fn(np.array([x]))[0]
+
+    want = np.array([scalar_bisect(scalar_fn, a, b, fn(np.array([a]))[0],
+                                   fn(np.array([b]))[0])
+                     for a, b in zip(lo.tolist(), hi.tolist())])
+    batch_points = []
+
+    def batch_fn(x):
+        batch_points.extend(x.tolist())
+        return fn(x)
+
+    got = _bisect_roots(batch_fn, lo, hi, fn(lo), fn(hi))
+    assert np.array_equal(got, want)
+    assert sorted(batch_points) == sorted(scalar_points)
 
 
 # -- initial-value problems -------------------------------------------------------
@@ -182,6 +238,23 @@ def test_matrices_match_per_entry_horner():
         assert charfn.det(lam) == charfn.det_samples([lam])[0]
 
 
+@pytest.mark.parametrize("size", [1, 3, 8, 33])
+def test_det_samples_batch_equals_single_points(size):
+    rng = np.random.default_rng(size)
+    ws = dirichlet_workspace()
+    bc = BoundaryConditions.separated(2, [0], [0])
+    poly = rng.standard_normal((4, 4, 41)) + 1j * rng.standard_normal((4, 4, 41))
+    lams = np.concatenate([rng.uniform(-30.0, 5.0, size),
+                           rng.uniform(-5.0, 5.0, size) * (1 + 1j)])
+    for charfn in (characteristic_polynomials(ws, bc),
+                   CharacteristicFunction(poly)):
+        batch = charfn.det_samples(lams)
+        single = [charfn.det_samples([lam])[0] for lam in lams]
+        assert np.array_equal(batch, single)
+        assert np.array_equal(charfn.det_samples(lams.real[:size]),
+                              single[:size])
+
+
 def test_determinant_roots_at_known_eigenvalues():
     # Dirichlet on [0, pi]: det vanishes at lam = -k^2 and nowhere between
     ws = dirichlet_workspace()
@@ -218,6 +291,76 @@ def test_dirichlet_eigenvalues_on_interval():
         assert g.real == pytest.approx(w, abs=1e-8)
     assert all(e.residual < 1e-6 for e in result.eigenvalues)
     assert result.rejected == ()
+
+
+def test_bisect_roots_matches_scalar_bisection():
+    def fn(x):  # exact zeros at -3, 0.5 and 2; a rounded one near 0.3
+        return (x - 0.5) * (x + 3.0) * (x - 2.0) * (x - 0.3)
+
+    one = 1.0 + 4 * np.finfo(float).eps
+    lo = [0.5, -4.0, 1.5, 1.0, 1.0, 0.2, 0.1, -3.7, 1.2, 3.0]
+    hi = [1.0, -3.0, 2.5, one, np.nextafter(1.0, 2.0), 0.45, 0.4, -2.1, 2.9, 4.0]
+    # zero at lo, zero at hi, zero at the first midpoint, below the width
+    # floor, adjacent floats, the rounded root from two brackets, the root -3
+    # and the root 2 from non-dyadic brackets, no sign change
+    assert_bisect_matches_scalar(fn, lo, hi)
+    got = _bisect_roots(fn, lo, hi, fn(np.array(lo)), fn(np.array(hi)))
+    assert got[0] == 0.5 and got[1] == -3.0 and got[2] == 2.0
+    assert abs(got[5] - 0.3) < 1e-15
+
+
+def test_bisect_roots_of_no_brackets_calls_nothing():
+    def fn(x):
+        raise AssertionError("evaluated with no open bracket")
+
+    empty = np.array([])
+    assert _bisect_roots(fn, empty, empty, empty, empty).shape == (0,)
+    # every bracket closes before a midpoint is needed
+    got = _bisect_roots(fn, [0.0, 1.0], [1.0, 2.0], [0.0, 1.0], [1.0, 0.0])
+    assert np.array_equal(got, [0.0, 2.0])
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(roots=st.lists(st.integers(-24, 24), min_size=1, max_size=4),
+       scale=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+       shift=st.sampled_from([0.0, 1e-3, -0.37]),
+       brackets=st.lists(st.tuples(st.floats(-3.5, 3.5), st.floats(0.0, 4.0)),
+                         min_size=1, max_size=12))
+def test_bisect_roots_matches_scalar_property(roots, scale, shift, brackets):
+    # roots at multiples of 1/8, so midpoints often hit them exactly
+    coeffs = scale * np.polynomial.polynomial.polyfromroots(np.array(roots) / 8)
+    coeffs[0] += shift
+
+    def fn(x):
+        return np.polynomial.polynomial.polyval(x, coeffs)
+
+    lo = [a for a, _ in brackets]
+    hi = [a + w for a, w in brackets]
+    assert_bisect_matches_scalar(fn, lo, hi)
+
+
+@pytest.mark.parametrize("case", ["dirichlet", "double_well"])
+def test_interval_search_batches_determinant_calls(case, monkeypatch):
+    if case == "dirichlet":
+        ws, region, least = dirichlet_workspace(), Interval(-30.0, -0.5), 5
+    else:
+        ws, region, least = double_well_workspace(), Interval(-20.0, -0.1), 6
+    bc = BoundaryConditions.separated(2, [0], [0])
+    calls = {"det": 0, "det_samples": 0}
+    for name in calls:
+        method = getattr(CharacteristicFunction, name)
+
+        def counting(self, lams, name=name, method=method):
+            calls[name] += 1
+            return method(self, lams)
+
+        monkeypatch.setattr(CharacteristicFunction, name, counting)
+    result = find_eigenvalues(ws, bc, region)
+    assert len(result.eigenvalues) >= least
+    # 1 grid, 1 for both persistence window ends, and at most 64 steps for
+    # each of the coarse and refined bisections, however many brackets
+    assert calls["det"] == 0
+    assert calls["det_samples"] <= 131
 
 
 def test_empty_region_yields_nothing():
@@ -307,6 +450,18 @@ def test_eigenfunction_residual_small_only_at_eigenvalue():
     # but the residual check is about the equation, which any combination of
     # basis solutions satisfies; verify the boundary values expose it instead
     assert abs(y_off.values[0]) + abs(y_off.values[-1]) > 1e-3
+
+
+def test_eigenfunction_from_characteristic_function():
+    ws = dirichlet_workspace()
+    bc = BoundaryConditions.separated(2, [0], [0])
+    fine = with_truncation(ws, ws.truncation + 5)
+    charfn_fine = characteristic_polynomials(fine, bc)
+    for lam in (-4.0, -9.0 + 1e-9j, -7.5):
+        assert np.array_equal(eigenfunction(fine, charfn_fine, lam).values,
+                              eigenfunction(fine, bc, lam).values)
+    with pytest.raises(ValueError, match="does not belong"):
+        eigenfunction(ws, charfn_fine, -4.0)
 
 
 # -- disk eigenvalue search ---------------------------------------------------------------
