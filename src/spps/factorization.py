@@ -253,7 +253,7 @@ def polya_factors(W: Sequence[SampledFunction],
         raise _floor_error(report)
     b = [W[1]]
     for j in range(1, n):
-        b.append(W[j - 1] * W[j + 1] / (W[j] * W[j]))
+        b.append(W[j - 1] * W[j + 1] / W[j] / W[j])
     b.append(W[n - 1] / W[n])
     b_derivs = tuple(
         (bj,) + tuple(differentiate(bj, d) for d in range(1, n))

@@ -8,7 +8,9 @@ classes into small dense linear algebra:
   below order k - 1 at the basepoint;
 * a two-point eigenvalue problem reduces to the roots of the determinant of
   an n-by-n matrix whose entries are polynomials in the spectral parameter,
-  assembled from the per-node series coefficients of the basis solutions.
+  assembled from the per-node series coefficients of the basis solutions;
+  the roots in a search region are counted and located by contour
+  integrals on a circle around it, the same way for intervals and disks.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .powers import (
 )
 
 DIAGONAL_FLOOR = 1e-12
-COEFF_TRIM = 1e-13
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def eigenfunction(ws: Workspace,
                 f"{ws.n} at truncation {ws.truncation}")
     else:
         charfn = characteristic_polynomials(ws, bc)
-    mat = charfn.matrix(lam)
+    mat = _boundary_matrices(charfn, np.array([complex(lam)]))[0][0]
     _, _, vh = np.linalg.svd(mat)
     coeff = vh[-1].conj()
     lam = complex(lam)
@@ -328,7 +329,8 @@ class CharacteristicFunction:
         if n <= 6:
             acc = np.zeros(deg + 1, dtype=complex)
             for perm in itertools.permutations(range(n)):
-                sign = _permutation_sign(perm)
+                sign = (-1) ** sum(a > b for i, a in enumerate(perm)
+                                   for b in perm[i + 1:])
                 prod = np.ones(1, dtype=complex)
                 for i, k in enumerate(perm):
                     prod = np.convolve(prod, self.poly[i, k])
@@ -340,23 +342,6 @@ class CharacteristicFunction:
         return np.fft.ifft(vals)[:count]
 
 
-def _permutation_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def characteristic_polynomials(ws: Workspace,
                                bc: BoundaryConditions) -> CharacteristicFunction:
     """Assemble the boundary matrix as polynomials in the spectral parameter."""
@@ -364,22 +349,15 @@ def characteristic_polynomials(ws: Workspace,
     if bc.n != n:
         raise ValueError(f"boundary conditions are {bc.n}-dimensional, "
                          f"operator order is {n}")
-    terms = ws.truncation + 1
-    first, last = 0, ws.mesh.n - 1
-    poly = np.zeros((n, n, terms), dtype=complex)
+    poly = np.zeros((n, n, ws.truncation + 1), dtype=complex)
     for k in range(1, n + 1):
         for ell in range(n):
             cl = series_coefficients_at_node(
-                ws.table, ws.coeffs, ws.b0, k, ell, first)
+                ws.table, ws.coeffs, ws.b0, k, ell, 0)
             cr = series_coefficients_at_node(
-                ws.table, ws.coeffs, ws.b0, k, ell, last)
-            for i in range(n):
-                a = bc.left[i, ell]
-                c = bc.right[i, ell]
-                if a != 0:
-                    poly[i, k - 1] += a * cl
-                if c != 0:
-                    poly[i, k - 1] += c * cr
+                ws.table, ws.coeffs, ws.b0, k, ell, ws.mesh.n - 1)
+            poly[:, k - 1] += bc.left[:, ell, None] * cl + \
+                bc.right[:, ell, None] * cr
     return CharacteristicFunction(poly)
 
 
@@ -436,10 +414,12 @@ class Disk:
 class EigenOptions:
     """Knobs for the eigenvalue search.
 
-    ``boundary_margin`` and ``persistence_tol`` default to scale-aware
-    values when left as None. Candidates are accepted only if they survive a
-    truncation bump of ``persistence_extra`` terms and if the reconstructed
-    eigenfunction drives the equation residual below ``residual_tol``.
+    ``samples`` is the number of contour points the root count starts from;
+    they are doubled until the count converges. ``boundary_margin`` and
+    ``persistence_tol`` default to scale-aware values when left as None.
+    Candidates are accepted only if they survive a truncation bump of
+    ``persistence_extra`` terms and if the reconstructed eigenfunction
+    drives the equation residual below ``residual_tol``.
     """
 
     samples: int = 1001
@@ -448,7 +428,6 @@ class EigenOptions:
     persistence_extra: int = 5
     persistence_tol: float | None = None
     boundary_margin: float | None = None
-    imag_noise: float = 1e-10
     tail_error: float = 1e-6
     tail_warn: float = 1e-12
 
@@ -457,10 +436,10 @@ class EigenOptions:
             return self.boundary_margin
         return 1e-6 * max(1.0, region.extent)
 
-    def persistence_for(self, lam: complex) -> float:
+    def persistence_for(self, lam):  # lam may be an array
         if self.persistence_tol is not None:
             return self.persistence_tol
-        return 1e-7 * max(1.0, abs(lam))
+        return 1e-7 * np.maximum(1.0, np.abs(lam))
 
 
 @dataclass(frozen=True)
@@ -502,148 +481,136 @@ def _check_tail(ws: Workspace, region, options: EigenOptions) -> None:
             stacklevel=3)
 
 
-def _bisect_roots(fn, lo, hi, flo, fhi) -> np.ndarray:
-    """Bisect the brackets [lo[i], hi[i]] in lockstep, one ``fn`` call a step.
-
-    ``fn`` maps an array of points to real values. Each bracket takes the
-    steps of a standard scalar bisection: an endpoint value of 0 returns that
-    endpoint; a midpoint equal to an endpoint, or with value 0, is returned;
-    the sign test keeps the half with the sign change; the bracket closes at
-    its midpoint once narrower than 1e-15 relative, or after 200 steps. Each
-    bracket stops on its own and only open brackets are evaluated, so every
-    root equals the one the scalar bisection gives.
-    """
-    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
-    root = np.where(flo == 0.0, lo, hi)
-    active = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    for _ in range(200):
-        mid = 0.5 * (lo[active] + hi[active])
-        done = (mid == lo[active]) | (mid == hi[active])
-        root[active[done]] = mid[done]
-        active, mid = active[~done], mid[~done]
-        if len(active) == 0:
-            break
-        fmid = fn(mid)
-        done = fmid == 0.0
-        root[active[done]] = mid[done]
-        active, mid, fmid = active[~done], mid[~done], fmid[~done]
-        left = (flo[active] < 0) != (fmid < 0)
-        hi[active[left]], fhi[active[left]] = mid[left], fmid[left]
-        lo[active[~left]], flo[active[~left]] = mid[~left], fmid[~left]
-        a, b = lo[active], hi[active]
-        done = b - a < 1e-15 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        root[active[done]] = 0.5 * (a[done] + b[done])
-        active = active[~done]
-    root[active] = 0.5 * (lo[active] + hi[active])
-    return root
+# The roots of det T in a circle are counted and located from contour
+# integrals of (det T)'/det T (Delves & Lyness, Math. Comp. 21, 1967).
+WIDEN = 1.05  # circle radius over the half-diagonal of the box it covers
+MAX_POINTS = 2 ** 14  # contour points beyond which the circle is widened
+MOMENT_TOL = 1e-4  # nested levels agree; the finer errs by about its square
+BLOCK = 256  # points evaluated at a time, which bounds memory
 
 
-def _real_values(charfn: CharacteristicFunction, norm: complex):
-    """Real part of the normalized determinant, as a function of an array."""
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        return (charfn.det_samples(x) / norm).real
-
-    return fn
-
-
-def _real_det(charfn: CharacteristicFunction, imag_noise: float,
-              grid: np.ndarray, norm: complex):
-    """Samples of the normalized determinant, validated to be real.
-
-    The basis solutions carry an arbitrary (possibly complex) constant change
-    of basis from the seed recombination; dividing the determinant by the
-    lam-independent determinant of the initial-value matrix removes it, so a
-    problem with real data yields a genuinely real function on the line.
-    """
-    vals = charfn.det_samples(grid) / norm
-    scale = np.max(np.abs(vals))
-    if scale == 0.0:
-        raise ValueError(
-            "characteristic determinant vanishes identically on the region; "
-            "the boundary conditions do not constrain the problem")
-    if np.max(np.abs(vals.imag)) > imag_noise * scale:
-        raise ValueError(
-            "characteristic determinant is not real on the interval; "
-            "search a disk region instead")
-    return vals.real
-
-
-def _interval_candidates(charfn: CharacteristicFunction, region: Interval,
-                         options: EigenOptions, norm: complex) -> np.ndarray:
-    """Sorted roots of the real determinant on the interval, within its margin.
-
-    The determinant is sampled on ``options.samples`` grid points; grid
-    points where it is exactly 0 are roots, and every grid step across which
-    it changes sign is a bracket. All brackets are bisected together.
-    """
-    margin = options.margin_for(region)
-    lo, hi = region.lo + margin, region.hi - margin
-    if lo >= hi:
-        raise ValueError("interval is narrower than the boundary margin")
-    grid = np.linspace(lo, hi, options.samples)
-    f = _real_det(charfn, options.imag_noise, grid, norm)
-    a, b = f[:-1], f[1:]
-    i = np.flatnonzero((a != 0.0) & (b != 0.0) & ((a < 0) != (b < 0)))
-    found = _bisect_roots(_real_values(charfn, norm),
-                          grid[i], grid[i + 1], f[i], f[i + 1])
-    return np.sort(np.concatenate([grid[f == 0.0], found]))
-
-
-def _disk_candidates(charfn: CharacteristicFunction, region: Disk,
-                     options: EigenOptions) -> list[complex]:
-    margin = options.margin_for(region)
-    # float: an integer scale would raise to powers in wrapping int64
-    scale = max(1.0, float(abs(region.center) + region.radius))
-    coeffs = charfn.det_polynomial()
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = coeffs * scale ** np.arange(len(coeffs))
-    if not np.all(np.isfinite(scaled)):
-        raise RegionTruncationError(
-            f"disk of radius {region.radius:g} about {region.center:g} is out "
-            f"of reach at this truncation: the degree-{len(coeffs) - 1} "
-            f"characteristic polynomial overflows when scaled to it")
-    top = np.max(np.abs(scaled))
-    if top == 0.0:
-        raise ValueError(
-            "characteristic determinant vanishes identically on the region; "
-            "the boundary conditions do not constrain the problem")
-    keep = len(scaled)
-    while keep > 1 and abs(scaled[keep - 1]) <= COEFF_TRIM * top:
-        keep -= 1
-    trimmed = scaled[:keep]
-    if keep == 1:
-        return []
-    mu = np.roots(trimmed[::-1])
-    out = []
-    for root in mu:
-        lam = complex(root) * scale
-        if abs(lam - region.center) <= region.radius - margin:
-            out.append(lam)
+def _log_derivative(charfn: CharacteristicFunction,
+                    lams: np.ndarray) -> np.ndarray:
+    """(det T)'/det T = tr(T^-1 T') (Jacobi); infinite where T is singular."""
+    out = np.full(len(lams), np.inf, dtype=complex)
+    for start in range(0, len(lams), BLOCK):
+        t, dt = _boundary_matrices(charfn, lams[start:start + BLOCK])
+        try:
+            ok, x = slice(None), np.linalg.solve(t, dt)
+        except np.linalg.LinAlgError:  # T is singular at some point: a root
+            ok = np.isfinite(np.linalg.slogdet(t)[1])
+            x = np.linalg.solve(t[ok], dt[ok])
+        out[start:start + BLOCK][ok] = np.trace(x, axis1=1, axis2=2)
     return out
 
 
-def _nearest(roots: np.ndarray, lam: complex) -> complex | None:
-    if len(roots) == 0:
-        return None
-    idx = int(np.argmin(np.abs(roots - lam)))
-    return complex(roots[idx])
+def _boundary_matrices(charfn: CharacteristicFunction, z: np.ndarray):
+    """T and T' at the points, as the powers of lam times the coefficients."""
+    n, deg = charfn.n, charfn.degree
+    coeffs = charfn.poly.reshape(n * n, deg + 1).T
+    both = np.hstack([coeffs, np.vstack([
+        coeffs[1:] * np.arange(1, deg + 1)[:, None], 0 * coeffs[:1]])])
+    # powers by doubling, in rows: faster in numpy than along an axis
+    powers, low = np.empty((deg + 1, len(z)), dtype=complex), 1
+    powers[0] = 1.0
+    while low <= deg:
+        powers[low:2 * low] = powers[:low][:deg + 1 - low] * z
+        z, low = z * z, 2 * low
+    return np.moveaxis((powers.T @ both).reshape(-1, 2, n, n), 1, 0)
+
+
+def _moments(charfn: CharacteristicFunction, center: complex, radius: float,
+             samples: int):
+    """Radius, and power sums s_0..s_N of w = (lam - center) / radius over
+    the N = s_0 roots of det T in the circle: the trapezoid rule on
+    ``samples`` points (made even), doubled until it agrees with the rule on
+    every other point. A root on the contour stops that; widen then."""
+    for _ in range(3):
+        size = samples + samples % 2
+        g = _log_derivative(charfn, center + radius * np.exp(
+            2j * np.pi * np.arange(size) / size))
+        while len(g) <= MAX_POINTS and np.isfinite(np.sum(g)):
+            w = np.exp(2j * np.pi * np.arange(len(g)) / len(g))
+            count = max(round((radius * np.mean(g * w)).real), 0)
+            sums, coarse = (radius * (v * u) @ np.vander(
+                u, count + 1, increasing=True) / len(u)
+                for v, u in ((g, w), (g[::2], w[::2])))
+            if np.max(np.abs(sums - coarse)) <= MOMENT_TOL * (count + 1):
+                return radius, sums
+            odd = np.exp(2j * np.pi * (np.arange(len(g)) + 0.5) / len(g))
+            g = np.stack([g, _log_derivative(charfn, center + radius * odd)],
+                         axis=1).ravel()
+        radius *= WIDEN
+    raise ValueError(f"contour integrals of the characteristic determinant "
+                     f"about {center:.6g} do not converge")
+
+
+def _newton(charfn: CharacteristicFunction, z: np.ndarray,
+            options: EigenOptions, steps: int, deflate: bool):
+    """Newton's method on det T, and whether the last step and the plain one
+    (a deflated step can be small off a root) were in the window. With
+    ``deflate`` (Aberth-Maehly) the steps run until all are in the window."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(steps):
+            g = _log_derivative(charfn, z)
+            shift = np.sum(1.0 / (z[:, None] - z + np.diag(
+                np.full(len(z), np.inf))), axis=1) if deflate else 0.0
+            step = np.where(np.isinf(g), 0.0, 1.0 / (g - shift))
+            z, small = z - step, np.abs(step) <= options.persistence_for(z)
+            done = small & (np.abs(1.0 / g) <= options.persistence_for(z))
+            if deflate and np.all(small) or not np.all(np.isfinite(z)):
+                break
+    return z, done
+
+
+def _roots_in(charfn: CharacteristicFunction, box, options: EigenOptions,
+              radius: float | None = None, splits: int = 6):
+    """Roots of det T in a box (center, half width, half height) grown by
+    their windows, from a circle about it (by default through its corners,
+    widened), and those counted but not confirmed. While the confirmed ones
+    miss the count, the box is halved and searched, ``splits`` times over."""
+    center, hx, hy = box
+    radius, sums = _moments(charfn, center, radius or WIDEN * abs(
+        complex(hx, hy)), options.samples)
+    if len(sums) < 2:
+        return [], []
+    # first estimates: the eigenvalues of the Hankel pencil of the sums, as
+    # the roots of its characteristic polynomial prod (w - w_k) by Newton's
+    # identities, which unlike the pencil stay regular at a multiple root
+    c = [1.0]
+    for k in range(1, len(sums)):
+        c.append(-sum(c[k - i] * sums[i] for i in range(1, k + 1)) / k)
+    companion = np.eye(len(c) - 1, k=-1, dtype=complex)
+    companion[:, -1] = -np.array(c[:0:-1])
+    z, ok = _newton(charfn, center + radius * np.linalg.eigvals(companion),
+                    options, 60, deflate=True)
+    ok &= np.abs(z - center) < radius
+    if np.count_nonzero(ok) != len(z) and splits > 0:
+        shift, half = (hx / 2, (hx / 2, hy)) if hx >= hy else \
+            (0.5j * hy, (hx, hy / 2))
+        found = [_roots_in(charfn, (center + sign * shift, *half), options,
+                           splits=splits - 1) for sign in (-1, 1)]
+        return found[0][0] + found[1][0], found[0][1] + found[1][1]
+    d, tol = z - center, options.persistence_for(z)
+    inside = (abs(d.real) <= hx + tol) & (abs(d.imag) <= hy + tol)
+    return list(z[ok & inside]), [
+        (lam, "counted but not confirmed as a root") for lam in z[~ok]]
 
 
 def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
                      options: EigenOptions | None = None) -> EigenResult:
     """Eigenvalues of L y = lam r y under the boundary conditions in a region.
 
-    For an :class:`Interval` the real determinant is scanned for sign
-    changes and all brackets are bisected together, one batched determinant
-    evaluation per step; for a :class:`Disk` the determinant polynomial is
-    solved directly. Every candidate is then (a) re-located with the series
-    truncation raised by ``options.persistence_extra`` (the power table is
-    extended, not rebuilt; on an interval every candidate's window is
-    bisected in the same lockstep), and (b) checked by :func:`eigenfunction`
-    at that truncation, whose full-mesh equation residual must stay below
-    ``options.residual_tol``. Candidates failing either check are reported
-    as rejected.
+    The roots of the characteristic determinant are counted and located by
+    contour integrals on a circle 5% wider than the region (around an
+    :class:`Interval`, a :class:`Disk`'s own). Each root in the region must
+    (a) persist, by Newton's method, when the truncation is raised by
+    ``options.persistence_extra`` (the power table is extended), and (b)
+    give an :func:`eigenfunction` there with equation residual below
+    ``options.residual_tol``. Roots failing either, or counted but never
+    located, are rejected; roots within twice their persistence window are
+    merged, as a multiple root. An interval's roots are real; one whose
+    imaginary part exceeds that window is not on it.
 
     Raises
     ------
@@ -652,58 +619,51 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
         any answer there to be trustworthy.
     """
     options = options or EigenOptions()
-    if bc.n != ws.n:
-        raise ValueError(f"boundary conditions are {bc.n}-dimensional, "
-                         f"operator order is {ws.n}")
-    _check_tail(ws, region, options)
-    norm = complex(np.linalg.det(initial_matrix(ws.coeffs, ws.b0)))
-    if norm == 0:
-        raise TriangularDefectError(
-            "initial-value matrix of the basis solutions is singular")
-    charfn = characteristic_polynomials(ws, bc)
+    window = options.persistence_for
     fine = with_truncation(ws, ws.truncation + options.persistence_extra)
     charfn_fine = characteristic_polynomials(fine, bc)
-
-    accepted: list[Eigenvalue] = []
-    rejected: list[tuple[complex, str]] = []
-
+    charfn = CharacteristicFunction(charfn_fine.poly[:, :, :ws.truncation + 1])
+    _check_tail(ws, region, options)
+    margin = options.margin_for(region)
     if isinstance(region, Interval):
-        candidates = _interval_candidates(charfn, region, options, norm)
-        window = np.array([options.persistence_for(lam) for lam in candidates])
-        lo, hi = candidates - window, candidates + window
-        fn = _real_values(charfn_fine, norm)
-        flo, fhi = np.split(fn(np.concatenate([lo, hi])), 2)
-        keep = (flo == 0.0) | (fhi == 0.0) | ((flo < 0) != (fhi < 0))
-        rejected += [(complex(lam), "no root nearby at refined truncation")
-                     for lam in candidates[~keep]]
-        refined = [complex(lam) for lam in _bisect_roots(
-            fn, lo[keep], hi[keep], flo[keep], fhi[keep])]
+        box = ((region.lo + region.hi) / 2, region.extent / 2, 0.0)
+        radius = None
+
+        def place(lam: complex) -> complex | None:
+            real = region.lo + margin <= lam.real <= region.hi - margin and \
+                abs(lam.imag) <= window(lam)
+            return complex(lam.real) if real else None
     elif isinstance(region, Disk):
-        candidates = _disk_candidates(charfn, region, options)
-        fine_roots = np.asarray(
-            _disk_candidates(charfn_fine, region, options), dtype=complex)
-        refined = []
-        for lam in candidates:
-            tol = options.persistence_for(lam)
-            lam2 = _nearest(fine_roots, lam)
-            if lam2 is None or abs(lam2 - lam) > tol:
-                rejected.append((lam, "no root nearby at refined truncation"))
-                continue
-            if abs(lam2.imag) <= options.imag_noise * max(1.0, abs(lam2)):
-                lam2 = complex(lam2.real, 0.0)
-            refined.append(lam2)
+        box = (complex(region.center), region.radius, region.radius)
+        radius = WIDEN * region.radius
+
+        def place(lam: complex) -> complex | None:
+            inside = abs(lam - region.center) <= region.radius - margin
+            return complex(lam) if inside else None
     else:
         raise TypeError(f"unsupported region type {type(region).__name__}")
-
-    # dedupe refined candidates (multiple brackets or conjugate collapse)
-    unique: list[complex] = []
+    roots, rejected = _roots_in(charfn, box, options, radius)
+    roots = np.array([z for z in roots if place(z) is not None], dtype=complex)
+    # from the real part of a root near the real axis, Newton's method stays
+    # on it exactly when T is real there (real data and seed system)
+    starts = np.where(abs(roots.imag) <= window(roots), roots.real, roots)
+    refined = []
+    for lam, lam2 in zip(roots, _newton(charfn_fine, starts, options, 2,
+                                        deflate=False)[0]):
+        if not abs(lam2 - lam) <= window(lam):
+            rejected.append((lam, "no root nearby at refined truncation"))
+        elif place(lam2) is not None:
+            refined.append(place(lam2))
+    # roots within twice their window are one: a multiple root, or a root
+    # that two halves of a split box both kept
+    clusters: list[list[complex]] = []
     for lam in sorted(refined, key=lambda z: (z.real, z.imag)):
-        tol = options.persistence_for(lam)
-        if unique and abs(lam - unique[-1]) <= 2 * tol:
-            continue
-        unique.append(lam)
-
-    for lam in unique:
+        if clusters and abs(lam - clusters[-1][0]) <= 2 * window(lam):
+            clusters[-1].append(lam)
+        else:
+            clusters.append([lam])
+    accepted: list[Eigenvalue] = []
+    for lam in (complex(np.mean(c)) for c in clusters):
         y = eigenfunction(fine, charfn_fine, lam)
         res = operator_residual(ws.op, y, lam=lam)
         if res > options.residual_tol:

@@ -246,6 +246,21 @@ def test_wronskian_floor_reaches_factorization(tmp_path, capsys):
     assert json.loads(out)["wronskian_min"] == pytest.approx(5e-7, rel=1e-6)
 
 
+def test_small_wronskian_floor_is_honoured(tmp_path, capsys):
+    # W_1 = y1 dips to 1e-8 of its maximum at x = 1, above the configured
+    # floor of 1e-9; the factor W_0 W_2 / W_1^2 divides by W_1 twice, so the
+    # 1e-16 of W_1^2 must not meet a reciprocal floor of its own
+    path = tmp_path / "p.ini"
+    path.write_text("[problem]\norder = 2\ninterval = 0 1\n"
+                    "phi1 = 0\nphi2 = 0\n"
+                    "[seed_system]\ny1 = 1.00000001 - x\ny2 = 1\n"
+                    "[tolerances]\nwronskian_floor = 1e-9\n",
+                    encoding="utf-8")
+    code, out, err = run_main(capsys, "verify", "--config", str(path))
+    assert code == 0, err
+    assert json.loads(out)["wronskian_min"] == pytest.approx(1e-8, rel=1e-6)
+
+
 def test_residual_tolerance_reaches_random_seed(tmp_path, capsys):
     text = "[problem]\norder = 2\ninterval = 0 1\nphi1 = x\nphi2 = 1\n"
     path = tmp_path / "p.ini"
@@ -273,7 +288,9 @@ def test_wronskian_floor_reaches_random_seed(tmp_path, capsys):
     assert "recombination exhausted 2 retries" in err
 
 
-def test_disk_too_large_exit_code(tmp_path, capsys):
+def test_large_disk_eig_exit_code(tmp_path, capsys):
+    # a disk whose degree-130 determinant expansion would overflow a double
+    # is searched like any other: y'' = lam y, lam = -(k pi)^2, k = 1..5
     path = tmp_path / "p.ini"
     path.write_text("[problem]\norder = 2\ninterval = 0 1\n"
                     "phi1 = 0\nphi2 = 0\n[mesh]\nnodes = 201\n"
@@ -281,9 +298,10 @@ def test_disk_too_large_exit_code(tmp_path, capsys):
                     "[boundary]\nrow1 = 1 0 ; 0 0\nrow2 = 0 0 ; 1 0\n"
                     "[eig]\nregion = disk 0 0 300\n", encoding="utf-8")
     code, out, err = run_main(capsys, "eig", "--config", str(path))
-    assert code == 3
-    assert out == ""
-    assert "truncation" in err and "degree-130" in err
+    assert code == 0, err
+    got = sorted(e["lambda_re"] for e in json.loads(out)["eigenvalues"])
+    np.testing.assert_allclose(
+        got, [-(np.pi * k) ** 2 for k in range(5, 0, -1)], rtol=1e-8)
 
 
 def test_usage_error_exit_code():

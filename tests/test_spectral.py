@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spps.powers
+import spps.spectral
 from spps import Mesh, constant, ones, tabulate, zeros
 from spps.errors import RegionTruncationError
 from spps.factorization import OperatorSpec, SolutionSystem, operator_residual
@@ -17,16 +18,16 @@ from spps.spectral import (
     EigenOptions,
     Interval,
     Workspace,
+    _roots_in,
     build_workspace,
     characteristic_polynomials,
     eigenfunction,
     find_eigenvalues,
-    _bisect_roots,
     solve_initial_value,
     with_truncation,
 )
 
-from oracles import integrate_ivp, refine_eigenvalue
+from oracles import integrate_ivp, refine_eigenvalue, shooting_determinant
 
 
 def monomial_seed(op):
@@ -53,57 +54,12 @@ def dirichlet_workspace(nmesh=401, truncation=30, basepoint=None):
     return pure_workspace(mesh, 2, truncation)
 
 
-def double_well_workspace():
-    """y'' - 50 exp(-8 (x - pi)^2) y = lam y on [0, 2 pi], random seed."""
+def double_well_workspace(depth=50.0):
+    """y'' - H exp(-8 (x - pi)^2) y = lam y on [0, 2 pi], random seed."""
     mesh = Mesh(0.0, 2 * np.pi, 801)
-    well = tabulate(mesh, lambda t: -50.0 * np.exp(-8.0 * (t - np.pi) ** 2))
+    well = tabulate(mesh, lambda t: -depth * np.exp(-8.0 * (t - np.pi) ** 2))
     op = OperatorSpec(2, (zeros(mesh), well), ones(mesh))
     return build_workspace(op, truncation=60, rng_seed=0)
-
-
-def scalar_bisect(fn, lo, hi, flo, fhi):
-    """Reference: the one-bracket-at-a-time bisection, fn called per point."""
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo < 1e-15 * max(1.0, abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
-
-
-def assert_bisect_matches_scalar(fn, lo, hi):
-    """_bisect_roots gives the scalar roots and evaluates the same points."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    scalar_points = []
-
-    def scalar_fn(x):
-        scalar_points.append(x)
-        return fn(np.array([x]))[0]
-
-    want = np.array([scalar_bisect(scalar_fn, a, b, fn(np.array([a]))[0],
-                                   fn(np.array([b]))[0])
-                     for a, b in zip(lo.tolist(), hi.tolist())])
-    batch_points = []
-
-    def batch_fn(x):
-        batch_points.extend(x.tolist())
-        return fn(x)
-
-    got = _bisect_roots(batch_fn, lo, hi, fn(lo), fn(hi))
-    assert np.array_equal(got, want)
-    assert sorted(batch_points) == sorted(scalar_points)
 
 
 # -- initial-value problems -------------------------------------------------------
@@ -293,74 +249,30 @@ def test_dirichlet_eigenvalues_on_interval():
     assert result.rejected == ()
 
 
-def test_bisect_roots_matches_scalar_bisection():
-    def fn(x):  # exact zeros at -3, 0.5 and 2; a rounded one near 0.3
-        return (x - 0.5) * (x + 3.0) * (x - 2.0) * (x - 0.3)
-
-    one = 1.0 + 4 * np.finfo(float).eps
-    lo = [0.5, -4.0, 1.5, 1.0, 1.0, 0.2, 0.1, -3.7, 1.2, 3.0]
-    hi = [1.0, -3.0, 2.5, one, np.nextafter(1.0, 2.0), 0.45, 0.4, -2.1, 2.9, 4.0]
-    # zero at lo, zero at hi, zero at the first midpoint, below the width
-    # floor, adjacent floats, the rounded root from two brackets, the root -3
-    # and the root 2 from non-dyadic brackets, no sign change
-    assert_bisect_matches_scalar(fn, lo, hi)
-    got = _bisect_roots(fn, lo, hi, fn(np.array(lo)), fn(np.array(hi)))
-    assert got[0] == 0.5 and got[1] == -3.0 and got[2] == 2.0
-    assert abs(got[5] - 0.3) < 1e-15
-
-
-def test_bisect_roots_of_no_brackets_calls_nothing():
-    def fn(x):
-        raise AssertionError("evaluated with no open bracket")
-
-    empty = np.array([])
-    assert _bisect_roots(fn, empty, empty, empty, empty).shape == (0,)
-    # every bracket closes before a midpoint is needed
-    got = _bisect_roots(fn, [0.0, 1.0], [1.0, 2.0], [0.0, 1.0], [1.0, 0.0])
-    assert np.array_equal(got, [0.0, 2.0])
-
-
-@settings(derandomize=True, max_examples=50, deadline=None)
-@given(roots=st.lists(st.integers(-24, 24), min_size=1, max_size=4),
-       scale=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
-       shift=st.sampled_from([0.0, 1e-3, -0.37]),
-       brackets=st.lists(st.tuples(st.floats(-3.5, 3.5), st.floats(0.0, 4.0)),
-                         min_size=1, max_size=12))
-def test_bisect_roots_matches_scalar_property(roots, scale, shift, brackets):
-    # roots at multiples of 1/8, so midpoints often hit them exactly
-    coeffs = scale * np.polynomial.polynomial.polyfromroots(np.array(roots) / 8)
-    coeffs[0] += shift
-
-    def fn(x):
-        return np.polynomial.polynomial.polyval(x, coeffs)
-
-    lo = [a for a, _ in brackets]
-    hi = [a + w for a, w in brackets]
-    assert_bisect_matches_scalar(fn, lo, hi)
-
-
 @pytest.mark.parametrize("case", ["dirichlet", "double_well"])
-def test_interval_search_batches_determinant_calls(case, monkeypatch):
+def test_interval_search_batches_matrix_evaluations(case, monkeypatch):
     if case == "dirichlet":
         ws, region, least = dirichlet_workspace(), Interval(-30.0, -0.5), 5
     else:
-        ws, region, least = double_well_workspace(), Interval(-20.0, -0.1), 6
+        ws, region, least = double_well_workspace(), Interval(-20.0, -0.1), 8
     bc = BoundaryConditions.separated(2, [0], [0])
-    calls = {"det": 0, "det_samples": 0}
-    for name in calls:
-        method = getattr(CharacteristicFunction, name)
+    batches = []
+    original = spps.spectral._log_derivative
 
-        def counting(self, lams, name=name, method=method):
-            calls[name] += 1
-            return method(self, lams)
+    def counting(charfn, lams):
+        batches.append(len(lams))
+        return original(charfn, lams)
 
-        monkeypatch.setattr(CharacteristicFunction, name, counting)
+    monkeypatch.setattr(spps.spectral, "_log_derivative", counting)
+    for name in ("det", "det_samples", "det_polynomial"):
+        monkeypatch.setattr(CharacteristicFunction, name, None)
     result = find_eigenvalues(ws, bc, region)
-    assert len(result.eigenvalues) >= least
-    # 1 grid, 1 for both persistence window ends, and at most 64 steps for
-    # each of the coarse and refined bisections, however many brackets
-    assert calls["det"] == 0
-    assert calls["det_samples"] <= 131
+    assert len(result.eigenvalues) == least
+    # the contour levels, the joint polish steps and the Newton steps at the
+    # raised truncation, each one batch however many roots there are
+    contour = [size for size in batches if size >= 1001]
+    assert 1 <= len(contour) <= 3 and len(batches) <= 10
+    assert all(size == least for size in batches if size < 1001)
 
 
 def test_empty_region_yields_nothing():
@@ -418,14 +330,15 @@ def test_region_truncation_error_when_series_cannot_reach():
         find_eigenvalues(ws, bc, Interval(-100.0, 0.0))
 
 
-def test_interval_mode_refuses_complex_problems():
+def test_interval_search_of_complex_problem_finds_nothing():
+    # weight i: the eigenvalues i, 4i, 9i, ... lie off the real interval
     mesh = Mesh(0.0, np.pi, 401)
     op = OperatorSpec(2, (zeros(mesh), zeros(mesh)),
-                      constant(mesh, 1.0j))  # weight i
+                      constant(mesh, 1.0j))
     ws = build_workspace(op, seed=monomial_seed(op))
     bc = BoundaryConditions.separated(2, [0], [0])
-    with pytest.raises(ValueError, match="disk"):
-        find_eigenvalues(ws, bc, Interval(-10.0, -0.5))
+    result = find_eigenvalues(ws, bc, Interval(-10.0, -0.5))
+    assert result.eigenvalues == ()
 
 
 # -- eigenfunctions ---------------------------------------------------------------------
@@ -501,19 +414,20 @@ def test_disk_empty_when_no_eigenvalues_inside():
 
 @pytest.mark.parametrize("disk", [Disk(0.0, 300.0), Disk(0, 300)],
                          ids=["float", "int"])
-def test_disk_too_large_for_truncation_raises(disk):
-    # y'' = lam y on [0, 1]: the fine determinant polynomial has degree 130,
-    # and 300**130 overflows a double (or wraps an int64 for an int radius)
+def test_large_disk_matches_interval_search(disk):
+    # y'' = lam y on [0, 1]: the determinant is never expanded as one
+    # polynomial, so a disk whose degree-130 expansion would overflow (or
+    # wrap an int64 for an int radius) is searched like the interval
     mesh = Mesh(0.0, 1.0, 201)
     op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
     ws = build_workspace(op, truncation=60)
     bc = BoundaryConditions.separated(2, [0], [0])
+    want = [-(np.pi * k) ** 2 for k in range(5, 0, -1)]
     found = find_eigenvalues(ws, bc, Interval(-300.0, -0.5)).values
-    np.testing.assert_allclose(
-        sorted(z.real for z in found), [-(np.pi * k) ** 2 for k in range(5, 0, -1)],
-        rtol=1e-8)
-    with pytest.raises(RegionTruncationError, match="radius 300 .* degree-130"):
-        find_eigenvalues(ws, bc, disk)
+    np.testing.assert_allclose(sorted(z.real for z in found), want, rtol=1e-8)
+    found = find_eigenvalues(ws, bc, disk).values
+    np.testing.assert_allclose(sorted(found, key=lambda z: z.real), want,
+                               rtol=1e-8)
 
 
 # -- truncation refresh ------------------------------------------------------------------
@@ -577,3 +491,82 @@ def test_eigenvalues_match_shooting_oracle():
             2, [lambda x: 0.0, lambda x: 0.3 * np.cos(x)], lambda x: 1.0,
             0.0, np.pi, bc.left, bc.right, eig.lam)
         assert abs(eig.lam - ref) < 1e-4 * max(1.0, abs(ref))
+
+
+# -- multiple eigenvalues and close pairs -------------------------------------------------
+
+#: Sturm-count eigenvalues in [-20, -0.1] of the double well of depth H,
+#: from ``python3 bench/references.py --well-depth H``.
+DEEP_WELLS = {
+    150.0: [-11.963125304700, -11.962579027115, -5.375316915296,
+            -5.375162016082, -1.353110558115, -1.353081390467],
+    300.0: [-12.627531391642, -12.627525704165, -5.664492183775,
+            -5.664490526844, -1.424478625930, -1.424478308372],
+}
+
+
+@pytest.mark.parametrize("region", [Interval(-5.0, -0.5), Disk(-2.5, 2.0)],
+                         ids=["interval", "disk"])
+def test_periodic_double_eigenvalues_found_once(region):
+    # y'' = lam y on [0, 2 pi], y(0) = y(2 pi), y'(0) = y'(2 pi): cos(k x)
+    # and sin(k x) share lam = -k^2, a double root of det T
+    mesh = Mesh(0.0, 2 * np.pi, 401)
+    op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    ws = build_workspace(op, truncation=40, rng_seed=0)
+    bc = BoundaryConditions(np.eye(2), -np.eye(2))
+    result = find_eigenvalues(ws, bc, region)
+    assert len(result.values) == 2
+    for got, want in zip(result.values, [-4.0, -1.0]):
+        assert abs(got - want) < 1e-8
+    assert result.rejected == ()
+
+
+@pytest.mark.parametrize("depth", sorted(DEEP_WELLS))
+def test_deep_double_well_finds_both_of_each_pair(depth):
+    # the pairs split by 5e-4 down to 3e-7 (H = 300, near -1.42)
+    ws = double_well_workspace(depth)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    result = find_eigenvalues(ws, bc, Interval(-20.0, -0.1))
+    got = sorted(z.real for z in result.values)
+    want = DEEP_WELLS[depth]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-5 * max(1.0, abs(w))
+    # the shooting oracle's real determinant changes sign at each root of
+    # the closest pair that it resolves (split 3e-5 at H = 150)
+    if depth == 150.0:
+        lo, hi = got[4], got[5]
+        phi = [lambda x: 0.0,
+               lambda x: -depth * np.exp(-8.0 * (x - np.pi) ** 2)]
+        dets = [shooting_determinant(2, phi, lambda x: 1.0, 0.0, 2 * np.pi,
+                                     bc.left, bc.right, lam).real
+                for lam in (lo - 1e-5, 0.5 * (lo + hi), hi + 1e-5)]
+        assert dets[0] * dets[1] < 0 and dets[1] * dets[2] < 0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(grid=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                     max_size=6, unique=True),
+       double=st.booleans(), coupling=st.sampled_from([0.0, 1.0, 2.5j]))
+def test_contour_finds_roots_of_polynomial_matrices(grid, double, coupling):
+    # T = [[p1, c], [0, p2]] with det T = p1 p2 and roots on a grid of
+    # step 1/8 inside |lam| < 0.9; ``double`` repeats the first root
+    roots = [complex(a, b) / 8 for a, b in grid]
+    if double and roots:
+        roots.append(roots[0])
+    p1 = np.polynomial.polynomial.polyfromroots(roots[::2])
+    p2 = np.polynomial.polynomial.polyfromroots(roots[1::2])
+    poly = np.zeros((2, 2, 8), dtype=complex)
+    poly[0, 0, :len(p1)] = p1
+    poly[1, 1, :len(p2)] = p2
+    poly[0, 1, 0] = coupling
+    found, unconfirmed = _roots_in(CharacteristicFunction(poly),
+                                   (0j, 1.0, 1.0), EigenOptions(), radius=1.05)
+    # each to within its persistence window (1e-7 here); a root on the line
+    # between two halves of a split box is found in both, and
+    # find_eigenvalues merges such copies, as it does those of a double root
+    assert unconfirmed == []
+    for want in roots:
+        assert min(abs(np.asarray(found) - want)) < 1e-7
+    for got in found:
+        assert min(abs(np.asarray(roots) - got)) < 1e-7
