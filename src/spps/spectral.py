@@ -514,8 +514,9 @@ def _boundary_matrices(charfn: CharacteristicFunction, z: np.ndarray):
     powers, low = np.empty((deg + 1, len(z)), dtype=complex), 1
     powers[0] = 1.0
     while low <= deg:
-        powers[low:2 * low] = powers[:low][:deg + 1 - low] * z
-        z, low = z * z, 2 * low
+        powers[low:2 * low] = powers[:low][:deg + 1 - low] * (
+            powers[low - 1] * z)
+        low *= 2
     return np.moveaxis((powers.T @ both).reshape(-1, 2, n, n), 1, 0)
 
 
@@ -541,8 +542,7 @@ def _moments(charfn: CharacteristicFunction, center: complex, radius: float,
             g = np.stack([g, _log_derivative(charfn, center + radius * odd)],
                          axis=1).ravel()
         radius *= WIDEN
-    raise ValueError(f"contour integrals of the characteristic determinant "
-                     f"about {center:.6g} do not converge")
+    raise ValueError(f"contour integrals of det T about {center:.6g} diverge")
 
 
 def _newton(charfn: CharacteristicFunction, z: np.ndarray,
