@@ -254,7 +254,7 @@ def eigenfunction(ws: Workspace,
                 f"{ws.n} at truncation {ws.truncation}")
     else:
         charfn = characteristic_polynomials(ws, bc)
-    mat = _boundary_matrices(charfn, np.array([complex(lam)]))[0][0]
+    mat = charfn.matrix(lam)
     _, _, vh = np.linalg.svd(mat)
     coeff = vh[-1].conj()
     lam = complex(lam)
@@ -296,18 +296,28 @@ class CharacteristicFunction:
         lams = np.asarray([complex(lam)])
         return self._matrices(lams)[0]
 
-    def _matrices(self, lams: np.ndarray) -> np.ndarray:
-        """Stack of boundary matrices, shape (len(lams), n, n).
+    def _matrices(self, lams: np.ndarray, derivative: bool = False):
+        """Stack of boundary matrices, shape (len(lams), n, n); with
+        ``derivative``, also the stack of their derivatives in lam.
 
         One Horner recurrence runs over the whole stack, highest coefficient
         first, with the same operations per entry as a scalar Horner loop.
+        The derivatives run in it on the coefficients m c_m of lam**(m-1).
+        No power of lam is formed on its own, so no term overflows alone.
         """
-        n = self.n
-        acc = np.zeros((len(lams), n, n), dtype=complex)
-        scale = lams[:, None, None]
-        for m in range(self.degree, -1, -1):
-            acc = acc * scale + self.poly[:, :, m]
-        return acc
+        n, terms = self.n, self.degree + 1
+        coeffs = self.poly.reshape(n * n, terms)
+        if derivative:
+            slope = np.zeros_like(coeffs)
+            slope[:, :-1] = coeffs[:, 1:] * np.arange(1, terms)
+            coeffs = np.vstack([coeffs, slope])
+        # a row per entry, the points along it: each step is one long pass
+        acc = np.zeros((len(coeffs), len(lams)), dtype=complex)
+        for c in coeffs.T[::-1, :, None]:
+            acc *= lams
+            acc += c
+        acc = acc.T.reshape(len(lams), -1, n, n)
+        return (acc[:, 0], acc[:, 1]) if derivative else acc[:, 0]
 
     def det(self, lam: complex) -> complex:
         return complex(np.linalg.det(self.matrix(lam)))
@@ -329,8 +339,7 @@ class CharacteristicFunction:
         if n <= 6:
             acc = np.zeros(deg + 1, dtype=complex)
             for perm in itertools.permutations(range(n)):
-                sign = (-1) ** sum(a > b for i, a in enumerate(perm)
-                                   for b in perm[i + 1:])
+                sign = _permutation_sign(perm)
                 prod = np.ones(1, dtype=complex)
                 for i, k in enumerate(perm):
                     prod = np.convolve(prod, self.poly[i, k])
@@ -342,6 +351,23 @@ class CharacteristicFunction:
         return np.fft.ifft(vals)[:count]
 
 
+def _permutation_sign(perm: tuple[int, ...]) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def characteristic_polynomials(ws: Workspace,
                                bc: BoundaryConditions) -> CharacteristicFunction:
     """Assemble the boundary matrix as polynomials in the spectral parameter."""
@@ -349,15 +375,22 @@ def characteristic_polynomials(ws: Workspace,
     if bc.n != n:
         raise ValueError(f"boundary conditions are {bc.n}-dimensional, "
                          f"operator order is {n}")
-    poly = np.zeros((n, n, ws.truncation + 1), dtype=complex)
+    terms = ws.truncation + 1
+    first, last = 0, ws.mesh.n - 1
+    poly = np.zeros((n, n, terms), dtype=complex)
     for k in range(1, n + 1):
         for ell in range(n):
             cl = series_coefficients_at_node(
-                ws.table, ws.coeffs, ws.b0, k, ell, 0)
+                ws.table, ws.coeffs, ws.b0, k, ell, first)
             cr = series_coefficients_at_node(
-                ws.table, ws.coeffs, ws.b0, k, ell, ws.mesh.n - 1)
-            poly[:, k - 1] += bc.left[:, ell, None] * cl + \
-                bc.right[:, ell, None] * cr
+                ws.table, ws.coeffs, ws.b0, k, ell, last)
+            for i in range(n):
+                a = bc.left[i, ell]
+                c = bc.right[i, ell]
+                if a != 0:
+                    poly[i, k - 1] += a * cl
+                if c != 0:
+                    poly[i, k - 1] += c * cr
     return CharacteristicFunction(poly)
 
 
@@ -381,9 +414,6 @@ class Interval:
     def extent(self) -> float:
         return self.hi - self.lo
 
-    def worst_lambda(self) -> complex:
-        return complex(self.lo if abs(self.lo) >= abs(self.hi) else self.hi)
-
 
 @dataclass(frozen=True)
 class Disk:
@@ -402,12 +432,6 @@ class Disk:
     @property
     def extent(self) -> float:
         return self.radius
-
-    def worst_lambda(self) -> complex:
-        c = complex(self.center)
-        if c == 0:
-            return complex(self.radius)
-        return c * (1.0 + self.radius / abs(c))
 
 
 @dataclass(frozen=True)
@@ -466,8 +490,7 @@ class EigenResult:
 # eigenvalue search
 # ---------------------------------------------------------------------------
 
-def _check_tail(ws: Workspace, region, options: EigenOptions) -> None:
-    lam = region.worst_lambda()
+def _check_tail(ws: Workspace, lam: complex, options: EigenOptions) -> None:
     worst = max(tail_ratio(ws.table, k, lam) for k in range(1, ws.n + 1))
     if worst > options.tail_error:
         raise RegionTruncationError(
@@ -476,7 +499,7 @@ def _check_tail(ws: Workspace, region, options: EigenOptions) -> None:
             "the search region")
     if worst > options.tail_warn:
         warnings.warn(
-            f"series tail ratio {worst:.3e} at the region boundary; "
+            f"series tail ratio {worst:.3e} at lam={lam}; "
             "results there may be inaccurate", TruncationWarning,
             stacklevel=3)
 
@@ -486,7 +509,7 @@ def _check_tail(ws: Workspace, region, options: EigenOptions) -> None:
 WIDEN = 1.05  # circle radius over the half-diagonal of the box it covers
 MAX_POINTS = 2 ** 14  # contour points beyond which the circle is widened
 MOMENT_TOL = 1e-4  # nested levels agree; the finer errs by about its square
-BLOCK = 256  # points evaluated at a time, which bounds memory
+BLOCK = 1024  # points evaluated at a time, which bounds memory
 
 
 def _log_derivative(charfn: CharacteristicFunction,
@@ -494,7 +517,7 @@ def _log_derivative(charfn: CharacteristicFunction,
     """(det T)'/det T = tr(T^-1 T') (Jacobi); infinite where T is singular."""
     out = np.full(len(lams), np.inf, dtype=complex)
     for start in range(0, len(lams), BLOCK):
-        t, dt = _boundary_matrices(charfn, lams[start:start + BLOCK])
+        t, dt = charfn._matrices(lams[start:start + BLOCK], derivative=True)
         try:
             ok, x = slice(None), np.linalg.solve(t, dt)
         except np.linalg.LinAlgError:  # T is singular at some point: a root
@@ -502,22 +525,6 @@ def _log_derivative(charfn: CharacteristicFunction,
             x = np.linalg.solve(t[ok], dt[ok])
         out[start:start + BLOCK][ok] = np.trace(x, axis1=1, axis2=2)
     return out
-
-
-def _boundary_matrices(charfn: CharacteristicFunction, z: np.ndarray):
-    """T and T' at the points, as the powers of lam times the coefficients."""
-    n, deg = charfn.n, charfn.degree
-    coeffs = charfn.poly.reshape(n * n, deg + 1).T
-    both = np.hstack([coeffs, np.vstack([
-        coeffs[1:] * np.arange(1, deg + 1)[:, None], 0 * coeffs[:1]])])
-    # powers by doubling, in rows: faster in numpy than along an axis
-    powers, low = np.empty((deg + 1, len(z)), dtype=complex), 1
-    powers[0] = 1.0
-    while low <= deg:
-        powers[low:2 * low] = powers[:low][:deg + 1 - low] * (
-            powers[low - 1] * z)
-        low *= 2
-    return np.moveaxis((powers.T @ both).reshape(-1, 2, n, n), 1, 0)
 
 
 def _moments(charfn: CharacteristicFunction, center: complex, radius: float,
@@ -563,17 +570,38 @@ def _newton(charfn: CharacteristicFunction, z: np.ndarray,
     return z, done
 
 
+def _trimmed(charfn: CharacteristicFunction,
+             reach: float) -> CharacteristicFunction:
+    """T without the top terms that stay below e**-40 (4e-18) of the largest
+    term of their entry for |lam| <= reach, under T's rounding error there."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(charfn.poly)) + np.log(reach) * np.arange(
+            charfn.degree + 1)
+    big = logs >= np.max(logs, axis=2, keepdims=True) - 40.0
+    last = np.flatnonzero(np.any(big & np.isfinite(logs), axis=(0, 1)))
+    return CharacteristicFunction(charfn.poly[:, :, :last[-1] + 1])
+
+
+def _farthest(center: complex, radius: float) -> complex:
+    """The point of largest modulus on a circle."""
+    return center + radius * (center / abs(center) if center else 1.0)
+
+
 def _roots_in(charfn: CharacteristicFunction, box, options: EigenOptions,
               radius: float | None = None, splits: int = 6):
     """Roots of det T in a box (center, half width, half height) grown by
     their windows, from a circle about it (by default through its corners,
-    widened), and those counted but not confirmed. While the confirmed ones
-    miss the count, the box is halved and searched, ``splits`` times over."""
+    widened); the estimates in it counted but not confirmed; and the point
+    of largest modulus on the circles. While the confirmed roots miss the
+    count, the box is halved and searched, ``splits`` times over."""
     center, hx, hy = box
-    radius, sums = _moments(charfn, center, radius or WIDEN * abs(
-        complex(hx, hy)), options.samples)
+    radius = radius or WIDEN * abs(complex(hx, hy))
+    # out to where the circle may widen (twice) and its roots are polished
+    near = _trimmed(charfn, abs(center) + WIDEN ** 2 * radius)
+    radius, sums = _moments(near, center, radius, options.samples)
+    far = _farthest(center, radius)
     if len(sums) < 2:
-        return [], []
+        return [], [], far
     # first estimates: the eigenvalues of the Hankel pencil of the sums, as
     # the roots of its characteristic polynomial prod (w - w_k) by Newton's
     # identities, which unlike the pencil stay regular at a multiple root
@@ -582,7 +610,7 @@ def _roots_in(charfn: CharacteristicFunction, box, options: EigenOptions,
         c.append(-sum(c[k - i] * sums[i] for i in range(1, k + 1)) / k)
     companion = np.eye(len(c) - 1, k=-1, dtype=complex)
     companion[:, -1] = -np.array(c[:0:-1])
-    z, ok = _newton(charfn, center + radius * np.linalg.eigvals(companion),
+    z, ok = _newton(near, center + radius * np.linalg.eigvals(companion),
                     options, 60, deflate=True)
     ok &= np.abs(z - center) < radius
     if np.count_nonzero(ok) != len(z) and splits > 0:
@@ -590,11 +618,11 @@ def _roots_in(charfn: CharacteristicFunction, box, options: EigenOptions,
             (0.5j * hy, (hx, hy / 2))
         found = [_roots_in(charfn, (center + sign * shift, *half), options,
                            splits=splits - 1) for sign in (-1, 1)]
-        return found[0][0] + found[1][0], found[0][1] + found[1][1]
+        return (found[0][0] + found[1][0], found[0][1] + found[1][1],
+                max(far, found[0][2], found[1][2], key=abs))
     d, tol = z - center, options.persistence_for(z)
     inside = (abs(d.real) <= hx + tol) & (abs(d.imag) <= hy + tol)
-    return list(z[ok & inside]), [
-        (lam, "counted but not confirmed as a root") for lam in z[~ok]]
+    return list(z[ok & inside]), list(z[~ok & inside]), far
 
 
 def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
@@ -607,27 +635,23 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     (a) persist, by Newton's method, when the truncation is raised by
     ``options.persistence_extra`` (the power table is extended), and (b)
     give an :func:`eigenfunction` there with equation residual below
-    ``options.residual_tol``. Roots failing either, or counted but never
-    located, are rejected; roots within twice their persistence window are
-    merged, as a multiple root. An interval's roots are real; one whose
-    imaginary part exceeds that window is not on it.
+    ``options.residual_tol``. Roots failing either, or counted in the region
+    but never located, are rejected; roots within twice their persistence
+    window are merged, as a multiple root. An interval's roots are real; one
+    whose imaginary part exceeds that window is not on it.
 
     Raises
     ------
     RegionTruncationError
-        If the series tail at the far edge of the region is too large for
-        any answer there to be trustworthy.
+        If the series tail at the far edge of the circle, or of a circle
+        the search went on to use, is too large for any answer there to be
+        trustworthy.
     """
     options = options or EigenOptions()
     window = options.persistence_for
-    fine = with_truncation(ws, ws.truncation + options.persistence_extra)
-    charfn_fine = characteristic_polynomials(fine, bc)
-    charfn = CharacteristicFunction(charfn_fine.poly[:, :, :ws.truncation + 1])
-    _check_tail(ws, region, options)
     margin = options.margin_for(region)
     if isinstance(region, Interval):
         box = ((region.lo + region.hi) / 2, region.extent / 2, 0.0)
-        radius = None
 
         def place(lam: complex) -> complex | None:
             real = region.lo + margin <= lam.real <= region.hi - margin and \
@@ -635,24 +659,36 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
             return complex(lam.real) if real else None
     elif isinstance(region, Disk):
         box = (complex(region.center), region.radius, region.radius)
-        radius = WIDEN * region.radius
 
         def place(lam: complex) -> complex | None:
             inside = abs(lam - region.center) <= region.radius - margin
             return complex(lam) if inside else None
     else:
         raise TypeError(f"unsupported region type {type(region).__name__}")
-    roots, rejected = _roots_in(charfn, box, options, radius)
+    radius = WIDEN * box[1]
+    edge = _farthest(box[0], radius)
+    _check_tail(ws, edge, options)
+    fine = with_truncation(ws, ws.truncation + options.persistence_extra)
+    charfn_fine = characteristic_polynomials(fine, bc)
+    charfn = CharacteristicFunction(charfn_fine.poly[:, :, :ws.truncation + 1])
+    roots, unconfirmed, far = _roots_in(charfn, box, options, radius)
+    if abs(far) > abs(edge):  # a widened or split circle reached past it
+        _check_tail(ws, far, options)
+    rejected = [(lam, "counted but not confirmed as a root")
+                for lam in unconfirmed if place(lam) is not None]
     roots = np.array([z for z in roots if place(z) is not None], dtype=complex)
     # from the real part of a root near the real axis, Newton's method stays
     # on it exactly when T is real there (real data and seed system)
     starts = np.where(abs(roots.imag) <= window(roots), roots.real, roots)
     refined = []
-    for lam, lam2 in zip(roots, _newton(charfn_fine, starts, options, 2,
+    near = _trimmed(charfn_fine, abs(edge))  # the region is inside
+    for lam, lam2 in zip(roots, _newton(near, starts, options, 2,
                                         deflate=False)[0]):
         if not abs(lam2 - lam) <= window(lam):
             rejected.append((lam, "no root nearby at refined truncation"))
-        elif place(lam2) is not None:
+        elif place(lam2) is None:
+            rejected.append((lam, "outside the region at refined truncation"))
+        else:
             refined.append(place(lam2))
     # roots within twice their window are one: a multiple root, or a root
     # that two halves of a split box both kept

@@ -19,6 +19,7 @@ from spps.spectral import (
     Interval,
     Workspace,
     _roots_in,
+    _trimmed,
     build_workspace,
     characteristic_polynomials,
     eigenfunction,
@@ -430,6 +431,64 @@ def test_large_disk_matches_interval_search(disk):
                                rtol=1e-8)
 
 
+@pytest.mark.parametrize("region", [Interval(-1e5, -1.0), Disk(-5e4, 5e4)],
+                         ids=["interval", "disk"])
+def test_far_search_does_not_overflow(region):
+    # y'' = lam y on [0, 0.1]: at |lam| ~ 1e5 the power lam**65 alone
+    # overflows while the series, and T, stay finite
+    mesh = Mesh(0.0, 0.1, 401)
+    op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    ws = build_workspace(op, truncation=60)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    # the finite-difference residual of the tenth mode is about 1e-2
+    result = find_eigenvalues(ws, bc, region, EigenOptions(residual_tol=0.1))
+    want = [-(10 * np.pi * k) ** 2 for k in range(10, 0, -1)]
+    np.testing.assert_allclose(result.values, want, rtol=1e-8)
+    assert result.rejected == ()
+
+
+def test_tail_checked_first_and_where_circles_reached(monkeypatch):
+    ws = dirichlet_workspace()
+    bc = BoundaryConditions.separated(2, [0], [0])
+    calls = []
+    monkeypatch.setattr(spps.spectral, "with_truncation",
+                        lambda *args: calls.append(args))
+    with pytest.raises(RegionTruncationError):
+        find_eigenvalues(ws, bc, Interval(-300.0, -0.5))
+    assert calls == []
+    monkeypatch.undo()
+    # a circle far out, and estimates never confirmed in and off the region
+    original = spps.spectral._roots_in
+
+    def far_roots(*args, **kwargs):
+        roots, _, far = original(*args, **kwargs)
+        return roots, [-2.5 + 0j, -2.5 + 1j, -40.0 + 0j], far
+    monkeypatch.setattr(spps.spectral, "_roots_in", far_roots)
+    result = find_eigenvalues(ws, bc, Interval(-10.0, -0.5))
+    np.testing.assert_allclose(result.values, [-9.0, -4.0, -1.0], atol=1e-8)
+    assert result.rejected == ((-2.5, "counted but not confirmed as a root"),)
+    monkeypatch.setattr(spps.spectral, "_roots_in",
+                        lambda *args: ([], [], -300.0 + 0j))
+    with pytest.raises(RegionTruncationError, match="lam=\\(-300"):
+        find_eigenvalues(ws, bc, Interval(-10.0, -0.5))
+
+
+def test_root_leaving_region_at_refined_truncation_is_rejected(monkeypatch):
+    ws = dirichlet_workspace()
+    bc = BoundaryConditions.separated(2, [0], [0])
+    original = spps.spectral._newton
+
+    def drifting(charfn, z, options, steps, deflate):
+        z, done = original(charfn, z, options, steps, deflate)
+        return (z, done) if deflate else (z - 0.08, done)
+    monkeypatch.setattr(spps.spectral, "_newton", drifting)
+    opts = EigenOptions(persistence_tol=0.1, boundary_margin=0.0)
+    result = find_eigenvalues(ws, bc, Interval(-9.05, -0.5), opts)
+    lam, reason = result.rejected[0]
+    assert lam == pytest.approx(-9.0) and reason == (
+        "outside the region at refined truncation")
+
+
 # -- truncation refresh ------------------------------------------------------------------
 
 def test_with_truncation_extends_table():
@@ -544,6 +603,21 @@ def test_deep_double_well_finds_both_of_each_pair(depth):
         assert dets[0] * dets[1] < 0 and dets[1] * dets[2] < 0
 
 
+def test_trimmed_polynomials_agree_within_reach():
+    # entries like exp(a lam): the terms past about m = 35 stay below 1e-18
+    # of the largest for |lam| <= 5 and are dropped; entry (0, 1) is zero
+    rng = np.random.default_rng(3)
+    factorial = np.cumprod(np.r_[1.0, np.arange(1.0, 60.0)])
+    poly = (rng.standard_normal((2, 2, 60)) + 1j) / factorial
+    poly[0, 1] = 0.0
+    trimmed = _trimmed(CharacteristicFunction(poly), 5.0)
+    assert 30 < trimmed.degree < 50
+    lams = 5.0 * np.exp(2j * np.pi * rng.uniform(size=20)) * rng.uniform(size=20)
+    full = CharacteristicFunction(poly)._matrices(lams, derivative=True)
+    for got, want in zip(trimmed._matrices(lams, derivative=True), full):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(grid=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
                      max_size=6, unique=True),
@@ -560,12 +634,13 @@ def test_contour_finds_roots_of_polynomial_matrices(grid, double, coupling):
     poly[0, 0, :len(p1)] = p1
     poly[1, 1, :len(p2)] = p2
     poly[0, 1, 0] = coupling
-    found, unconfirmed = _roots_in(CharacteristicFunction(poly),
-                                   (0j, 1.0, 1.0), EigenOptions(), radius=1.05)
+    found, unconfirmed, far = _roots_in(
+        CharacteristicFunction(poly), (0j, 1.0, 1.0), EigenOptions(),
+        radius=1.05)
     # each to within its persistence window (1e-7 here); a root on the line
     # between two halves of a split box is found in both, and
     # find_eigenvalues merges such copies, as it does those of a double root
-    assert unconfirmed == []
+    assert unconfirmed == [] and abs(far) >= 1.05
     for want in roots:
         assert min(abs(np.asarray(found) - want)) < 1e-7
     for got in found:
