@@ -104,6 +104,7 @@ def _quality(ws) -> dict:
         "residual_max": ws.seed.residual_max,
         "wronskian_min": ws.seed.wronskian_min,
         "retries": ws.seed.retries,
+        "truncations": list(ws.seed.truncations),
     }
 
 

@@ -79,7 +79,8 @@ class SolutionSystem:
     """n solutions of L y = 0 with tabulated derivatives through order n-1.
 
     ``derivs[k][ell]`` is the ell-th derivative of solution k
-    (``derivs[k][0]`` is the solution itself).
+    (``derivs[k][0]`` is the solution itself). ``truncations`` lists the
+    seed builder's series truncation per order 2..n (empty if given).
     """
 
     op: OperatorSpec
@@ -87,6 +88,7 @@ class SolutionSystem:
     retries: int = 0
     wronskian_min: float = float("nan")
     residual_max: float = float("nan")
+    truncations: tuple[int, ...] = ()
 
     def __post_init__(self):
         n = self.op.n
@@ -417,7 +419,9 @@ def build_seed_system(op: OperatorSpec,
     at spectral parameter -1 produces solutions of the full order-m equation,
     which are recombined once more until their Wronskians pass. Derivative
     tables propagate analytically through every level (no finite differences
-    on the solutions themselves).
+    on the solutions themselves). The series at -1 converges fast: its table
+    starts at 8 terms and grows by 8 while some tail ratio there exceeds
+    1e-17, up to ``truncation``; ``truncations`` records where it stopped.
 
     The retry budget applies per recombination stage; ``retries`` on the
     result counts all draws beyond first attempts. Deterministic for a fixed
@@ -431,12 +435,14 @@ def build_seed_system(op: OperatorSpec,
     ResidualVerificationError
         When the final system fails its operator-residual verification.
     """
-    from .powers import compute_A, evaluate_derivatives, evaluate_solution, formal_powers
+    from .powers import (_grow_powers, compute_A, evaluate_derivatives,
+                         evaluate_solution, formal_powers, tail_ratio)
 
     mesh = op.mesh
     n = op.n
     rng = np.random.default_rng(rng_seed)
     retries = 0
+    truncations = []
 
     # order-1 base: z' + phi_1 z = 0
     z = SampledFunction(
@@ -456,7 +462,12 @@ def build_seed_system(op: OperatorSpec,
         retries += attempt
         fac = polya_factors(W, wronskian_floor)
         coeffs = compute_A(fac)
-        table = formal_powers(fac, op.phi[m - 1], truncation)
+        table = formal_powers(fac, op.phi[m - 1], min(8, truncation))
+        while table.truncation < truncation and max(
+                tail_ratio(table, k, -1.0) for k in range(1, m + 1)) > 1e-17:
+            table = _grow_powers(fac, table.weight, table.x,
+                                 min(table.truncation + 8, truncation))
+        truncations.append(table.truncation)
 
         # solutions of the full order-m equation at spectral parameter -1
         sols: list[list[SampledFunction]] = []
@@ -479,4 +490,4 @@ def build_seed_system(op: OperatorSpec,
             residual=res)
     return SolutionSystem(op, tuple(tuple(row) for row in level),
                           retries=retries, wronskian_min=report.min_relative,
-                          residual_max=res)
+                          residual_max=res, truncations=tuple(truncations))

@@ -121,11 +121,7 @@ class SampledFunction:
         v = np.asarray(values, dtype=np.complex128)
         if v.shape != (mesh.n,):
             raise ValueError(f"expected {mesh.n} values, got shape {v.shape}")
-        if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
-            bad = int(np.flatnonzero(~(np.isfinite(v.real) & np.isfinite(v.imag)))[0])
-            raise VanishingValueError(
-                f"non-finite value at node {bad} (x={mesh.nodes[bad]:.6g})",
-                node=bad, x=float(mesh.nodes[bad]))
+        _check_finite(mesh, v)
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "mesh", mesh)
@@ -200,6 +196,16 @@ class SampledFunction:
 
     def __repr__(self) -> str:
         return f"SampledFunction(n={self.mesh.n}, max|f|={self.max_abs():.3g})"
+
+
+def _check_finite(mesh: Mesh, v: np.ndarray) -> None:
+    """Raise VanishingValueError naming the first node where ``v`` is not finite."""
+    finite = np.isfinite(v.real) & np.isfinite(v.imag)
+    if not np.all(finite):
+        bad = int(np.flatnonzero(~finite)[0])
+        raise VanishingValueError(
+            f"non-finite value at node {bad} (x={mesh.nodes[bad]:.6g})",
+            node=bad, x=float(mesh.nodes[bad]))
 
 
 # -- constructors ----------------------------------------------------------
@@ -314,7 +320,12 @@ def cumulative_integral(f: SampledFunction) -> SampledFunction:
         F with F(x0) = 0 and F' = f up to the rule's accuracy.
     """
     mesh = f.mesh
-    n, h, v = mesh.n, mesh.h, f.values
+    return SampledFunction(mesh, _antiderivative(f.values, mesh.h, mesh.i0))
+
+
+def _antiderivative(v: np.ndarray, h: float, i0: int) -> np.ndarray:
+    """:func:`cumulative_integral` of samples ``v`` (step h, basepoint i0)."""
+    n = len(v)
     seg = np.zeros(n, dtype=np.complex128)
     w = _QUAD_WINDOW
     # interior segments: window centered, offset 4 inside it
@@ -328,9 +339,9 @@ def cumulative_integral(f: SampledFunction) -> SampledFunction:
     for i in range(n - 3, n):
         seg[i] = np.dot(_segment_weights(i - n + w - 1), v[n - w:])
     prefix = np.cumsum(seg) * h
-    prefix -= prefix[mesh.i0]
-    prefix[mesh.i0] = 0.0
-    return SampledFunction(mesh, prefix)
+    prefix -= prefix[i0]
+    prefix[i0] = 0.0
+    return prefix
 
 
 # -- differentiation ----------------------------------------------------------

@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import TruncationWarning
-from .mesh import Mesh, SampledFunction, cumulative_integral, differentiate, ones
+from .mesh import (Mesh, SampledFunction, _antiderivative, _check_finite,
+                   differentiate, ones)
 
 if TYPE_CHECKING:  # import only for annotations, the dependency is one-way
     from .factorization import PolyaFactorization
@@ -87,24 +88,26 @@ def compute_A(fac: "PolyaFactorization") -> DerivativeCoeffs:
 class FormalPowerTable:
     """All secondary formal powers X_k^(j) for k = 1..n, j = 0..M n + k - 1.
 
-    ``x[k - 1][j]`` holds X_k^(j). The main formal power P_k^(m) is the entry
-    at j = m n + k - 1. ``weight`` is the r used to build the table.
+    ``x[k - 1][j]`` holds X_k^(j) as a read-only array, shared with a table
+    it was extended from; :meth:`secondary` and :meth:`main` wrap it as a
+    SampledFunction. The main formal power P_k^(m) is the entry at
+    j = m n + k - 1. ``weight`` is the r used to build the table.
     """
 
     n: int
     truncation: int
     weight: SampledFunction
-    x: tuple[tuple[SampledFunction, ...], ...]
+    x: tuple[tuple[np.ndarray, ...], ...]
 
     @property
     def mesh(self) -> Mesh:
         return self.weight.mesh
 
     def secondary(self, k: int, j: int) -> SampledFunction:
-        return self.x[k - 1][j]
+        return SampledFunction(self.mesh, self.x[k - 1][j])
 
     def main(self, k: int, m: int) -> SampledFunction:
-        return self.x[k - 1][m * self.n + k - 1]
+        return self.secondary(k, m * self.n + k - 1)
 
 
 def formal_powers(fac: "PolyaFactorization", r: SampledFunction,
@@ -114,11 +117,11 @@ def formal_powers(fac: "PolyaFactorization", r: SampledFunction,
     X_k^(0) = 1; each X_k^(j) is j times the cumulative integral of a factor
     times X_k^(j-1). The factor cycles through the b's by the offset of j
     from k modulo n, and at the wrap (j congruent to k mod n) it is
-    b_n b_0 r, which is where the weight enters.
+    b_n b_0 r, which is where the weight enters. Each power must be finite.
     """
     if r.mesh != fac.mesh:
         raise ValueError("weight and factorization live on different meshes")
-    return _grow_powers(fac, r, [(ones(fac.mesh),)] * fac.n, truncation)
+    return _grow_powers(fac, r, [(ones(fac.mesh).values,)] * fac.n, truncation)
 
 
 def _grow_powers(fac: "PolyaFactorization", r: SampledFunction, rows,
@@ -130,18 +133,22 @@ def _grow_powers(fac: "PolyaFactorization", r: SampledFunction, rows,
     last column. The table at a lower truncation is an exact prefix of the
     table at a higher one, so a continued table equals a rebuilt one.
     """
-    n = fac.n
+    n, mesh = fac.n, fac.mesh
     if truncation < 0:
         raise ValueError("truncation order must be nonnegative")
-    wrap = fac.b[n] * fac.b[0] * r
-    ks: list[tuple[SampledFunction, ...]] = []
+    # the factor at offset (k - j) mod n: b_n b_0 r at the wrap, else b_offset
+    mults = [(fac.b[n] * fac.b[0] * r).values] + [b.values for b in fac.b[1:n]]
+    ks: list[tuple[np.ndarray, ...]] = []
     for k, row in enumerate(rows, start=1):
         stop = truncation * n + k
         xs = list(row[:stop])
         for j in range(len(xs), stop):
-            step = (k - j) % n
-            mult = wrap if step == 0 else fac.b[step]
-            xs.append(float(j) * cumulative_integral(mult * xs[j - 1]))
+            power = _antiderivative(mults[(k - j) % n] * xs[j - 1], mesh.h,
+                                    mesh.i0)
+            power *= float(j)
+            _check_finite(mesh, power)
+            power.setflags(write=False)
+            xs.append(power)
         ks.append(tuple(xs))
     return FormalPowerTable(n, truncation, r, tuple(ks))
 
@@ -149,12 +156,14 @@ def _grow_powers(fac: "PolyaFactorization", r: SampledFunction, rows,
 # -- series evaluation ---------------------------------------------------------
 
 # plain `s += term` costs 0.68 / 0.27 accuracy digits on eig_interval / eig_disk
-def _kahan_add(s: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    y = term - comp
-    t = s + y
-    np.subtract(t, s, out=comp)
+def _kahan_add(s: np.ndarray, comp: np.ndarray, term: np.ndarray,
+               y: np.ndarray) -> None:
+    """s += term, compensated in comp; y is scratch and term is overwritten."""
+    np.subtract(term, comp, out=y)
+    np.add(s, y, out=term)
+    np.subtract(term, s, out=comp)
     comp -= y
-    s[:] = t
+    s[:] = term
 
 
 def _consecutive_product(lo: int, hi: int) -> float:
@@ -174,16 +183,14 @@ def tail_ratio(table: FormalPowerTable, k: int, lam: complex) -> float:
 def _solution_sum(table: FormalPowerTable, k: int,
                   lam: complex) -> tuple[np.ndarray, float]:
     n, M = table.n, table.truncation
-    mesh = table.mesh
-    s = np.zeros(mesh.n, dtype=np.complex128)
-    comp = np.zeros(mesh.n, dtype=np.complex128)
+    s, comp, term, y = np.zeros((4, table.mesh.n), dtype=np.complex128)
+    row = table.x[k - 1]
     c = 1.0 / math.factorial(k - 1)
     for m in range(M + 1):
-        term = c * table.x[k - 1][m * n + k - 1].values
-        _kahan_add(s, comp, term)
+        _kahan_add(s, comp, np.multiply(c, row[m * n + k - 1], out=term), y)
         if m < M:
             c = c * lam / _consecutive_product(m * n + k, (m + 1) * n + k - 1)
-    last = float(np.max(np.abs(term)))
+    last = float(np.max(np.abs(np.multiply(c, row[M * n + k - 1], out=term))))
     top = float(np.max(np.abs(s)))
     ratio = math.inf if top == 0.0 and last > 0.0 else (last / top if top else 0.0)
     return s, ratio
@@ -229,8 +236,7 @@ def evaluate_derivatives(table: FormalPowerTable, coeffs: DerivativeCoeffs,
     if not 1 <= ell <= n - 1:
         raise ValueError(f"derivative order {ell} outside 1..{n - 1}")
     mesh = table.mesh
-    s = np.zeros(mesh.n, dtype=np.complex128)
-    comp = np.zeros(mesh.n, dtype=np.complex128)
+    s, comp, term, y = np.zeros((4, mesh.n), dtype=np.complex128)
     for alpha in range(ell + 1):
         a_vals = coeffs.at(ell, alpha).values
         if k - alpha - 1 >= 0:
@@ -241,7 +247,9 @@ def evaluate_derivatives(table: FormalPowerTable, coeffs: DerivativeCoeffs,
             c = lam / math.factorial(n + k - alpha - 1)
         for m in range(m0, M + 1):
             idx = m * n + k - alpha - 1
-            _kahan_add(s, comp, c * a_vals * table.x[k - 1][idx].values)
+            np.multiply(c, a_vals, out=term)
+            term *= table.x[k - 1][idx]
+            _kahan_add(s, comp, term, y)
             if m < M:
                 c = c * lam / _consecutive_product(
                     m * n + k - alpha, (m + 1) * n + k - alpha - 1)
@@ -296,7 +304,7 @@ def series_coefficients_at_node(table: FormalPowerTable, coeffs: DerivativeCoeff
         scale = b0.values[node]
         for m in range(M + 1):
             j = m * n + k - 1
-            out[m] = scale * rf[j] * table.x[k - 1][j].values[node]
+            out[m] = scale * rf[j] * table.x[k - 1][j][node]
         return out
     for alpha in range(ell + 1):
         a = coeffs.at(ell, alpha).values[node]
@@ -304,5 +312,5 @@ def series_coefficients_at_node(table: FormalPowerTable, coeffs: DerivativeCoeff
             j = m * n + k - alpha - 1
             if j < 0:
                 continue
-            out[m] += a * rf[j] * table.x[k - 1][j].values[node]
+            out[m] += a * rf[j] * table.x[k - 1][j][node]
     return out

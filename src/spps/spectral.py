@@ -254,7 +254,13 @@ def eigenfunction(ws: Workspace,
                 f"{ws.n} at truncation {ws.truncation}")
     else:
         charfn = characteristic_polynomials(ws, bc)
-    mat = charfn.matrix(lam)
+    return _null_combination(ws, charfn.matrix(lam), lam)
+
+
+def _null_combination(ws: Workspace, mat: np.ndarray,
+                      lam: complex) -> SampledFunction:
+    """The basis solutions at ``lam`` summed with the right singular vector
+    of the boundary matrix ``mat`` for its smallest singular value."""
     _, _, vh = np.linalg.svd(mat)
     coeff = vh[-1].conj()
     lam = complex(lam)
@@ -699,8 +705,10 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
         else:
             clusters.append([lam])
     accepted: list[Eigenvalue] = []
-    for lam in (complex(np.mean(c)) for c in clusters):
-        y = eigenfunction(fine, charfn_fine, lam)
+    lams = [complex(np.mean(c)) for c in clusters]
+    mats = charfn_fine._matrices(np.array(lams)) if lams else []
+    for lam, mat in zip(lams, mats):  # T at all of them in one Horner pass
+        y = _null_combination(fine, mat, lam)
         res = operator_residual(ws.op, y, lam=lam)
         if res > options.residual_tol:
             rejected.append((lam, f"equation residual {res:.3e} exceeds "

@@ -276,6 +276,16 @@ def test_residual_tolerance_reaches_random_seed(tmp_path, capsys):
     assert "residual" in err
 
 
+def test_verify_reports_seed_truncations(config, tmp_path, capsys):
+    code, out, _ = run_main(capsys, "verify", "--config", config)
+    assert json.loads(out)["truncations"] == []  # an explicit seed
+    path = tmp_path / "p.ini"
+    path.write_text("[problem]\norder = 3\ninterval = 0 1\nphi1 = x\n"
+                    "phi2 = 1\nphi3 = 2\n", encoding="utf-8")
+    code, out, _ = run_main(capsys, "verify", "--config", str(path))
+    assert code == 0
+    assert json.loads(out)["truncations"] == [8, 8]
+
 def test_wronskian_floor_reaches_random_seed(tmp_path, capsys):
     # no relative Wronskian minimum exceeds 1, so every draw fails
     path = tmp_path / "p.ini"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import spps.powers
 from spps import (
     Mesh,
     constant,
@@ -15,6 +16,7 @@ from spps import (
 from spps.errors import (
     ResidualVerificationError,
     SeedConstructionError,
+    TruncationWarning,
     WronskianFloorError,
 )
 from spps.factorization import (
@@ -29,6 +31,8 @@ from spps.factorization import (
     polya_system,
     wronskians,
 )
+
+from oracles import integrate_ivp
 
 
 def make_op(mesh, phis, r=None):
@@ -323,3 +327,72 @@ def test_build_seed_wronskian_min_is_final_report(phis):
     sys = build_seed_system(op, rng_seed=2)
     report = check_nonvanishing(wronskians(sys)[1:])
     assert sys.wronskian_min == report.min_relative
+
+
+# -- seed truncation ---------------------------------------------------------------
+
+SEED_COEFFS = {  # phi_1..phi_n as callables, smooth on [0, 1]
+    2: [lambda x: 0.5 * np.cos(x), lambda x: 1.0 + 0.3 * x],
+    3: [lambda x: 0.2 * x, lambda x: np.sin(x), lambda x: 0.5 + 0.0 * x],
+    4: [lambda x: 0.1 * np.cos(2 * x), lambda x: 0.3 * x, lambda x: -0.4 + 0.0 * x,
+        lambda x: 0.2 * np.sin(x)],
+}
+
+
+def seed_op(n, nodes=201):
+    m = Mesh(0.0, 1.0, nodes)
+    return make_op(m, [tabulate(m, f) for f in SEED_COEFFS[n]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_seed_truncation_stops_where_the_tail_is_negligible(n, monkeypatch):
+    original = spps.powers.tail_ratio
+    ratios = {}  # (order, truncation) -> tail ratios at -1 seen there
+
+    def recording(table, k, lam):
+        ratio = original(table, k, lam)
+        if lam == -1.0:
+            ratios.setdefault((table.n, table.truncation), []).append(ratio)
+        return ratio
+
+    monkeypatch.setattr(spps.powers, "tail_ratio", recording)
+    op = seed_op(n)
+    for rng_seed in range(4):
+        ratios.clear()
+        capped = build_seed_system(op, rng_seed=rng_seed, truncation=40)
+        assert len(capped.truncations) == n - 1
+        for order, t in zip(range(2, n + 1), capped.truncations):
+            assert t < 40
+            assert len(ratios[order, t]) == order
+            assert max(ratios[order, t]) <= 1e-17
+        wide = build_seed_system(op, rng_seed=rng_seed, truncation=60)
+        assert wide.truncations == capped.truncations
+        for row_a, row_b in zip(capped.derivs, wide.derivs):
+            for a, b in zip(row_a, row_b):
+                np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_seed_truncation_is_capped():
+    m = Mesh(0.0, 1.0, 201)
+    op = make_op(m, [zeros(m), constant(m, 2.0)])  # stops at 16 uncapped
+    assert build_seed_system(op, truncation=40).truncations == (16,)
+    assert build_seed_system(op, truncation=12).truncations == (12,)
+    with pytest.warns(TruncationWarning):  # as before, the cap may be short
+        assert build_seed_system(seed_op(3), truncation=5).truncations == (5, 5)
+    assert canonical_system(d_power_op(m, 2)).truncations == ()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_seed_rows_match_integrator(n):
+    op = seed_op(n, nodes=401)
+    mesh = op.mesh
+    sys = build_seed_system(op, rng_seed=1, truncation=40)
+    i0 = mesh.i0
+    for row in sys.derivs:
+        y0 = [d.values[i0] for d in row]
+        want = np.empty(mesh.n, dtype=complex)
+        for end, part in ((mesh.x2, slice(i0, None)), (mesh.x1, slice(i0, None, -1))):
+            want[part] = integrate_ivp(n, SEED_COEFFS[n], lambda x: 1.0, mesh.x0,
+                                       end, y0, 0.0, t_eval=mesh.nodes[part])[0]
+        err = np.max(np.abs(row[0].values - want)) / np.max(np.abs(want))
+        assert err < 1e-8

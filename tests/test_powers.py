@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from spps import Mesh, constant, coordinate, ones, tabulate, zeros
-from spps.errors import TruncationWarning
+import spps.powers
+from spps import Mesh, SampledFunction, constant, coordinate, ones, tabulate, zeros
+from spps.errors import TruncationWarning, VanishingValueError
 from spps.factorization import (
     OperatorSpec,
     SolutionSystem,
@@ -138,6 +139,46 @@ def test_powers_vanish_at_basepoint():
     for k in (1, 2):
         for j in range(1, 11):
             assert table.secondary(k, j).values[i0] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_powers_are_integrated_as_arrays(n, monkeypatch):
+    m = Mesh(0.0, 1.0, 101)
+    op, fac = trivial_factorization(m, n)
+    kernel, original = [], spps.powers._antiderivative
+    wrapped, init = [], SampledFunction.__init__
+
+    def integrating(v, h, i0):
+        kernel.append(v)
+        return original(v, h, i0)
+
+    def wrapping(self, mesh, values):
+        wrapped.append(values)
+        init(self, mesh, values)
+
+    monkeypatch.setattr(spps.powers, "_antiderivative", integrating)
+    monkeypatch.setattr(SampledFunction, "__init__", wrapping)
+    built = {}
+    for M in (2, 6):
+        kernel.clear()
+        wrapped.clear()
+        table = formal_powers(fac, op.r, M)
+        powers = sum(len(row) - 1 for row in table.x)
+        assert powers == n * M * n + n * (n - 1) // 2
+        assert len(kernel) == powers  # one integration per power
+        built[M] = len(wrapped)
+        assert all(not x.flags.writeable for row in table.x for x in row)
+    assert built[2] == built[6]  # no SampledFunction per power
+
+
+def test_overflowing_power_names_the_first_node():
+    m = Mesh(0.0, 1.0, 101)
+    op = OperatorSpec(2, (zeros(m), zeros(m)), constant(m, 1e200))
+    sys = SolutionSystem.from_functions(op, [ones(m), coordinate(m)])
+    fac = polya_factors(wronskians(sys))
+    with np.errstate(all="ignore"), pytest.raises(VanishingValueError) as exc:
+        formal_powers(fac, op.r, 10)
+    assert (exc.value.node, exc.value.x) == (0, 0.0)
 
 
 # -- series evaluation -------------------------------------------------------------

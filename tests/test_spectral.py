@@ -250,6 +250,20 @@ def test_dirichlet_eigenvalues_on_interval():
     assert result.rejected == ()
 
 
+def test_accepted_residuals_are_those_of_eigenfunction():
+    # a random seed mixes the basis, so each eigenvalue has its own null vector
+    mesh = Mesh(0.0, np.pi, 401)
+    op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    ws = build_workspace(op, truncation=30, rng_seed=0)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    result = find_eigenvalues(ws, bc, Interval(-10.0, -0.5))
+    assert [round(v.real) for v in result.values] == [-9, -4, -1]
+    fine = with_truncation(ws, ws.truncation + EigenOptions().persistence_extra)
+    for e in result.eigenvalues:
+        y = eigenfunction(fine, bc, e.lam)
+        assert e.residual == operator_residual(op, y, lam=e.lam)
+
+
 @pytest.mark.parametrize("case", ["dirichlet", "double_well"])
 def test_interval_search_batches_matrix_evaluations(case, monkeypatch):
     if case == "dirichlet":
@@ -502,7 +516,7 @@ def test_with_truncation_extends_table():
         row, old = ws2.table.x[k - 1], ws.table.x[k - 1]
         assert len(row) == len(rebuilt.x[k - 1]) == 15 * 2 + k
         for got, want in zip(row, rebuilt.x[k - 1]):
-            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got, want)
         assert all(a is b for a, b in zip(row, old))
 
 
@@ -510,13 +524,13 @@ def test_with_truncation_extends_table():
 def test_with_truncation_integrates_only_new_powers(n, monkeypatch):
     ws = pure_workspace(Mesh(0.0, 1.0, 201), n, truncation=8)
     calls = []
-    original = spps.powers.cumulative_integral
+    original = spps.powers._antiderivative
 
-    def counting(f):
-        calls.append(f)
-        return original(f)
+    def counting(v, h, i0):
+        calls.append(v)
+        return original(v, h, i0)
 
-    monkeypatch.setattr(spps.powers, "cumulative_integral", counting)
+    monkeypatch.setattr(spps.powers, "_antiderivative", counting)
     with_truncation(ws, 13)
     # each of the n solution indices gains 5 n formal powers, one
     # integration each; a rebuild would integrate all (M + 5) n + k - 1
