@@ -421,7 +421,8 @@ def build_seed_system(op: OperatorSpec,
     tables propagate analytically through every level (no finite differences
     on the solutions themselves). The series at -1 converges fast: its table
     starts at 8 terms and grows by 8 while some tail ratio there exceeds
-    1e-17, up to ``truncation``; ``truncations`` records where it stopped.
+    STOP_TOL (1e-17), up to ``truncation``; ``truncations`` records where
+    it stopped, and the sums of that last test are the solutions.
 
     The retry budget applies per recombination stage; ``retries`` on the
     result counts all draws beyond first attempts. Deterministic for a fixed
@@ -435,8 +436,8 @@ def build_seed_system(op: OperatorSpec,
     ResidualVerificationError
         When the final system fails its operator-residual verification.
     """
-    from .powers import (_grow_powers, compute_A, evaluate_derivatives,
-                         evaluate_solution, formal_powers, tail_ratio)
+    from .powers import (STOP_TOL, _grow_powers, _solution_sum, _warn_tail,
+                         compute_A, evaluate_derivatives, formal_powers)
 
     mesh = op.mesh
     n = op.n
@@ -463,16 +464,20 @@ def build_seed_system(op: OperatorSpec,
         fac = polya_factors(W, wronskian_floor)
         coeffs = compute_A(fac)
         table = formal_powers(fac, op.phi[m - 1], min(8, truncation))
-        while table.truncation < truncation and max(
-                tail_ratio(table, k, -1.0) for k in range(1, m + 1)) > 1e-17:
-            table = _grow_powers(fac, table.weight, table.x,
+        while True:  # the sums at -1 that pass the stop test are kept
+            sums = [_solution_sum(table, k, -1.0) for k in range(1, m + 1)]
+            if table.truncation >= truncation or max(
+                    ratio for _, ratio in sums) <= STOP_TOL:
+                break
+            table = _grow_powers(fac, table.weight, table.x, table.norms,
                                  min(table.truncation + 8, truncation))
         truncations.append(table.truncation)
 
         # solutions of the full order-m equation at spectral parameter -1
         sols: list[list[SampledFunction]] = []
-        for k in range(1, m + 1):
-            row = [evaluate_solution(table, fac.b[0], k, -1.0)]
+        for k, (s, ratio) in enumerate(sums, start=1):
+            _warn_tail(ratio, k, -1.0)
+            row = [SampledFunction(mesh, fac.b[0].values * s)]
             for ell in range(1, m):
                 row.append(evaluate_derivatives(table, coeffs, k, -1.0, ell))
             sols.append(row)

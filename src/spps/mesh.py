@@ -413,15 +413,7 @@ def format_json(f: SampledFunction) -> str:
 def ladder_strides(mesh: Mesh, low: int = 65, high: int = 161) -> list[int]:
     """Strides for residual measurement: 1 plus coarsenings with node counts
     in [low, high], basepoint preserved, panel structure intact."""
-    out = [1]
     segs = mesh.n - 1
-    for s in range(2, segs + 1):
-        if segs % s:
-            continue
-        sub = segs // s + 1
-        if sub < low or sub > high:
-            continue
-        if (sub - 1) % 4 or mesh.i0 % s:
-            continue
-        out.append(s)
-    return out
+    return [1] + [s for s in range(2, segs + 1)
+                  if not segs % s and low <= segs // s + 1 <= high
+                  and not (segs // s) % 4 and not mesh.i0 % s]

@@ -19,6 +19,7 @@ oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,6 +36,9 @@ if TYPE_CHECKING:  # import only for annotations, the dependency is one-way
 
 #: Tail ratios above this trigger a TruncationWarning.
 TAIL_WARN = 1e-12
+#: A series sum stops once the norm bounds of all its later terms add up to
+#: at most this fraction of the partial sum's max modulus.
+STOP_TOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -91,13 +95,15 @@ class FormalPowerTable:
     ``x[k - 1][j]`` holds X_k^(j) as a read-only array, shared with a table
     it was extended from; :meth:`secondary` and :meth:`main` wrap it as a
     SampledFunction. The main formal power P_k^(m) is the entry at
-    j = m n + k - 1. ``weight`` is the r used to build the table.
+    j = m n + k - 1. ``norms[k - 1][j]`` is the sup norm of X_k^(j), which
+    bounds a series term before it is formed. ``weight`` is the r used.
     """
 
     n: int
     truncation: int
     weight: SampledFunction
     x: tuple[tuple[np.ndarray, ...], ...]
+    norms: tuple[tuple[float, ...], ...]
 
     @property
     def mesh(self) -> Mesh:
@@ -121,36 +127,41 @@ def formal_powers(fac: "PolyaFactorization", r: SampledFunction,
     """
     if r.mesh != fac.mesh:
         raise ValueError("weight and factorization live on different meshes")
-    return _grow_powers(fac, r, [(ones(fac.mesh).values,)] * fac.n, truncation)
+    return _grow_powers(fac, r, [(ones(fac.mesh).values,)] * fac.n,
+                        [(1.0,)] * fac.n, truncation)
 
 
-def _grow_powers(fac: "PolyaFactorization", r: SampledFunction, rows,
+def _grow_powers(fac: "PolyaFactorization", r: SampledFunction, rows, norms,
                  truncation: int) -> FormalPowerTable:
     """Table at ``truncation`` whose row k starts with ``rows[k - 1]``.
 
-    Each row is cut to its length at ``truncation`` and, where it is
-    shorter, continued by the recursion of :func:`formal_powers` from its
-    last column. The table at a lower truncation is an exact prefix of the
-    table at a higher one, so a continued table equals a rebuilt one.
+    Each row and its sup norms ``norms[k - 1]`` are cut to ``truncation``
+    and, where shorter, continued by the recursion of :func:`formal_powers`.
+    The table at a lower truncation is an exact prefix of the table at a
+    higher one, so a continued table equals a rebuilt one.
     """
     n, mesh = fac.n, fac.mesh
     if truncation < 0:
         raise ValueError("truncation order must be nonnegative")
     # the factor at offset (k - j) mod n: b_n b_0 r at the wrap, else b_offset
     mults = [(fac.b[n] * fac.b[0] * r).values] + [b.values for b in fac.b[1:n]]
-    ks: list[tuple[np.ndarray, ...]] = []
-    for k, row in enumerate(rows, start=1):
+    ks, ns = [], []
+    for k, (row, row_norms) in enumerate(zip(rows, norms), start=1):
         stop = truncation * n + k
-        xs = list(row[:stop])
+        xs, sups = list(row[:stop]), list(row_norms[:stop])
         for j in range(len(xs), stop):
             power = _antiderivative(mults[(k - j) % n] * xs[j - 1], mesh.h,
                                     mesh.i0)
             power *= float(j)
-            _check_finite(mesh, power)
+            sup = float(np.max(np.abs(power)))
+            if not math.isfinite(sup):  # name the node, as the check does
+                _check_finite(mesh, power)
             power.setflags(write=False)
             xs.append(power)
+            sups.append(sup)
         ks.append(tuple(xs))
-    return FormalPowerTable(n, truncation, r, tuple(ks))
+        ns.append(tuple(sups))
+    return FormalPowerTable(n, truncation, r, tuple(ks), tuple(ns))
 
 
 # -- series evaluation ---------------------------------------------------------
@@ -175,7 +186,7 @@ def _consecutive_product(lo: int, hi: int) -> float:
 
 
 def tail_ratio(table: FormalPowerTable, k: int, lam: complex) -> float:
-    """Max modulus of the last series term relative to the partial sum's."""
+    """Last term's bound |c_M| ||X_M|| over the partial sum's max modulus."""
     _, ratio = _solution_sum(table, k, lam)
     return ratio
 
@@ -183,15 +194,24 @@ def tail_ratio(table: FormalPowerTable, k: int, lam: complex) -> float:
 def _solution_sum(table: FormalPowerTable, k: int,
                   lam: complex) -> tuple[np.ndarray, float]:
     n, M = table.n, table.truncation
+    row, sups = table.x[k - 1][k - 1::n], table.norms[k - 1][k - 1::n]
+    cs = [1.0 / math.factorial(k - 1)]
+    for m in range(M):
+        cs.append(cs[-1] * lam / _consecutive_product(m * n + k, m * n + n + k - 1))
+    bounds = [abs(c) * sup for c, sup in zip(cs, sups)]
+    tails = list(itertools.accumulate(reversed(bounds), initial=0.0))[::-1]
     s, comp, term, y = np.zeros((4, table.mesh.n), dtype=np.complex128)
-    row = table.x[k - 1]
-    c = 1.0 / math.factorial(k - 1)
-    for m in range(M + 1):
-        _kahan_add(s, comp, np.multiply(c, row[m * n + k - 1], out=term), y)
-        if m < M:
-            c = c * lam / _consecutive_product(m * n + k, (m + 1) * n + k - 1)
-    last = float(np.max(np.abs(np.multiply(c, row[M * n + k - 1], out=term))))
-    top = float(np.max(np.abs(s)))
+    for m, (c, x) in enumerate(zip(cs, row)):
+        _kahan_add(s, comp, np.multiply(c, x, out=term), y)
+        # max|s| <= tails[0] up to rounding, so the partial sum's sup norm is
+        # taken only once the bound on the later terms could pass the test
+        if math.isfinite(tails[0]) and tails[m + 1] <= 2 * STOP_TOL * tails[0]:
+            top = float(np.max(np.abs(s)))
+            if tails[m + 1] <= STOP_TOL * top:
+                break
+    else:  # non-finite bounds: all terms
+        top = float(np.max(np.abs(s)))
+    last = bounds[M]
     ratio = math.inf if top == 0.0 and last > 0.0 else (last / top if top else 0.0)
     return s, ratio
 
@@ -202,22 +222,27 @@ def evaluate_solution(table: FormalPowerTable, b0: SampledFunction, k: int,
 
     Terms are accumulated in ascending order with compensated summation; the
     per-term coefficients lambda^m / (m n + k - 1)! advance by consecutive-
-    factorial ratios, so nothing overflows even when M n is large. At
-    lambda = 0 the result reduces to b_0 times the (k-1)-fold iterated
-    integral, the k-th element of the homogeneous solution family.
+    factorial ratios, so nothing overflows even when M n is large. The sum
+    stops after the first term past which the bounds |c_m| ||X_m|| of all
+    later terms add up to at most STOP_TOL of the partial sum's max modulus
+    (all M + 1 terms when a bound is not finite). At lambda = 0 the result
+    reduces to b_0 times the (k-1)-fold iterated integral, the k-th element
+    of the homogeneous solution family.
 
-    Warns with TruncationWarning when the last term's max modulus exceeds
-    1e-12 of the partial sum's.
+    Warns with TruncationWarning when the tail ratio exceeds 1e-12.
     """
     if not 1 <= k <= table.n:
         raise ValueError(f"solution index k={k} outside 1..{table.n}")
     s, ratio = _solution_sum(table, k, lam)
-    if ratio > TAIL_WARN:
-        warnings.warn(
-            f"series tail for k={k}, lambda={lam:g} has relative size "
-            f"{ratio:.2e}; increase the truncation order",
-            TruncationWarning, stacklevel=2)
+    _warn_tail(ratio, k, lam)
     return SampledFunction(b0.mesh, b0.values * s)
+
+
+def _warn_tail(ratio: float, k: int, lam: complex) -> None:
+    if ratio > TAIL_WARN:
+        warnings.warn(f"series tail for k={k}, lambda={lam:g} has relative size "
+                      f"{ratio:.2e}; increase the truncation order",
+                      TruncationWarning, stacklevel=3)
 
 
 def evaluate_derivatives(table: FormalPowerTable, coeffs: DerivativeCoeffs,

@@ -130,7 +130,8 @@ def with_truncation(ws: Workspace, truncation: int) -> Workspace:
     """
     if truncation == ws.truncation:
         return ws
-    table = _grow_powers(ws.fac, ws.table.weight, ws.table.x, truncation)
+    table = _grow_powers(ws.fac, ws.table.weight, ws.table.x, ws.table.norms,
+                         truncation)
     return replace(ws, table=table)
 
 
@@ -164,16 +165,17 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
                 f"initial-value matrix diagonal {ell} is {abs(diag):.3e}; "
                 "the factorization is too close to singular at the basepoint")
         c[ell] = (vals[ell] - mat[ell, :ell] @ c[:ell]) / diag
+    return SampledFunction(ws.mesh, _combination(ws, c, lam))
+
+
+def _combination(ws: Workspace, coeff: np.ndarray, lam: complex) -> np.ndarray:
+    """sum_k coeff[k - 1] u_k(.; lam) over the mesh, zero terms skipped."""
     lam = complex(lam)
-    out = None
-    for k in range(1, n + 1):
-        if c[k - 1] == 0:
-            continue
-        term = evaluate_solution(ws.table, ws.b0, k, lam) * c[k - 1]
-        out = term if out is None else out + term
-    if out is None:
-        return SampledFunction(ws.mesh, np.zeros(ws.mesh.n, dtype=complex))
-    return out
+    acc = np.zeros(ws.mesh.n, dtype=complex)
+    for k, ck in enumerate(coeff, start=1):
+        if ck != 0:
+            acc += evaluate_solution(ws.table, ws.b0, k, lam).values * ck
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +263,7 @@ def _null_combination(ws: Workspace, mat: np.ndarray,
                       lam: complex) -> SampledFunction:
     """The basis solutions at ``lam`` summed with the right singular vector
     of the boundary matrix ``mat`` for its smallest singular value."""
-    _, _, vh = np.linalg.svd(mat)
-    coeff = vh[-1].conj()
-    lam = complex(lam)
-    acc = np.zeros(ws.mesh.n, dtype=complex)
-    for k in range(1, ws.n + 1):
-        if coeff[k - 1] == 0:
-            continue
-        acc += coeff[k - 1] * evaluate_solution(ws.table, ws.b0, k, lam).values
+    acc = _combination(ws, np.linalg.svd(mat)[2][-1].conj(), lam)
     peak = int(np.argmax(np.abs(acc)))
     if acc[peak] == 0:
         raise TriangularDefectError(
@@ -345,7 +340,8 @@ class CharacteristicFunction:
         if n <= 6:
             acc = np.zeros(deg + 1, dtype=complex)
             for perm in itertools.permutations(range(n)):
-                sign = _permutation_sign(perm)
+                sign = (-1) ** sum(a > b for a, b in
+                                   itertools.combinations(perm, 2))
                 prod = np.ones(1, dtype=complex)
                 for i, k in enumerate(perm):
                     prod = np.convolve(prod, self.poly[i, k])
@@ -355,23 +351,6 @@ class CharacteristicFunction:
         sample_points = np.exp(2j * np.pi * np.arange(count) / count)
         vals = self.det_samples(sample_points)
         return np.fft.ifft(vals)[:count]
-
-
-def _permutation_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def characteristic_polynomials(ws: Workspace,
@@ -391,12 +370,9 @@ def characteristic_polynomials(ws: Workspace,
             cr = series_coefficients_at_node(
                 ws.table, ws.coeffs, ws.b0, k, ell, last)
             for i in range(n):
-                a = bc.left[i, ell]
-                c = bc.right[i, ell]
-                if a != 0:
-                    poly[i, k - 1] += a * cl
-                if c != 0:
-                    poly[i, k - 1] += c * cr
+                for a, c in ((bc.left[i, ell], cl), (bc.right[i, ell], cr)):
+                    if a != 0:
+                        poly[i, k - 1] += a * c
     return CharacteristicFunction(poly)
 
 

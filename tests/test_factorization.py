@@ -346,16 +346,16 @@ def seed_op(n, nodes=201):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_seed_truncation_stops_where_the_tail_is_negligible(n, monkeypatch):
-    original = spps.powers.tail_ratio
-    ratios = {}  # (order, truncation) -> tail ratios at -1 seen there
+    original = spps.powers._solution_sum
+    ratios = {}  # (order, truncation) -> tail ratios of the sums at -1 there
 
     def recording(table, k, lam):
-        ratio = original(table, k, lam)
+        s, ratio = original(table, k, lam)
         if lam == -1.0:
             ratios.setdefault((table.n, table.truncation), []).append(ratio)
-        return ratio
+        return s, ratio
 
-    monkeypatch.setattr(spps.powers, "tail_ratio", recording)
+    monkeypatch.setattr(spps.powers, "_solution_sum", recording)
     op = seed_op(n)
     for rng_seed in range(4):
         ratios.clear()
@@ -363,7 +363,7 @@ def test_seed_truncation_stops_where_the_tail_is_negligible(n, monkeypatch):
         assert len(capped.truncations) == n - 1
         for order, t in zip(range(2, n + 1), capped.truncations):
             assert t < 40
-            assert len(ratios[order, t]) == order
+            assert len(ratios[order, t]) == order  # each series summed once
             assert max(ratios[order, t]) <= 1e-17
         wide = build_seed_system(op, rng_seed=rng_seed, truncation=60)
         assert wide.truncations == capped.truncations

@@ -235,32 +235,68 @@ def test_truncation_warning_raised_when_tail_large():
         evaluate_solution(table, fac.b[0], 1, 400.0)
 
 
+def kahan_partial_sums(table, k, lam):
+    """Term bounds |c_m| ||X_m|| and the Kahan partial sums of u_k / b_0."""
+    n, M = table.n, table.truncation
+    bounds, sums = [], []
+    s = comp = np.zeros(table.mesh.n, dtype=complex)
+    c = 1.0 / math.factorial(k - 1)
+    for mm in range(M + 1):
+        x = table.main(k, mm).values
+        bounds.append(abs(c) * np.max(np.abs(x)))
+        y = c * x - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        sums.append(s)
+        prod = 1.0
+        for j in range(mm * n + k, (mm + 1) * n + k):
+            prod *= j
+        c = c * lam / prod
+    return bounds, sums
+
+
 def test_tail_ratio_and_solution_from_kahan_sum():
     m = Mesh(0.0, 1.0, 401, 0)
     op, fac = exponential_factorization(m)
-    table = formal_powers(fac, op.r, truncation=12)
-    n, M = 2, 12
+    M = 30
+    table = formal_powers(fac, op.r, truncation=M)
+    early = set()
     for k in (1, 2):
         for lam in (3.0, -40.0 + 5.0j, 400.0):
-            s = np.zeros(m.n, dtype=complex)
-            comp = np.zeros(m.n, dtype=complex)
-            c = 1.0 / math.factorial(k - 1)
-            for mm in range(M + 1):
-                term = c * table.main(k, mm).values
-                y = term - comp
-                t = s + y
-                comp = (t - s) - y
-                s = t
-                prod = 1.0
-                for j in range(mm * n + k, (mm + 1) * n + k):
-                    prod *= j
-                c = c * lam / prod
-            want = np.max(np.abs(term)) / np.max(np.abs(s))
-            assert tail_ratio(table, k, lam) == want
+            bounds, sums = kahan_partial_sums(table, k, lam)
+            # the first m past which the bounds of all later terms, summed
+            # from the last one down, are at most 1e-17 of max|partial sum|
+            stop = next(mm for mm in range(M + 1) if sum(reversed(
+                bounds[mm + 1:])) <= 1e-17 * np.max(np.abs(sums[mm])))
+            early.add(stop < M)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TruncationWarning)
                 u = evaluate_solution(table, fac.b[0], k, lam)
-            assert np.array_equal(u.values, fac.b[0].values * s)
+            assert np.array_equal(u.values, fac.b[0].values * sums[stop])
+            top = np.max(np.abs(sums[stop]))
+            assert sum(bounds[stop + 1:]) <= 1e-17 * top
+            assert np.max(np.abs(sums[stop] - sums[M])) <= 4 * np.spacing(top)
+            assert tail_ratio(table, k, lam) == bounds[M] / top
+    assert early == {True, False}
+
+
+def test_cancelling_sum_stops_later_than_a_largest_term_rule(monkeypatch):
+    # y'' = lam y at lam = -400: terms reach ~1e8 while |u_1| = |cos 20x| <= 1
+    m = Mesh(0.0, 1.0, 401, 0)
+    op, fac = trivial_factorization(m, 2)
+    table = formal_powers(fac, op.r, truncation=80)
+    bounds, sums = kahan_partial_sums(table, 1, -400.0)
+    adds = []
+    original = spps.powers._kahan_add
+    monkeypatch.setattr(spps.powers, "_kahan_add",
+                        lambda *args: adds.append(original(*args)))
+    u = evaluate_solution(table, fac.b[0], 1, -400.0)
+    largest_term_stop = next(mm for mm in range(81) if sum(
+        bounds[mm + 1:]) <= 1e-17 * max(bounds))
+    assert largest_term_stop + 1 < len(adds) < 81
+    full = fac.b[0].values * sums[-1]
+    assert np.max(np.abs(u.values - full)) <= 1e-15 * np.max(np.abs(full))
 
 
 def test_no_warning_when_series_converged():

@@ -549,6 +549,45 @@ def test_with_truncation_lower_keeps_prefix():
         with_truncation(ws, -1)
 
 
+def test_with_truncation_norms_match_rebuild_and_share_prefix():
+    ws = dirichlet_workspace(truncation=10)
+    assert ws.table.norms == tuple(tuple(
+        float(np.max(np.abs(x))) for x in row) for row in ws.table.x)
+    for t in (15, 6):
+        norms = with_truncation(ws, t).table.norms
+        assert norms == formal_powers(ws.fac, ws.op.r, t).norms
+        for row, old in zip(norms, ws.table.norms):
+            assert all(a is b for a, b in zip(row, old))
+
+
+def test_ivp_series_sums_stop_after_few_terms(monkeypatch):
+    # an order-4 operator, basepoint mid-interval, M = 40 and |lam| <= 85:
+    # each sum needs well under the 41 terms of the table
+    mesh = Mesh(0.0, 1.0, 401)
+    phi = (tabulate(mesh, lambda t: 0.3 * np.cos(2 * t)),
+           tabulate(mesh, lambda t: 0.2 * t), constant(mesh, -0.4),
+           tabulate(mesh, lambda t: 0.5 * np.sin(3 * t)))
+    op = OperatorSpec(4, phi, tabulate(mesh, lambda t: 1.0 + 0.3 * np.cos(t)))
+    ws = build_workspace(op, truncation=40, rng_seed=1)
+    adds, counts = [], []
+    add, total = spps.powers._kahan_add, spps.powers._solution_sum
+
+    def counting_sum(table, k, lam):
+        adds.clear()
+        out = total(table, k, lam)
+        counts.append(len(adds))
+        return out
+
+    monkeypatch.setattr(spps.powers, "_kahan_add",
+                        lambda *args: adds.append(add(*args)))
+    monkeypatch.setattr(spps.powers, "_solution_sum", counting_sum)
+    lams = [85.0, -85.0, 85j, 60.0 - 60.0j, -60.0 + 60.0j, 0.0, 3.0 + 1.0j]
+    for lam in lams:
+        solve_initial_value(ws, [1.0, -0.5j, 0.25, 2.0], lam)
+    assert len(counts) == 4 * len(lams)
+    assert max(counts) <= 10
+
+
 # -- against the shooting oracle ------------------------------------------------------------
 
 def test_eigenvalues_match_shooting_oracle():
