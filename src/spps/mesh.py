@@ -135,9 +135,6 @@ class SampledFunction:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def decimate(self, stride: int) -> "SampledFunction":
-        return SampledFunction(self.mesh.decimate(stride), self.values[::stride])
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "SampledFunction":
@@ -373,16 +370,24 @@ def differentiate(f: SampledFunction, order: int = 1) -> SampledFunction:
         raise StencilError(
             f"mesh with {n} nodes is too small for an order-{order} stencil ({w} nodes)")
     half = w // 2
-    out = np.zeros(n, dtype=np.complex128)
-    row = _diff_weights(w, order, half)
-    m = n - w + 1
-    for k in range(w):
-        out[half:half + m] += row[k] * v[k:k + m]
+    out = np.empty(n, dtype=np.complex128)
+    out[half:n - half] = _centred_sums(v, order, half, n - half)
     for i in range(half):
         out[i] = np.dot(_diff_weights(w, order, i), v[:w])
     for i in range(n - half, n):
         out[i] = np.dot(_diff_weights(w, order, i - n + w), v[n - w:])
     return SampledFunction(mesh, out / mesh.h ** order)
+
+
+def _centred_sums(v: np.ndarray, order: int, start: int, stop: int) -> np.ndarray:
+    """Centred ``order``-th difference sums of samples ``v`` at nodes
+    start..stop-1, before the division by h**order."""
+    half = centered_margin(order)
+    row = _diff_weights(2 * half + 1, order, half)
+    out = np.zeros(stop - start, dtype=np.complex128)
+    for k, weight in enumerate(row):
+        out += weight * v[start - half + k:stop - half + k]
+    return out
 
 
 def centered_margin(order: int) -> int:

@@ -350,7 +350,8 @@ class CharacteristicFunction:
         count = deg + 1
         sample_points = np.exp(2j * np.pi * np.arange(count) / count)
         vals = self.det_samples(sample_points)
-        return np.fft.ifft(vals)[:count]
+        # vals[j] = sum_m c_m w**(j m), w = exp(2 pi i / count): invert by fft
+        return np.fft.fft(vals) / count
 
 
 def characteristic_polynomials(ws: Workspace,

@@ -1,12 +1,27 @@
 """Independent reference solvers used only by the test suite.
 
-Everything here goes through scipy's adaptive Runge-Kutta integration of the
+The solvers go through scipy's adaptive Runge-Kutta integration of the
 first-order companion system, which shares no code or method with the
-package under test.
+package under test. ``decimated_ladder_residual`` and ``loop_derivative``
+are the exception: the package's earlier residual ladder and
+finite-difference loop, kept as references that its array versions must
+match exactly.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from spps.errors import StencilError
+from spps.factorization import OperatorSpec, apply_coefficients
+from spps.mesh import (
+    SampledFunction,
+    _diff_weights,
+    _diff_window,
+    centered_margin,
+    ladder_strides,
+)
 
 
 def integrate_ivp(n, phi, r, x1, x2, y0, lam, t_eval=None):
@@ -76,3 +91,51 @@ def refine_eigenvalue(n, phi, r, x1, x2, left, right, lam0, spread=1e-3):
         if abs(b - a) < 1e-12 * max(1.0, abs(b)):
             break
     return b
+
+
+def loop_derivative(v, h, order):
+    """Finite-difference derivative of samples ``v`` (step h): centered
+    stencils accumulated over the interior slice, one-sided dot products at
+    the boundary."""
+    n, w = len(v), _diff_window(order)
+    half = w // 2
+    out = np.zeros(n, dtype=np.complex128)
+    row = _diff_weights(w, order, half)
+    m = n - w + 1
+    for k in range(w):
+        out[half:half + m] += row[k] * v[k:k + m]
+    for i in range(half):
+        out[i] = np.dot(_diff_weights(w, order, i), v[:w])
+    for i in range(n - half, n):
+        out[i] = np.dot(_diff_weights(w, order, i - n + w), v[n - w:])
+    return out / h ** order
+
+
+def _decimate(f, stride):
+    return SampledFunction(f.mesh.decimate(stride), f.values[::stride])
+
+
+def decimated_ladder_residual(op, y, lam=0.0, strides=None):
+    """max|L y - lam r y| / max|y| over the ladder, each stride on a decimated
+    Mesh, OperatorSpec and SampledFunction, L y by ``apply_coefficients``."""
+    if strides is None:
+        strides = ladder_strides(y.mesh)
+    margin = centered_margin(op.n)
+    scale_y = y.max_abs()
+    if scale_y == 0.0:
+        return 0.0
+    best = math.inf
+    for s in strides:
+        try:
+            ys = _decimate(y, s) if s > 1 else y
+            ops = OperatorSpec(op.n, tuple(_decimate(f, s) for f in op.phi),
+                               _decimate(op.r, s)) if s > 1 else op
+            res = apply_coefficients(ops, ys)
+            if lam != 0:
+                res = res - lam * (ops.r * ys)
+        except (ValueError, StencilError):
+            continue
+        vals = np.abs(res.values[margin:res.mesh.n - margin])
+        if vals.size:
+            best = min(best, float(np.max(vals)) / scale_y)
+    return best

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import spps.factorization
+import spps.mesh
 import spps.powers
 from spps import (
     Mesh,
@@ -14,8 +16,10 @@ from spps import (
     zeros,
 )
 from spps.errors import (
+    MeshMismatchError,
     ResidualVerificationError,
     SeedConstructionError,
+    StencilError,
     TruncationWarning,
     WronskianFloorError,
 )
@@ -32,7 +36,7 @@ from spps.factorization import (
     wronskians,
 )
 
-from oracles import integrate_ivp
+from oracles import decimated_ladder_residual, integrate_ivp, loop_derivative
 
 
 def make_op(mesh, phis, r=None):
@@ -217,6 +221,77 @@ def test_operator_residual_detects_nonsolution():
     op = make_op(m, [constant(m, 0.0), constant(m, 1.0)])
     y = tabulate(m, np.exp)
     assert operator_residual(op, y) > 0.5
+
+
+def ladder_op(mesh, n):
+    """Order-n operator with smooth complex coefficients and weight."""
+    phis = [tabulate(mesh, lambda t, j=j: np.cos((j + 1) * t) + 0.3j * t ** j)
+            for j in range(n)]
+    return make_op(mesh, phis, tabulate(mesh, lambda t: 1.0 + 0.5 * np.sin(t)))
+
+
+@pytest.mark.parametrize("nodes", [401, 801, 1601])
+def test_operator_residual_matches_decimated_ladder(nodes):
+    segs = nodes - 1
+    # 3 divides no segment count; 2 drops an odd basepoint; segs // 50 leaves
+    # 51 nodes, not 1 (mod 4); segs // 8 leaves 9 nodes, below the order-6
+    # stencil; segs // 4 leaves 5 nodes; 0 means the full mesh
+    awkward = [3, 2, segs // 50, segs // 8, segs // 4, 0]
+    for i0 in (segs // 2, 0, segs // 2 + 1):
+        m = Mesh(0.0, 1.0, nodes, i0)
+        y = tabulate(m, lambda t: np.exp((0.3 + 2j) * t) * (1 + t * t))
+        for n in (2, 3, 4, 5, 6):
+            op = ladder_op(m, n)
+            # where lam r y dominates, lam * a and a * lam round apart
+            for lam in (0, -9, 0.3 + 1.2j, 250 - 400j):
+                for strides in (None, awkward):
+                    got = operator_residual(op, y, lam, strides)
+                    assert got == decimated_ladder_residual(op, y, lam, strides)
+                    assert 0.0 < got < np.inf
+            for strides in (None, awkward):
+                assert operator_residual(op, zeros(m), -9, strides) == 0.0
+            assert operator_residual(op, y, 1.0, [3, segs // 4]) == np.inf
+            assert decimated_ladder_residual(op, y, 1.0, [3, segs // 4]) == np.inf
+
+
+def test_operator_residual_refuses_a_function_on_another_mesh():
+    op = ladder_op(Mesh(0.0, 1.0, 401), 2)
+    with pytest.raises(MeshMismatchError):
+        operator_residual(op, tabulate(Mesh(0.0, 2.0, 401), np.sin))
+
+
+def test_operator_residual_builds_no_wrappers(monkeypatch):
+    m = Mesh(0.0, 1.0, 1601)
+    op = ladder_op(m, 4)
+    y = tabulate(m, lambda t: np.exp((0.3 + 2j) * t))
+    built = []
+    sampled, meshed = spps.mesh.SampledFunction.__init__, Mesh.__init__
+
+    def counting(original, name):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spps.mesh.SampledFunction, "__init__",
+                        counting(sampled, "SampledFunction"))
+    monkeypatch.setattr(Mesh, "__init__", counting(meshed, "Mesh"))
+    for module in (spps.mesh, spps.factorization):
+        monkeypatch.setattr(module, "differentiate",
+                            counting(differentiate, "differentiate"))
+    assert operator_residual(op, y, lam=0.3 + 1.2j) < np.inf
+    assert built == []
+    monkeypatch.undo()
+    for nodes in (9, 401):
+        m = Mesh(0.0, 1.0, nodes)
+        f = tabulate(m, lambda t: np.exp((0.3 + 2j) * t) * np.cos(5 * t))
+        for order in range(1, 7):
+            if nodes < order + 4:
+                with pytest.raises(StencilError):
+                    differentiate(f, order)
+                continue
+            want = loop_derivative(f.values, m.h, order)
+            assert np.array_equal(differentiate(f, order).values, want)
 
 
 # -- explicit seed systems -----------------------------------------------------------

@@ -195,6 +195,21 @@ def test_matrices_match_per_entry_horner():
         assert charfn.det(lam) == charfn.det_samples([lam])[0]
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_det_polynomial_matches_det_beyond_order_6(n):
+    # order 6 expands over permutations, orders 7 and 8 sample at roots of unity
+    rng = np.random.default_rng(1)
+    poly = rng.standard_normal((n, n, 4)) + 1j * rng.standard_normal((n, n, 4))
+    charfn = CharacteristicFunction(poly)
+    coeffs = charfn.det_polynomial()
+    assert len(coeffs) == 3 * n + 1
+    for lam in (0.7, -0.4 + 0.9j):
+        horner = 0j
+        for c in coeffs[::-1]:
+            horner = horner * lam + c
+        assert horner == pytest.approx(charfn.det(lam), rel=1e-10)
+
+
 @pytest.mark.parametrize("size", [1, 3, 8, 33])
 def test_det_samples_batch_equals_single_points(size):
     rng = np.random.default_rng(size)
