@@ -63,7 +63,6 @@ from .powers import (
     evaluate_solution,
     formal_powers,
     initial_matrix,
-    initial_values,
     series_coefficients_at_node,
     tail_ratio,
 )
@@ -101,7 +100,7 @@ __all__ = [
     "polya_system", "wronskians",
     "DerivativeCoeffs", "FormalPowerTable", "compute_A",
     "evaluate_derivatives", "evaluate_solution", "formal_powers",
-    "initial_matrix", "initial_values", "series_coefficients_at_node",
+    "initial_matrix", "series_coefficients_at_node",
     "tail_ratio",
     "Expression", "evaluate_constant", "parse_expression",
     "tabulate_expression",

@@ -219,15 +219,9 @@ def wronskians(sys: SolutionSystem) -> list[SampledFunction]:
 
 @dataclass(frozen=True)
 class PolyaFactorization:
-    """Factor functions b_0..b_n plus tabulated derivatives of b_0..b_{n-1}.
-
-    ``b_derivs[j][d]`` is the d-th derivative of b_j (d = 0 is b_j itself),
-    tabulated through order n-1; consumed by the derivative-coefficient
-    triangle.
-    """
+    """Factor functions b_0..b_n of the operator."""
 
     b: tuple[SampledFunction, ...]
-    b_derivs: tuple[tuple[SampledFunction, ...], ...]
 
     @property
     def n(self) -> int:
@@ -258,10 +252,7 @@ def polya_factors(W: Sequence[SampledFunction],
     for j in range(1, n):
         b.append(W[j - 1] * W[j + 1] / W[j] / W[j])
     b.append(W[n - 1] / W[n])
-    b_derivs = tuple(
-        (bj,) + tuple(differentiate(bj, d) for d in range(1, n))
-        for bj in b[:n])
-    return PolyaFactorization(tuple(b), b_derivs)
+    return PolyaFactorization(tuple(b))
 
 
 # -- operator application -----------------------------------------------------
@@ -440,8 +431,8 @@ def build_seed_system(op: OperatorSpec,
     ResidualVerificationError
         When the final system fails its operator-residual verification.
     """
-    from .powers import (STOP_TOL, _grow_powers, _solution_sum, _warn_tail,
-                         compute_A, evaluate_derivatives, formal_powers)
+    from .powers import (STOP_TOL, _from_shifted, _grow_powers, _solution_sum,
+                         _warn_tail, compute_A, formal_powers)
 
     mesh = op.mesh
     n = op.n
@@ -477,14 +468,15 @@ def build_seed_system(op: OperatorSpec,
                                  min(table.truncation + 8, truncation))
         truncations.append(table.truncation)
 
-        # solutions of the full order-m equation at spectral parameter -1
+        # solutions of the full order-m equation at spectral parameter -1,
+        # each derivative from the shifted series S_{k,alpha}, each summed once
         sols: list[list[SampledFunction]] = []
         for k, (s, ratio) in enumerate(sums, start=1):
             _warn_tail(ratio, k, -1.0)
-            row = [SampledFunction(mesh, fac.b[0].values * s)]
-            for ell in range(1, m):
-                row.append(evaluate_derivatives(table, coeffs, k, -1.0, ell))
-            sols.append(row)
+            shifted = [s] + [_solution_sum(table, k, -1.0, alpha)[0]
+                             for alpha in range(1, m)]
+            sols.append([SampledFunction(mesh, _from_shifted(coeffs, ell, shifted))
+                         for ell in range(m)])
 
         # stage B: recombine the new solutions until their Wronskians pass
         level, _, report, attempt = _recombine_until_nonvanishing(

@@ -68,8 +68,8 @@ def compute_A(fac: "PolyaFactorization") -> DerivativeCoeffs:
     """Fill the derivative-coefficient triangle for rows 0..n-1.
 
     Row 0 is b_0. Each next row: the alpha = 0 column is the derivative of
-    the entry above (taken from the directly tabulated derivatives of b_0),
-    the diagonal multiplies the previous diagonal by the next factor, and
+    the entry above (the ell-th derivative of b_0, taken directly), the
+    diagonal multiplies the previous diagonal by the next factor, and
     interior entries add the finite-difference derivative of the entry above
     to the left neighbor above times its factor. With rows capped at n-1 the
     factor indices stay within b_0..b_{n-1} (the padding convention for
@@ -77,10 +77,10 @@ def compute_A(fac: "PolyaFactorization") -> DerivativeCoeffs:
     """
     n = fac.n
     b = fac.b
-    rows: list[list[SampledFunction]] = [[fac.b_derivs[0][0]]]
+    rows: list[list[SampledFunction]] = [[b[0]]]
     for ell in range(1, n):
         prev = rows[ell - 1]
-        row: list[SampledFunction] = [fac.b_derivs[0][ell]]
+        row: list[SampledFunction] = [differentiate(b[0], ell)]
         for alpha in range(1, ell):
             row.append(differentiate(prev[alpha], 1) + prev[alpha - 1] * b[alpha])
         row.append(prev[ell - 1] * b[ell])
@@ -177,27 +177,27 @@ def _kahan_add(s: np.ndarray, comp: np.ndarray, term: np.ndarray,
     s[:] = term
 
 
-def _consecutive_product(lo: int, hi: int) -> float:
-    """Product of the integers lo..hi inclusive (1.0 when empty)."""
-    out = 1.0
-    for t in range(lo, hi + 1):
-        out *= t
-    return out
-
-
 def tail_ratio(table: FormalPowerTable, k: int, lam: complex) -> float:
     """Last term's bound |c_M| ||X_M|| over the partial sum's max modulus."""
     _, ratio = _solution_sum(table, k, lam)
     return ratio
 
 
-def _solution_sum(table: FormalPowerTable, k: int,
-                  lam: complex) -> tuple[np.ndarray, float]:
-    n, M = table.n, table.truncation
-    row, sups = table.x[k - 1][k - 1::n], table.norms[k - 1][k - 1::n]
-    cs = [1.0 / math.factorial(k - 1)]
-    for m in range(M):
-        cs.append(cs[-1] * lam / _consecutive_product(m * n + k, m * n + n + k - 1))
+def _solution_sum(table: FormalPowerTable, k: int, lam: complex,
+                  alpha: int = 0) -> tuple[np.ndarray, float]:
+    """The shifted series S_{k,alpha} = sum_m lambda^m X_k^(j) / j! over
+    j = m n + k - alpha - 1 >= 0, and its tail ratio; u_k = b_0 S_{k,0}.
+
+    Stops as :func:`evaluate_solution` describes.
+    """
+    n = table.n
+    m0 = int(alpha >= k)  # j < 0 at m = 0: that term is absent
+    j0 = m0 * n + k - alpha - 1
+    row, sups = table.x[k - 1][j0::n], table.norms[k - 1][j0::n]
+    cs = [(lam if m0 else 1.0) / math.factorial(j0)][:len(row)]  # [] if no term
+    for m in range(m0, m0 + len(row) - 1):  # divide by (j+1) ... (j+n)
+        cs.append(cs[-1] * lam / math.prod(
+            range(m * n + k - alpha, m * n + n + k - alpha), start=1.0))
     bounds = [abs(c) * sup for c, sup in zip(cs, sups)]
     tails = list(itertools.accumulate(reversed(bounds), initial=0.0))[::-1]
     s, comp, term, y = np.zeros((4, table.mesh.n), dtype=np.complex128)
@@ -211,9 +211,19 @@ def _solution_sum(table: FormalPowerTable, k: int,
                 break
     else:  # non-finite bounds: all terms
         top = float(np.max(np.abs(s)))
-    last = bounds[M]
+    last = bounds[-1] if bounds else 0.0
     ratio = math.inf if top == 0.0 and last > 0.0 else (last / top if top else 0.0)
     return s, ratio
+
+
+def _from_shifted(coeffs: DerivativeCoeffs, ell: int,
+                  sums: list[np.ndarray]) -> np.ndarray:
+    """u_k^(ell) = sum_{alpha <= ell} A[ell][alpha] S_{k,alpha}, from
+    ``sums[alpha]`` = S_{k,alpha}."""
+    out = coeffs.at(ell, 0).values * sums[0]
+    for alpha in range(1, ell + 1):
+        out += coeffs.at(ell, alpha).values * sums[alpha]
+    return out
 
 
 def evaluate_solution(table: FormalPowerTable, b0: SampledFunction, k: int,
@@ -250,92 +260,65 @@ def evaluate_derivatives(table: FormalPowerTable, coeffs: DerivativeCoeffs,
     """The ell-th derivative of u_k(.; lambda) for 1 <= ell <= n-1.
 
     Assembled from the derivative-coefficient triangle and shallower formal
-    powers rather than finite differences: each row-ell term pairs
-    A[ell][alpha] with X_k at index m n + k - alpha - 1 and the coefficient
-    lambda^m / (m n + k - alpha - 1)!, which is the rising-factorial prefactor
-    folded into the reciprocal factorial.
+    powers rather than finite differences: u_k^(ell) is the sum over
+    alpha <= ell of A[ell][alpha] times the shifted series S_{k,alpha},
+    which pairs X_k at index j = m n + k - alpha - 1 with lambda^m / j!
+    (the rising-factorial prefactor folded into the reciprocal factorial).
+    Each S_{k,alpha} stops as :func:`evaluate_solution` describes.
     """
-    n, M = table.n, table.truncation
+    n = table.n
     if not 1 <= k <= n:
         raise ValueError(f"solution index k={k} outside 1..{n}")
     if not 1 <= ell <= n - 1:
         raise ValueError(f"derivative order {ell} outside 1..{n - 1}")
-    mesh = table.mesh
-    s, comp, term, y = np.zeros((4, mesh.n), dtype=np.complex128)
-    for alpha in range(ell + 1):
-        a_vals = coeffs.at(ell, alpha).values
-        if k - alpha - 1 >= 0:
-            m0 = 0
-            c = complex(1.0 / math.factorial(k - alpha - 1))
-        else:
-            m0 = 1
-            c = lam / math.factorial(n + k - alpha - 1)
-        for m in range(m0, M + 1):
-            idx = m * n + k - alpha - 1
-            np.multiply(c, a_vals, out=term)
-            term *= table.x[k - 1][idx]
-            _kahan_add(s, comp, term, y)
-            if m < M:
-                c = c * lam / _consecutive_product(
-                    m * n + k - alpha, (m + 1) * n + k - alpha - 1)
-    return SampledFunction(mesh, s)
+    sums = [_solution_sum(table, k, lam, alpha)[0] for alpha in range(ell + 1)]
+    return SampledFunction(table.mesh, _from_shifted(coeffs, ell, sums))
 
 
-def initial_values(coeffs: DerivativeCoeffs, b0: SampledFunction,
-                   k: int) -> np.ndarray:
-    """Basepoint data (u_k(x0), u_k'(x0), ..., u_k^(n-1)(x0)).
+def initial_matrix(coeffs: DerivativeCoeffs) -> np.ndarray:
+    """Lower-triangular matrix T[ell, k-1] = u_k^(ell)(x0), the same for
+    every lambda.
 
-    Independent of lambda: derivatives below order k-1 vanish, and from
-    order k-1 on the value is A[ell][k-1] at the basepoint. Stacking these
-    vectors over k gives a lower-triangular matrix whose diagonal is the
-    running product (b_0 ... b_{k-1})(x0).
+    Every formal power but X^(0) = 1 vanishes at the basepoint, so only the
+    term alpha = k - 1, m = 0 of u_k^(ell) is left: T[ell, k-1] is
+    A[ell][k-1](x0) from order k-1 on, and derivatives below it vanish. The
+    diagonal is the running product (b_0 ... b_ell)(x0).
     """
+    return _coeffs_at(coeffs, [coeffs.at(0, 0).mesh.i0])[0]
+
+
+def _coeffs_at(coeffs: DerivativeCoeffs, nodes: list[int]) -> np.ndarray:
+    """A[ell][alpha] at the nodes, shape (len(nodes), n, n), zero above the
+    diagonal."""
     n = coeffs.rows
-    if not 1 <= k <= n:
-        raise ValueError(f"solution index k={k} outside 1..{n}")
-    i0 = b0.mesh.i0
-    out = np.zeros(n, dtype=np.complex128)
-    if k == 1:
-        out[0] = b0.values[i0]
-    for ell in range(max(1, k - 1), n):
-        out[ell] = coeffs.at(ell, k - 1).values[i0]
+    out = np.zeros((len(nodes), n, n), dtype=np.complex128)
+    for ell in range(n):
+        for alpha in range(ell + 1):
+            out[:, ell, alpha] = coeffs.at(ell, alpha).values[nodes]
     return out
 
 
-def initial_matrix(coeffs: DerivativeCoeffs, b0: SampledFunction) -> np.ndarray:
-    """Lower-triangular matrix T[ell, k-1] = u_k^(ell)(x0) for all k."""
-    n = coeffs.rows
-    return np.column_stack([initial_values(coeffs, b0, k) for k in range(1, n + 1)])
-
-
 def series_coefficients_at_node(table: FormalPowerTable, coeffs: DerivativeCoeffs,
-                                b0: SampledFunction, k: int, ell: int,
-                                node: int) -> np.ndarray:
-    """Coefficients in lambda of u_k^(ell) frozen at one mesh node.
+                                nodes: list[int]) -> np.ndarray:
+    """Coefficients in lambda of every u_k^(ell) frozen at a list of nodes.
 
-    Returns c with u_k^(ell)(x_node; lambda) = sum_m c[m] lambda^m, m <= M.
-    Used by the spectral layer to turn boundary data into polynomials in the
-    spectral parameter. Reciprocal factorials are accumulated by division so
-    large indices underflow to zero instead of overflowing.
+    Returns c of shape (len(nodes), n, n, M + 1) with
+    u_k^(ell)(x_p; lambda) = sum_m c[p, ell, k - 1, m] lambda^m, where
+    c[p, ell, k - 1, m] sums A[ell][alpha] X_k^(j) / j! at node p over
+    alpha <= ell, j = m n + k - alpha - 1 >= 0. Used by the spectral layer
+    to turn boundary data into polynomials in the spectral parameter.
+    Reciprocal factorials are accumulated by division so large indices
+    underflow to zero instead of overflowing.
     """
     n, M = table.n, table.truncation
-    jmax = M * n + k - 1
-    rf = np.empty(jmax + 1)
-    rf[0] = 1.0
-    for j in range(1, jmax + 1):
-        rf[j] = rf[j - 1] / j
-    out = np.zeros(M + 1, dtype=np.complex128)
-    if ell == 0:
-        scale = b0.values[node]
-        for m in range(M + 1):
-            j = m * n + k - 1
-            out[m] = scale * rf[j] * table.x[k - 1][j][node]
-        return out
-    for alpha in range(ell + 1):
-        a = coeffs.at(ell, alpha).values[node]
-        for m in range(M + 1):
-            j = m * n + k - alpha - 1
-            if j < 0:
-                continue
-            out[m] += a * rf[j] * table.x[k - 1][j][node]
+    rf = np.array(list(itertools.accumulate(range(1, M * n + n),
+                                            lambda f, j: f / j, initial=1.0)))
+    a = _coeffs_at(coeffs, nodes)[..., None]
+    out = np.zeros((len(nodes), n, n, M + 1), dtype=np.complex128)
+    for k in range(1, n + 1):
+        xs = np.array([x[nodes] for x in table.x[k - 1]]).T
+        for alpha in range(n):  # ascending, each term (A / j!) X_k^(j)
+            m0 = int(alpha >= k)
+            j = np.arange(m0, M + 1) * n + k - alpha - 1
+            out[:, :, k - 1, m0:] += a[:, :, alpha] * rf[j] * xs[:, None, j]
     return out

@@ -105,9 +105,13 @@ class ProblemConfig:
 
     def make_mesh(self) -> Mesh:
         x1, x2 = self.interval
+        try:
+            mesh = Mesh(x1, x2, self.nodes)
+        except ValueError as exc:
+            raise ConfigError(f"[mesh]: {exc}") from exc
         if self.basepoint is not None:
             return Mesh.with_basepoint(x1, x2, self.nodes, self.basepoint)
-        return Mesh(x1, x2, self.nodes)
+        return mesh
 
     def make_operator(self, mesh: Mesh | None = None) -> OperatorSpec:
         mesh = mesh or self.make_mesh()

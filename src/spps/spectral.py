@@ -39,6 +39,7 @@ from .factorization import (
 )
 from .mesh import Mesh, SampledFunction
 from .powers import (
+    TAIL_WARN,
     DerivativeCoeffs,
     FormalPowerTable,
     _grow_powers,
@@ -156,7 +157,7 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
     if vals.shape != (n,):
         raise ValueError(
             f"expected {n} initial values, got shape {vals.shape}")
-    mat = initial_matrix(ws.coeffs, ws.b0)
+    mat = initial_matrix(ws.coeffs)
     c = np.zeros(n, dtype=complex)
     for ell in range(n):
         diag = mat[ell, ell]
@@ -219,7 +220,8 @@ class BoundaryConditions:
         ``separated(2, [0], [0])`` pins the function value at both ends;
         ``separated(4, [0, 2], [0, 2])`` pins value and second derivative.
         """
-        orders = list(left_orders) + list(right_orders)
+        left_orders, right_orders = list(left_orders), list(right_orders)
+        orders = left_orders + right_orders
         if len(orders) != n:
             raise ValueError(
                 f"need {n} conditions, got {len(orders)}")
@@ -229,7 +231,7 @@ class BoundaryConditions:
         right = np.zeros((n, n))
         for i, d in enumerate(left_orders):
             left[i, d] = 1.0
-        for i, d in enumerate(right_orders, start=len(list(left_orders))):
+        for i, d in enumerate(right_orders, start=len(left_orders)):
             right[i, d] = 1.0
         return cls(left, right)
 
@@ -361,19 +363,12 @@ def characteristic_polynomials(ws: Workspace,
     if bc.n != n:
         raise ValueError(f"boundary conditions are {bc.n}-dimensional, "
                          f"operator order is {n}")
-    terms = ws.truncation + 1
-    first, last = 0, ws.mesh.n - 1
-    poly = np.zeros((n, n, terms), dtype=complex)
-    for k in range(1, n + 1):
-        for ell in range(n):
-            cl = series_coefficients_at_node(
-                ws.table, ws.coeffs, ws.b0, k, ell, first)
-            cr = series_coefficients_at_node(
-                ws.table, ws.coeffs, ws.b0, k, ell, last)
-            for i in range(n):
-                for a, c in ((bc.left[i, ell], cl), (bc.right[i, ell], cr)):
-                    if a != 0:
-                        poly[i, k - 1] += a * c
+    cl, cr = series_coefficients_at_node(ws.table, ws.coeffs,
+                                         [0, ws.mesh.n - 1])
+    poly = np.zeros((n, n, ws.truncation + 1), dtype=complex)
+    for ell in range(n):  # per entry: ascending ell, left end then right
+        poly += bc.left[:, ell, None, None] * cl[ell]
+        poly += bc.right[:, ell, None, None] * cr[ell]
     return CharacteristicFunction(poly)
 
 
@@ -422,31 +417,30 @@ class EigenOptions:
     """Knobs for the eigenvalue search.
 
     ``samples`` is the number of contour points the root count starts from;
-    they are doubled until the count converges. ``boundary_margin`` and
-    ``persistence_tol`` default to scale-aware values when left as None.
-    Candidates are accepted only if they survive a truncation bump of
-    ``persistence_extra`` terms and if the reconstructed eigenfunction
-    drives the equation residual below ``residual_tol``.
+    they are doubled until the count converges. At most ``max_count``
+    eigenvalues are returned, the lowest first. A candidate is accepted only
+    if the reconstructed eigenfunction drives the equation residual below
+    ``residual_tol``.
     """
 
     samples: int = 1001
     max_count: int | None = None
     residual_tol: float = 1e-4
-    persistence_extra: int = 5
-    persistence_tol: float | None = None
-    boundary_margin: float | None = None
-    tail_error: float = 1e-6
-    tail_warn: float = 1e-12
 
-    def margin_for(self, region) -> float:
-        if self.boundary_margin is not None:
-            return self.boundary_margin
-        return 1e-6 * max(1.0, region.extent)
 
-    def persistence_for(self, lam):  # lam may be an array
-        if self.persistence_tol is not None:
-            return self.persistence_tol
-        return 1e-7 * np.maximum(1.0, np.abs(lam))
+#: Terms the truncation is raised by to confirm that a root persists.
+PERSISTENCE_EXTRA = 5
+#: A root persists when it moves by at most this times max(1, |lam|).
+PERSISTENCE_TOL = 1e-7
+#: Roots within this times max(1, extent) of the region's edge are dropped.
+MARGIN_TOL = 1e-6
+#: A series tail ratio above this where the search reaches raises.
+TAIL_ERROR = 1e-6
+
+
+def _window(lam):
+    """The persistence window about lam (or about each entry of an array)."""
+    return PERSISTENCE_TOL * np.maximum(1.0, np.abs(lam))
 
 
 @dataclass(frozen=True)
@@ -473,14 +467,14 @@ class EigenResult:
 # eigenvalue search
 # ---------------------------------------------------------------------------
 
-def _check_tail(ws: Workspace, lam: complex, options: EigenOptions) -> None:
+def _check_tail(ws: Workspace, lam: complex) -> None:
     worst = max(tail_ratio(ws.table, k, lam) for k in range(1, ws.n + 1))
-    if worst > options.tail_error:
+    if worst > TAIL_ERROR:
         raise RegionTruncationError(
             f"series tail ratio {worst:.3e} at lam={lam} exceeds "
-            f"{options.tail_error:.1e}; raise the truncation or shrink "
+            f"{TAIL_ERROR:.1e}; raise the truncation or shrink "
             "the search region")
-    if worst > options.tail_warn:
+    if worst > TAIL_WARN:
         warnings.warn(
             f"series tail ratio {worst:.3e} at lam={lam}; "
             "results there may be inaccurate", TruncationWarning,
@@ -535,8 +529,8 @@ def _moments(charfn: CharacteristicFunction, center: complex, radius: float,
     raise ValueError(f"contour integrals of det T about {center:.6g} diverge")
 
 
-def _newton(charfn: CharacteristicFunction, z: np.ndarray,
-            options: EigenOptions, steps: int, deflate: bool):
+def _newton(charfn: CharacteristicFunction, z: np.ndarray, steps: int,
+            deflate: bool):
     """Newton's method on det T, and whether the last step and the plain one
     (a deflated step can be small off a root) were in the window. With
     ``deflate`` (Aberth-Maehly) the steps run until all are in the window."""
@@ -546,8 +540,8 @@ def _newton(charfn: CharacteristicFunction, z: np.ndarray,
             shift = np.sum(1.0 / (z[:, None] - z + np.diag(
                 np.full(len(z), np.inf))), axis=1) if deflate else 0.0
             step = np.where(np.isinf(g), 0.0, 1.0 / (g - shift))
-            z, small = z - step, np.abs(step) <= options.persistence_for(z)
-            done = small & (np.abs(1.0 / g) <= options.persistence_for(z))
+            z, small = z - step, np.abs(step) <= _window(z)
+            done = small & (np.abs(1.0 / g) <= _window(z))
             if deflate and np.all(small) or not np.all(np.isfinite(z)):
                 break
     return z, done
@@ -594,7 +588,7 @@ def _roots_in(charfn: CharacteristicFunction, box, options: EigenOptions,
     companion = np.eye(len(c) - 1, k=-1, dtype=complex)
     companion[:, -1] = -np.array(c[:0:-1])
     z, ok = _newton(near, center + radius * np.linalg.eigvals(companion),
-                    options, 60, deflate=True)
+                    60, deflate=True)
     ok &= np.abs(z - center) < radius
     if np.count_nonzero(ok) != len(z) and splits > 0:
         shift, half = (hx / 2, (hx / 2, hy)) if hx >= hy else \
@@ -603,7 +597,7 @@ def _roots_in(charfn: CharacteristicFunction, box, options: EigenOptions,
                            splits=splits - 1) for sign in (-1, 1)]
         return (found[0][0] + found[1][0], found[0][1] + found[1][1],
                 max(far, found[0][2], found[1][2], key=abs))
-    d, tol = z - center, options.persistence_for(z)
+    d, tol = z - center, _window(z)
     inside = (abs(d.real) <= hx + tol) & (abs(d.imag) <= hy + tol)
     return list(z[ok & inside]), list(z[~ok & inside]), far
 
@@ -616,7 +610,7 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     contour integrals on a circle 5% wider than the region (around an
     :class:`Interval`, a :class:`Disk`'s own). Each root in the region must
     (a) persist, by Newton's method, when the truncation is raised by
-    ``options.persistence_extra`` (the power table is extended), and (b)
+    ``PERSISTENCE_EXTRA`` (the power table is extended), and (b)
     give an :func:`eigenfunction` there with equation residual below
     ``options.residual_tol``. Roots failing either, or counted in the region
     but never located, are rejected; roots within twice their persistence
@@ -631,14 +625,13 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
         trustworthy.
     """
     options = options or EigenOptions()
-    window = options.persistence_for
-    margin = options.margin_for(region)
+    margin = MARGIN_TOL * max(1.0, region.extent)
     if isinstance(region, Interval):
         box = ((region.lo + region.hi) / 2, region.extent / 2, 0.0)
 
         def place(lam: complex) -> complex | None:
             real = region.lo + margin <= lam.real <= region.hi - margin and \
-                abs(lam.imag) <= window(lam)
+                abs(lam.imag) <= _window(lam)
             return complex(lam.real) if real else None
     elif isinstance(region, Disk):
         box = (complex(region.center), region.radius, region.radius)
@@ -650,24 +643,23 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
         raise TypeError(f"unsupported region type {type(region).__name__}")
     radius = WIDEN * box[1]
     edge = _farthest(box[0], radius)
-    _check_tail(ws, edge, options)
-    fine = with_truncation(ws, ws.truncation + options.persistence_extra)
+    _check_tail(ws, edge)
+    fine = with_truncation(ws, ws.truncation + PERSISTENCE_EXTRA)
     charfn_fine = characteristic_polynomials(fine, bc)
     charfn = CharacteristicFunction(charfn_fine.poly[:, :, :ws.truncation + 1])
     roots, unconfirmed, far = _roots_in(charfn, box, options, radius)
     if abs(far) > abs(edge):  # a widened or split circle reached past it
-        _check_tail(ws, far, options)
+        _check_tail(ws, far)
     rejected = [(lam, "counted but not confirmed as a root")
                 for lam in unconfirmed if place(lam) is not None]
     roots = np.array([z for z in roots if place(z) is not None], dtype=complex)
     # from the real part of a root near the real axis, Newton's method stays
     # on it exactly when T is real there (real data and seed system)
-    starts = np.where(abs(roots.imag) <= window(roots), roots.real, roots)
+    starts = np.where(abs(roots.imag) <= _window(roots), roots.real, roots)
     refined = []
     near = _trimmed(charfn_fine, abs(edge))  # the region is inside
-    for lam, lam2 in zip(roots, _newton(near, starts, options, 2,
-                                        deflate=False)[0]):
-        if not abs(lam2 - lam) <= window(lam):
+    for lam, lam2 in zip(roots, _newton(near, starts, 2, deflate=False)[0]):
+        if not abs(lam2 - lam) <= _window(lam):
             rejected.append((lam, "no root nearby at refined truncation"))
         elif place(lam2) is None:
             rejected.append((lam, "outside the region at refined truncation"))
@@ -677,7 +669,7 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     # that two halves of a split box both kept
     clusters: list[list[complex]] = []
     for lam in sorted(refined, key=lambda z: (z.real, z.imag)):
-        if clusters and abs(lam - clusters[-1][0]) <= 2 * window(lam):
+        if clusters and abs(lam - clusters[-1][0]) <= 2 * _window(lam):
             clusters[-1].append(lam)
         else:
             clusters.append([lam])

@@ -5,7 +5,10 @@ first-order companion system, which shares no code or method with the
 package under test. ``decimated_ladder_residual`` and ``loop_derivative``
 are the exception: the package's earlier residual ladder and
 finite-difference loop, kept as references that its array versions must
-match exactly.
+match exactly. ``full_derivative_sum`` and ``node_coefficients`` are the
+package's earlier series for u_k^(ell) over all M + 1 terms and its
+per-entry coefficients at one node, which its stopped sums and gathered
+coefficients must match to rounding.
 """
 
 import math
@@ -109,6 +112,43 @@ def loop_derivative(v, h, order):
     for i in range(n - half, n):
         out[i] = np.dot(_diff_weights(w, order, i - n + w), v[n - w:])
     return out / h ** order
+
+
+def full_derivative_sum(table, coeffs, k, lam, ell):
+    """u_k^(ell)(.; lam) as one compensated sum of every term
+    A[ell][alpha] X_k^(j) lam^m / j!, j = m n + k - alpha - 1 >= 0."""
+    n, M = table.n, table.truncation
+    s = np.zeros(table.mesh.n, dtype=np.complex128)
+    comp = np.zeros_like(s)
+    for alpha in range(ell + 1):
+        a = coeffs.at(ell, alpha).values
+        m0 = 1 if k - alpha - 1 < 0 else 0
+        c = complex(lam ** m0 / math.factorial(m0 * n + k - alpha - 1))
+        for m in range(m0, M + 1):
+            j = m * n + k - alpha - 1
+            y = c * a * table.x[k - 1][j] - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
+            c = c * lam / math.prod(range(j + 1, j + n + 1))
+    return s
+
+
+def node_coefficients(table, coeffs, k, ell, node):
+    """Coefficients in lam of u_k^(ell) at one node, entry by entry."""
+    n, M = table.n, table.truncation
+    out = np.zeros(M + 1, dtype=np.complex128)
+    rf = np.empty(M * n + n)
+    rf[0] = 1.0
+    for j in range(1, len(rf)):
+        rf[j] = rf[j - 1] / j
+    for alpha in range(ell + 1):
+        a = coeffs.at(ell, alpha).values[node]
+        for m in range(M + 1):
+            j = m * n + k - alpha - 1
+            if j >= 0:
+                out[m] += a * rf[j] * table.x[k - 1][j][node]
+    return out
 
 
 def _decimate(f, stride):

@@ -126,7 +126,7 @@ def test_c4_initial_matrix_structure():
         3, (tabulate(mesh, lambda t: t), ones(mesh), tabulate(mesh, np.sin)),
         ones(mesh))
     ws = build_workspace(op, truncation=30, rng_seed=5)
-    mat = initial_matrix(ws.coeffs, ws.b0)
+    mat = initial_matrix(ws.coeffs)
     i0 = mesh.i0
     upper = max(abs(mat[ell, k]) for ell in range(3)
                 for k in range(ell + 1, 3))

@@ -1,6 +1,12 @@
 """The public names of the package, pinned so that changes are deliberate."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import spps
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 PUBLIC = [
     "BoundaryConditions", "CharacteristicFunction", "ConfigError",
@@ -18,7 +24,7 @@ PUBLIC = [
     "differentiate", "dump_config", "eigenfunction", "evaluate_constant",
     "evaluate_derivatives", "evaluate_solution", "find_eigenvalues",
     "formal_powers", "format_csv", "format_json", "initial_matrix",
-    "initial_values", "load_config", "ones", "operator_residual",
+    "load_config", "ones", "operator_residual",
     "parse_expression", "polya_factors", "polya_system", "reciprocal",
     "series_coefficients_at_node", "solve_initial_value", "tabulate",
     "tabulate_expression", "tail_ratio", "with_truncation", "wronskians",
@@ -27,7 +33,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 69
+    assert len(PUBLIC) == 68
     assert sorted(spps.__all__) == PUBLIC
 
 
@@ -38,3 +44,18 @@ def test_public_names_resolve():
 
 def test_public_names_do_not_repeat():
     assert len(set(spps.__all__)) == len(spps.__all__)
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark's tracer wraps these by name; its tables are read from
+    # the source, so nothing of the benchmark runs here
+    names = ("FUNCTIONS", "METHODS")
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(TRACER.read_text(encoding="utf-8")).body
+              if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) in names}
+    assert all(tables.get(name) for name in names)
+    for module, attr, *_ in tables["FUNCTIONS"]:
+        assert callable(getattr(importlib.import_module(module), attr))
+    for cls, attr, *_ in tables["METHODS"]:
+        assert attr in vars(getattr(spps, cls))

@@ -211,6 +211,19 @@ def test_pole_in_coefficient_exit_code(tmp_path, capsys):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("nodes, flags, message", [
+    (400, [], "node count must be 1 (mod 4), got 400"),
+    (401, ["--mesh", "7"], "mesh needs at least 9 nodes, got 7")])
+def test_bad_node_count_is_a_config_error(tmp_path, capsys, nodes, flags,
+                                          message):
+    path = tmp_path / "p.ini"
+    path.write_text("[problem]\norder = 2\ninterval = 0 1\nphi1 = 0\n"
+                    f"phi2 = 0\n[mesh]\nnodes = {nodes}\n", encoding="utf-8")
+    code, _, err = run_main(capsys, "verify", "--config", str(path), *flags)
+    assert code == 1
+    assert f"[mesh]: {message}" in err
+
+
 def test_bad_seed_system_exit_code(tmp_path, capsys):
     # y1, y2 dependent: numerical validation failure, not a config error
     path = tmp_path / "p.ini"

@@ -422,24 +422,29 @@ def seed_op(n, nodes=201):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_seed_truncation_stops_where_the_tail_is_negligible(n, monkeypatch):
     original = spps.powers._solution_sum
-    ratios = {}  # (order, truncation) -> tail ratios of the sums at -1 there
+    sums = {}  # (order, truncation) -> (k, alpha, tail ratio) of sums at -1
 
-    def recording(table, k, lam):
-        s, ratio = original(table, k, lam)
+    def recording(table, k, lam, alpha=0):
+        s, ratio = original(table, k, lam, alpha)
         if lam == -1.0:
-            ratios.setdefault((table.n, table.truncation), []).append(ratio)
+            sums.setdefault((table.n, table.truncation), []).append(
+                (k, alpha, ratio))
         return s, ratio
 
     monkeypatch.setattr(spps.powers, "_solution_sum", recording)
     op = seed_op(n)
     for rng_seed in range(4):
-        ratios.clear()
+        sums.clear()
         capped = build_seed_system(op, rng_seed=rng_seed, truncation=40)
         assert len(capped.truncations) == n - 1
         for order, t in zip(range(2, n + 1), capped.truncations):
             assert t < 40
-            assert len(ratios[order, t]) == order  # each series summed once
-            assert max(ratios[order, t]) <= 1e-17
+            # each shifted series summed once, S_{k,0} by the stop test
+            assert sorted(e[:2] for e in sums[order, t]) == [
+                (k, alpha) for k in range(1, order + 1)
+                for alpha in range(order)]
+            assert max(r for _, alpha, r in sums[order, t] if alpha == 0) \
+                <= 1e-17
         wide = build_seed_system(op, rng_seed=rng_seed, truncation=60)
         assert wide.truncations == capped.truncations
         for row_a, row_b in zip(capped.derivs, wide.derivs):
@@ -465,9 +470,12 @@ def test_seed_rows_match_integrator(n):
     i0 = mesh.i0
     for row in sys.derivs:
         y0 = [d.values[i0] for d in row]
-        want = np.empty(mesh.n, dtype=complex)
+        want = np.empty((n, mesh.n), dtype=complex)
         for end, part in ((mesh.x2, slice(i0, None)), (mesh.x1, slice(i0, None, -1))):
-            want[part] = integrate_ivp(n, SEED_COEFFS[n], lambda x: 1.0, mesh.x0,
-                                       end, y0, 0.0, t_eval=mesh.nodes[part])[0]
-        err = np.max(np.abs(row[0].values - want)) / np.max(np.abs(want))
-        assert err < 1e-8
+            want[:, part] = integrate_ivp(n, SEED_COEFFS[n], lambda x: 1.0, mesh.x0,
+                                          end, y0, 0.0, t_eval=mesh.nodes[part])
+        # every derivative row; rows ell >= 1 carry the finite-difference
+        # error of the ell-th derivative of b_0 in A[ell][0] (up to 4e-8)
+        for ell, (d, w) in enumerate(zip(row, want)):
+            err = np.max(np.abs(d.values - w)) / np.max(np.abs(w))
+            assert err < (1e-7 if ell else 1e-8)

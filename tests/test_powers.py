@@ -23,10 +23,11 @@ from spps.powers import (
     evaluate_solution,
     formal_powers,
     initial_matrix,
-    initial_values,
     series_coefficients_at_node,
     tail_ratio,
 )
+
+from oracles import full_derivative_sum, node_coefficients
 
 
 def trivial_factorization(mesh, n):
@@ -365,8 +366,7 @@ def test_initial_values_structure():
     m = Mesh(0.0, 1.0, 401, 0)
     op, fac = exponential_factorization(m)
     A = compute_A(fac)
-    v1 = initial_values(A, fac.b[0], 1)
-    v2 = initial_values(A, fac.b[0], 2)
+    v1, v2 = initial_matrix(A).T
     assert v1[0] == pytest.approx(1.0)  # b0(0) = e^0
     assert v2[0] == 0.0
     assert abs(v2[1]) > 1e-12  # nonzero diagonal
@@ -380,7 +380,7 @@ def test_initial_matrix_lower_triangular():
     sys = build_seed_system(op, rng_seed=5)
     fac = polya_factors(wronskians(sys))
     A = compute_A(fac)
-    mat = initial_matrix(A, fac.b[0])
+    mat = initial_matrix(A)
     assert mat.shape == (3, 3)
     for ell in range(3):
         for k in range(ell + 2, 4):
@@ -393,7 +393,7 @@ def test_initial_matrix_matches_evaluated_solutions():
     op, fac = exponential_factorization(m)
     table = formal_powers(fac, op.r, truncation=30)
     A = compute_A(fac)
-    mat = initial_matrix(A, fac.b[0])
+    mat = initial_matrix(A)
     i0 = m.i0
     for lam in (0.0, 1.0, -2.0, 3.0j):
         for k in (1, 2):
@@ -403,7 +403,54 @@ def test_initial_matrix_matches_evaluated_solutions():
             assert du.values[i0] == pytest.approx(mat[1, k - 1], abs=1e-12)
 
 
+def third_order_table(mesh, truncation):
+    op = OperatorSpec(
+        3, (coordinate(mesh), ones(mesh), tabulate(mesh, np.sin)), ones(mesh))
+    from spps.factorization import build_seed_system
+    fac = polya_factors(wronskians(build_seed_system(op, rng_seed=5)))
+    return formal_powers(fac, op.r, truncation), compute_A(fac)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 3.0 + 2.0j, -40.0])
+def test_derivatives_stop_early_and_match_the_full_sum(lam, monkeypatch):
+    table, A = third_order_table(Mesh(0.0, 1.0, 801), 30)
+    terms = []
+    original = spps.powers._kahan_add
+
+    def counting(*args):
+        terms.append(1)
+        original(*args)
+
+    monkeypatch.setattr(spps.powers, "_kahan_add", counting)
+    for k in (1, 2, 3):
+        for ell in (1, 2):
+            terms.clear()
+            got = evaluate_derivatives(table, A, k, lam, ell).values
+            # each shifted series stops well before its M + 1 = 31 terms
+            assert len(terms) <= 16 * (ell + 1)
+            want = full_derivative_sum(table, A, k, lam, ell)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 # -- per-node series coefficients ------------------------------------------------
+
+def test_gathered_coefficients_match_per_entry_sums():
+    m = Mesh(0.0, 1.0, 401)
+    table, A = third_order_table(m, 20)
+    nodes = [0, m.i0, m.n - 1]
+    got = series_coefficients_at_node(table, A, nodes)
+    assert got.shape == (3, 3, 3, 21)
+    for p, node in enumerate(nodes):
+        for ell in range(3):
+            for k in (1, 2, 3):
+                # same operations; array products may round the last bit
+                np.testing.assert_allclose(
+                    got[p, ell, k - 1], node_coefficients(table, A, k, ell, node),
+                    rtol=1e-15, atol=0.0)
+    # at the basepoint only lam^0 is left, the closed-form initial data
+    assert np.array_equal(got[1, :, :, 0], initial_matrix(A))
+    assert not np.any(got[1, :, :, 1:])
+
 
 def test_series_coefficients_reproduce_evaluation():
     m = Mesh(0.0, 1.0, 401)
@@ -412,14 +459,15 @@ def test_series_coefficients_reproduce_evaluation():
     A = compute_A(fac)
     node = m.n - 1
     lam = -1.3 + 0.7j
+    (coeffs_at,) = series_coefficients_at_node(table, A, [node])
     for k in (1, 2):
-        coeffs = series_coefficients_at_node(table, A, fac.b[0], k, 0, node)
+        coeffs = coeffs_at[0, k - 1]
         horner = 0.0 + 0.0j
         for c in reversed(coeffs):
             horner = horner * lam + c
         u = evaluate_solution(table, fac.b[0], k, lam)
         assert horner == pytest.approx(u.values[node], rel=1e-12)
-        coeffs1 = series_coefficients_at_node(table, A, fac.b[0], k, 1, node)
+        coeffs1 = coeffs_at[1, k - 1]
         horner1 = 0.0 + 0.0j
         for c in reversed(coeffs1):
             horner1 = horner1 * lam + c

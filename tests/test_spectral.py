@@ -138,6 +138,13 @@ def test_dependent_rows_rejected():
         BoundaryConditions(left, right)
 
 
+def test_separated_takes_generators():
+    bc = BoundaryConditions.separated(4, (d for d in (0, 2)), iter([0, 2]))
+    want = BoundaryConditions.separated(4, [0, 2], [0, 2])
+    assert np.array_equal(bc.left, want.left)
+    assert np.array_equal(bc.right, want.right)
+
+
 def test_separated_validates_orders():
     with pytest.raises(ValueError):
         BoundaryConditions.separated(2, [0], [2])
@@ -273,7 +280,7 @@ def test_accepted_residuals_are_those_of_eigenfunction():
     bc = BoundaryConditions.separated(2, [0], [0])
     result = find_eigenvalues(ws, bc, Interval(-10.0, -0.5))
     assert [round(v.real) for v in result.values] == [-9, -4, -1]
-    fine = with_truncation(ws, ws.truncation + EigenOptions().persistence_extra)
+    fine = with_truncation(ws, ws.truncation + spps.spectral.PERSISTENCE_EXTRA)
     for e in result.eigenvalues:
         y = eigenfunction(fine, bc, e.lam)
         assert e.residual == operator_residual(op, y, lam=e.lam)
@@ -507,12 +514,13 @@ def test_root_leaving_region_at_refined_truncation_is_rejected(monkeypatch):
     bc = BoundaryConditions.separated(2, [0], [0])
     original = spps.spectral._newton
 
-    def drifting(charfn, z, options, steps, deflate):
-        z, done = original(charfn, z, options, steps, deflate)
+    def drifting(charfn, z, steps, deflate):
+        z, done = original(charfn, z, steps, deflate)
         return (z, done) if deflate else (z - 0.08, done)
     monkeypatch.setattr(spps.spectral, "_newton", drifting)
-    opts = EigenOptions(persistence_tol=0.1, boundary_margin=0.0)
-    result = find_eigenvalues(ws, bc, Interval(-9.05, -0.5), opts)
+    monkeypatch.setattr(spps.spectral, "PERSISTENCE_TOL", 0.02)
+    monkeypatch.setattr(spps.spectral, "MARGIN_TOL", 0.0)
+    result = find_eigenvalues(ws, bc, Interval(-9.05, -0.5))
     lam, reason = result.rejected[0]
     assert lam == pytest.approx(-9.0) and reason == (
         "outside the region at refined truncation")
