@@ -412,12 +412,14 @@ def build_seed_system(op: OperatorSpec,
     drawn until all nested Wronskians clear the floor, the resulting operator
     is factorized, and the power-series machinery with weight phi_m evaluated
     at spectral parameter -1 produces solutions of the full order-m equation,
-    which are recombined once more until their Wronskians pass. Derivative
-    tables propagate analytically through every level (no finite differences
-    on the solutions themselves). The series at -1 converges fast: its table
-    starts at 8 terms and grows by 8 while some tail ratio there exceeds
-    STOP_TOL (1e-17), up to ``truncation``; ``truncations`` records where
-    it stopped, and the sums of that last test are the solutions.
+    which are recombined once more until their Wronskians pass. The
+    derivative triangle of each factorization comes from the accepted
+    family's rows (:func:`~spps.powers.compute_A`), so derivative tables
+    propagate analytically through every level, with no finite difference
+    anywhere. The series at -1 converges fast: its table starts at 8 terms
+    and grows by 8 while some tail ratio there exceeds STOP_TOL (1e-17), up
+    to ``truncation``; ``truncations`` records where it stopped, and the
+    sums of that last test are the solutions.
 
     The retry budget applies per recombination stage; ``retries`` on the
     result counts all draws beyond first attempts. Deterministic for a fixed
@@ -453,12 +455,12 @@ def build_seed_system(op: OperatorSpec,
             family.append([cumulative_integral(zrow[0])] + list(zrow[:m - 1]))
 
         # stage A: recombine until the homogeneous-part factorization exists
-        _, W, _, attempt = _recombine_until_nonvanishing(
+        rows, W, _, attempt = _recombine_until_nonvanishing(
             family, rng, wronskian_floor, max_retries, "family")
         retries += attempt
         fac = polya_factors(W, wronskian_floor)
-        coeffs = compute_A(fac)
         table = formal_powers(fac, op.phi[m - 1], min(8, truncation))
+        coeffs = compute_A(rows, table)
         while True:  # the sums at -1 that pass the stop test are kept
             sums = [_solution_sum(table, k, -1.0) for k in range(1, m + 1)]
             if table.truncation >= truncation or max(

@@ -23,13 +23,12 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import TruncationWarning
-from .mesh import (Mesh, SampledFunction, _antiderivative, _check_finite,
-                   differentiate, ones)
+from .mesh import Mesh, SampledFunction, _antiderivative, _check_finite, ones
 
 if TYPE_CHECKING:  # import only for annotations, the dependency is one-way
     from .factorization import PolyaFactorization
@@ -64,27 +63,29 @@ class DerivativeCoeffs:
         return self.table[ell][alpha]
 
 
-def compute_A(fac: "PolyaFactorization") -> DerivativeCoeffs:
-    """Fill the derivative-coefficient triangle for rows 0..n-1.
+def compute_A(derivs: Sequence[Sequence[SampledFunction]],
+              table: "FormalPowerTable") -> DerivativeCoeffs:
+    """Fill the derivative-coefficient triangle for rows 0..n-1 exactly.
 
-    Row 0 is b_0. Each next row: the alpha = 0 column is the derivative of
-    the entry above (the ell-th derivative of b_0, taken directly), the
-    diagonal multiplies the previous diagonal by the next factor, and
-    interior entries add the finite-difference derivative of the entry above
-    to the left neighbor above times its factor. With rows capped at n-1 the
-    factor indices stay within b_0..b_{n-1} (the padding convention for
-    deeper tables never engages).
+    ``derivs[k][ell]`` is the ell-th derivative of y_{k+1}, the seed whose
+    Wronskians gave the factors of ``table``. The Polya solution u_{k+1} is
+    the y_{k+1} - sum_{j<k} c_j y_{j+1} vanishing to order k-1 at x0 (a
+    k x k solve there), and at lambda = 0 its ell-th derivative is
+    sum_{beta <= k} A[ell][beta] X_{k+1}^(k-beta) / (k-beta)!, X^(0) = 1:
+    that gives column k. Column 0 is y_1 = b_0's rows as given.
     """
-    n = fac.n
-    b = fac.b
-    rows: list[list[SampledFunction]] = [[b[0]]]
-    for ell in range(1, n):
-        prev = rows[ell - 1]
-        row: list[SampledFunction] = [differentiate(b[0], ell)]
-        for alpha in range(1, ell):
-            row.append(differentiate(prev[alpha], 1) + prev[alpha - 1] * b[alpha])
-        row.append(prev[ell - 1] * b[ell])
-        rows.append(row)
+    n, i0 = table.n, table.mesh.i0
+    at_x0 = np.array([[row[ell].values[i0] for row in derivs]
+                      for ell in range(n)])
+    rows: list[list[SampledFunction]] = [[derivs[0][ell]] for ell in range(n)]
+    for k in range(1, n):
+        c = np.linalg.solve(at_x0[:k, :k], at_x0[:k, k])
+        xs = [x / math.factorial(j) for j, x in enumerate(table.x[k][:k + 1])]
+        for ell in range(k, n):
+            acc = derivs[k][ell].values.copy()
+            for j in range(k):  # u_{k+1}^(ell) less the shallower columns
+                acc -= c[j] * derivs[j][ell].values + rows[ell][j].values * xs[k - j]
+            rows[ell].append(SampledFunction(table.mesh, acc))
     return DerivativeCoeffs(tuple(tuple(r) for r in rows))
 
 

@@ -101,6 +101,21 @@ class ProblemConfig:
     samples: int = 1001
     max_count: int | None = None
 
+    def __post_init__(self):
+        # checked here, not in the parser, so that replace() checks too
+        for ok, message in (
+                (self.truncation >= 1, "[series]: truncation must be positive"),
+                (self.rng_seed >= 0, "[random]: seed must be nonnegative"),
+                (self.max_retries >= 0, "[random]: max_retries must be nonnegative"),
+                (self.residual_tol > 0, "[tolerances]: residual must be positive"),
+                (self.wronskian_floor >= 0,
+                 "[tolerances]: wronskian_floor must be nonnegative"),
+                (self.samples >= 2, "[eig]: samples must be at least 2"),
+                (self.max_count is None or self.max_count >= 1,
+                 "[eig]: max_count must be positive")):
+            if not ok:
+                raise ConfigError(message)
+
     # -- assembly -----------------------------------------------------------
 
     def make_mesh(self) -> Mesh:
@@ -167,7 +182,7 @@ def _constant_scalar(text: str, where: str) -> complex:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _get_int(section, key: str, default: int, where: str) -> int:
+def _get_int(section, key: str, default: int | None, where: str) -> int | None:
     raw = section.get(key)
     if raw is None:
         return default
@@ -301,8 +316,6 @@ def parse_config(parser: configparser.ConfigParser) -> ProblemConfig:
     if "series" in parser:
         cfg = replace(cfg, truncation=_get_int(
             parser["series"], "truncation", cfg.truncation, "[series]"))
-        if cfg.truncation < 1:
-            raise ConfigError("[series]: truncation must be positive")
     if "random" in parser:
         sec = parser["random"]
         cfg = replace(cfg,
@@ -363,16 +376,9 @@ def parse_config(parser: configparser.ConfigParser) -> ProblemConfig:
         if "region" not in sec:
             raise ConfigError("[eig]: region is required")
         region = _parse_region(sec["region"])
-        samples = _get_int(sec, "samples", cfg.samples, "[eig]")
-        if samples < 2:
-            raise ConfigError("[eig]: samples must be at least 2")
-        max_count = None
-        if "max_count" in sec:
-            max_count = _get_int(sec, "max_count", 0, "[eig]")
-            if max_count < 1:
-                raise ConfigError("[eig]: max_count must be positive")
-        cfg = replace(cfg, region=region, samples=samples,
-                      max_count=max_count)
+        cfg = replace(cfg, region=region,
+                      samples=_get_int(sec, "samples", cfg.samples, "[eig]"),
+                      max_count=_get_int(sec, "max_count", None, "[eig]"))
 
     return cfg
 

@@ -118,7 +118,7 @@ def build_workspace(
             residual_tol=residual_tol)
     fac = polya_factors(wronskians(seed), wronskian_floor)
     table = formal_powers(fac, op.r, truncation)
-    coeffs = compute_A(fac)
+    coeffs = compute_A(seed.derivs, table)
     return Workspace(op, fac, table, coeffs, seed)
 
 
@@ -236,28 +236,16 @@ class BoundaryConditions:
         return cls(left, right)
 
 
-def eigenfunction(ws: Workspace,
-                  bc: BoundaryConditions | CharacteristicFunction,
+def eigenfunction(ws: Workspace, bc: BoundaryConditions,
                   lam: complex) -> SampledFunction:
     """Combination of basis solutions closest to satisfying the conditions.
 
     Evaluates the boundary matrix from the characteristic polynomials at
     ``lam``, takes its right singular vector for the smallest singular value,
     and sums the basis solutions with those coefficients over the whole mesh,
-    normalized so the largest sample is 1. ``bc`` is either the boundary
-    conditions or the :class:`CharacteristicFunction` that
-    :func:`characteristic_polynomials` already assembled from them for
-    ``ws``, which is then used as it is.
+    normalized so the largest sample is 1.
     """
-    if isinstance(bc, CharacteristicFunction):
-        charfn = bc
-        if charfn.n != ws.n or charfn.degree != ws.truncation:
-            raise ValueError(
-                f"characteristic function of order {charfn.n} and degree "
-                f"{charfn.degree} does not belong to a workspace of order "
-                f"{ws.n} at truncation {ws.truncation}")
-    else:
-        charfn = characteristic_polynomials(ws, bc)
+    charfn = characteristic_polynomials(ws, bc)
     return _null_combination(ws, charfn.matrix(lam), lam)
 
 

@@ -224,6 +224,31 @@ def test_bad_node_count_is_a_config_error(tmp_path, capsys, nodes, flags,
     assert f"[mesh]: {message}" in err
 
 
+@pytest.mark.parametrize("flag, section, key, value, message", [
+    ("--order", "series", "truncation", "0",
+     "[series]: truncation must be positive"),
+    ("--order", "series", "truncation", "-1",
+     "[series]: truncation must be positive"),
+    ("--seed", "random", "seed", "-1", "[random]: seed must be nonnegative"),
+    ("--tol", "tolerances", "residual", "-1",
+     "[tolerances]: residual must be positive"),
+    (None, "random", "max_retries", "-1",
+     "[random]: max_retries must be nonnegative"),
+    (None, "tolerances", "wronskian_floor", "-1",
+     "[tolerances]: wronskian_floor must be nonnegative")])
+def test_out_of_range_value_is_a_config_error(config, tmp_path, capsys, flag,
+                                              section, key, value, message):
+    # a flag and the INI key it overrides fail alike, before any numerics
+    path = tmp_path / "p.ini"
+    path.write_text(DIRICHLET + f"[{section}]\n{key} = {value}\n",
+                    encoding="utf-8")
+    runs = [[str(path)]] + ([[config, flag, value]] if flag else [])
+    for argv in runs:
+        code, out, err = run_main(capsys, "eig", "--config", *argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
+
 def test_bad_seed_system_exit_code(tmp_path, capsys):
     # y1, y2 dependent: numerical validation failure, not a config error
     path = tmp_path / "p.ini"

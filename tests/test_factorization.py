@@ -474,8 +474,26 @@ def test_seed_rows_match_integrator(n):
         for end, part in ((mesh.x2, slice(i0, None)), (mesh.x1, slice(i0, None, -1))):
             want[:, part] = integrate_ivp(n, SEED_COEFFS[n], lambda x: 1.0, mesh.x0,
                                           end, y0, 0.0, t_eval=mesh.nodes[part])
-        # every derivative row; rows ell >= 1 carry the finite-difference
-        # error of the ell-th derivative of b_0 in A[ell][0] (up to 4e-8)
-        for ell, (d, w) in enumerate(zip(row, want)):
+        for d, w in zip(row, want):  # every derivative row
             err = np.max(np.abs(d.values - w)) / np.max(np.abs(w))
-            assert err < (1e-7 if ell else 1e-8)
+            assert err < 1e-8
+
+
+def test_built_seed_triangle_takes_the_seed_rows(monkeypatch):
+    from spps.spectral import build_workspace
+    calls = []
+    original = spps.mesh.differentiate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (spps.mesh, spps.factorization, spps.powers):
+        if hasattr(module, "differentiate"):
+            monkeypatch.setattr(module, "differentiate", counting)
+    op = seed_op(4, nodes=401)
+    ws = build_workspace(op, rng_seed=1)
+    assert calls == []  # neither the seed builder nor the triangle differentiates
+    for ell in range(4):
+        assert np.array_equal(ws.coeffs.at(ell, 0).values,
+                              ws.seed.derivs[0][ell].values)

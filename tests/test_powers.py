@@ -30,8 +30,8 @@ from spps.powers import (
 from oracles import full_derivative_sum, node_coefficients
 
 
-def trivial_factorization(mesh, n):
-    """Factorization of the pure n-th derivative from the monomial seed."""
+def trivial_system(mesh, n):
+    """The pure n-th derivative and its monomial seed."""
     op = OperatorSpec(n, tuple(zeros(mesh) for _ in range(n)), ones(mesh))
     funcs = []
     fact = 1.0
@@ -39,37 +39,53 @@ def trivial_factorization(mesh, n):
         if k > 0:
             fact *= k
         funcs.append(tabulate(mesh, lambda t, k=k, f=fact: (t - mesh.x0) ** k / f))
-    sys = SolutionSystem.from_functions(op, funcs)
+    return op, SolutionSystem.from_functions(op, funcs)
+
+
+def exponential_system(mesh):
+    """y'' - 3y' + 2y and its seed {e^x, e^2x}."""
+    op = OperatorSpec(
+        2, (constant(mesh, -3.0), constant(mesh, 2.0)), ones(mesh))
+    return op, SolutionSystem.from_functions(
+        op, [tabulate(mesh, np.exp), tabulate(mesh, lambda t: np.exp(2 * t))])
+
+
+def trivial_factorization(mesh, n):
+    """Factorization of the pure n-th derivative from the monomial seed."""
+    op, sys = trivial_system(mesh, n)
     return op, polya_factors(wronskians(sys))
 
 
 def exponential_factorization(mesh):
     """Factorization of y'' - 3y' + 2y from {e^x, e^2x}."""
-    op = OperatorSpec(
-        2, (constant(mesh, -3.0), constant(mesh, 2.0)), ones(mesh))
-    sys = SolutionSystem.from_functions(
-        op, [tabulate(mesh, np.exp), tabulate(mesh, lambda t: np.exp(2 * t))])
+    op, sys = exponential_system(mesh)
     return op, polya_factors(wronskians(sys))
+
+
+def triangle_parts(op, sys, truncation=0):
+    """Factors, power table and triangle A of a seed, as build_workspace
+    makes them."""
+    fac = polya_factors(wronskians(sys))
+    table = formal_powers(fac, op.r, truncation)
+    return fac, table, compute_A(sys.derivs, table)
 
 
 # -- derivative coefficient table ------------------------------------------------
 
 def test_A_all_ones_factors():
     m = Mesh(0.0, 1.0, 401, 0)
-    _, fac = trivial_factorization(m, 4)
-    A = compute_A(fac)
+    _, _, A = triangle_parts(*trivial_system(m, 4))
     assert A.rows == 4
     for ell in range(4):
         for alpha in range(ell + 1):
             want = 1.0 if alpha == ell else 0.0
-            # repeated finite differencing amplifies roundoff near the ends
+            # the seed rows are finite differences of the monomials
             assert np.max(np.abs(A.at(ell, alpha).values - want)) < 1e-6
 
 
 def test_A_top_entry_is_first_factor():
     m = Mesh(0.0, 1.0, 101)
-    _, fac = exponential_factorization(m)
-    A = compute_A(fac)
+    _, _, A = triangle_parts(*exponential_system(m))
     np.testing.assert_allclose(A.at(0, 0).values, np.exp(m.nodes), rtol=1e-9)
 
 
@@ -89,16 +105,16 @@ def test_A_second_row_closed_form():
             lambda t, d: 3.0**d * np.exp(3 * t)]:
         derivs.append(tuple(tabulate(m, lambda t, d=d, f=fn: f(t, d))
                             for d in range(3)))
-    W = wronskians(SolutionSystem(op, tuple(derivs), 0, 1.0, 0.0))
+    sys = SolutionSystem(op, tuple(derivs), 0, 1.0, 0.0)
+    W = wronskians(sys)
     np.testing.assert_allclose(W[1].values, np.exp(x), rtol=1e-12)
     np.testing.assert_allclose(W[2].values, np.exp(2 * x), rtol=1e-12)
     np.testing.assert_allclose(W[3].values, 4 * np.exp(5 * x), rtol=1e-12)
-    fac = polya_factors(W)
-    A = compute_A(fac)
-    np.testing.assert_allclose(A.at(1, 0).values, np.exp(x), rtol=1e-7)
-    np.testing.assert_allclose(A.at(1, 1).values, np.exp(x), rtol=1e-7)
-    np.testing.assert_allclose(A.at(2, 1).values, 2 * np.exp(x), rtol=1e-6)
-    np.testing.assert_allclose(A.at(2, 2).values, 4 * np.exp(3 * x), rtol=1e-7)
+    _, _, A = triangle_parts(op, sys)
+    np.testing.assert_allclose(A.at(1, 0).values, np.exp(x), rtol=1e-12)
+    np.testing.assert_allclose(A.at(1, 1).values, np.exp(x), rtol=1e-12)
+    np.testing.assert_allclose(A.at(2, 1).values, 2 * np.exp(x), rtol=1e-12)
+    np.testing.assert_allclose(A.at(2, 2).values, 4 * np.exp(3 * x), rtol=1e-12)
 
 
 # -- formal powers ----------------------------------------------------------------
@@ -314,9 +330,8 @@ def test_no_warning_when_series_converged():
 
 def test_derivative_matches_finite_difference():
     m = Mesh(0.0, 1.0, 801)
-    op, fac = exponential_factorization(m)
-    table = formal_powers(fac, op.r, truncation=30)
-    A = compute_A(fac)
+    op, sys = exponential_system(m)
+    fac, table, A = triangle_parts(op, sys, truncation=30)
     from spps import differentiate
     for k in (1, 2):
         u = evaluate_solution(table, fac.b[0], k, 2.0)
@@ -329,9 +344,7 @@ def test_derivative_matches_finite_difference():
 def test_derivative_ladder_for_pure_operator():
     # for y'' = lam y built from the monomial seed, u_2' = u_1 and u_1' = lam u_2
     m = Mesh(0.0, 1.0, 401, 0)
-    op, fac = trivial_factorization(m, 2)
-    table = formal_powers(fac, op.r, truncation=30)
-    A = compute_A(fac)
+    fac, table, A = triangle_parts(*trivial_system(m, 2), truncation=30)
     lam = -2.5
     u1 = evaluate_solution(table, fac.b[0], 1, lam)
     u2 = evaluate_solution(table, fac.b[0], 2, lam)
@@ -347,9 +360,7 @@ def test_third_order_derivative_consistency():
         3, (coordinate(m), ones(m), tabulate(m, np.sin)), ones(m))
     from spps.factorization import build_seed_system
     sys = build_seed_system(op, rng_seed=5)
-    fac = polya_factors(wronskians(sys))
-    table = formal_powers(fac, op.r, truncation=25)
-    A = compute_A(fac)
+    fac, table, A = triangle_parts(op, sys, truncation=25)
     from spps import differentiate
     u = evaluate_solution(table, fac.b[0], 2, 1.0)
     for ell in (1, 2):
@@ -364,8 +375,7 @@ def test_third_order_derivative_consistency():
 
 def test_initial_values_structure():
     m = Mesh(0.0, 1.0, 401, 0)
-    op, fac = exponential_factorization(m)
-    A = compute_A(fac)
+    _, _, A = triangle_parts(*exponential_system(m))
     v1, v2 = initial_matrix(A).T
     assert v1[0] == pytest.approx(1.0)  # b0(0) = e^0
     assert v2[0] == 0.0
@@ -377,9 +387,7 @@ def test_initial_matrix_lower_triangular():
     op = OperatorSpec(
         3, (coordinate(m), ones(m), tabulate(m, np.sin)), ones(m))
     from spps.factorization import build_seed_system
-    sys = build_seed_system(op, rng_seed=5)
-    fac = polya_factors(wronskians(sys))
-    A = compute_A(fac)
+    _, _, A = triangle_parts(op, build_seed_system(op, rng_seed=5))
     mat = initial_matrix(A)
     assert mat.shape == (3, 3)
     for ell in range(3):
@@ -390,9 +398,8 @@ def test_initial_matrix_lower_triangular():
 
 def test_initial_matrix_matches_evaluated_solutions():
     m = Mesh(0.0, 1.0, 401)
-    op, fac = exponential_factorization(m)
-    table = formal_powers(fac, op.r, truncation=30)
-    A = compute_A(fac)
+    op, sys = exponential_system(m)
+    fac, table, A = triangle_parts(op, sys, truncation=30)
     mat = initial_matrix(A)
     i0 = m.i0
     for lam in (0.0, 1.0, -2.0, 3.0j):
@@ -407,8 +414,9 @@ def third_order_table(mesh, truncation):
     op = OperatorSpec(
         3, (coordinate(mesh), ones(mesh), tabulate(mesh, np.sin)), ones(mesh))
     from spps.factorization import build_seed_system
-    fac = polya_factors(wronskians(build_seed_system(op, rng_seed=5)))
-    return formal_powers(fac, op.r, truncation), compute_A(fac)
+    _, table, A = triangle_parts(op, build_seed_system(op, rng_seed=5),
+                                 truncation)
+    return table, A
 
 
 @pytest.mark.parametrize("lam", [-1.0, 3.0 + 2.0j, -40.0])
@@ -454,9 +462,8 @@ def test_gathered_coefficients_match_per_entry_sums():
 
 def test_series_coefficients_reproduce_evaluation():
     m = Mesh(0.0, 1.0, 401)
-    op, fac = exponential_factorization(m)
-    table = formal_powers(fac, op.r, truncation=12)
-    A = compute_A(fac)
+    op, sys = exponential_system(m)
+    fac, table, A = triangle_parts(op, sys, truncation=12)
     node = m.n - 1
     lam = -1.3 + 0.7j
     (coeffs_at,) = series_coefficients_at_node(table, A, [node])

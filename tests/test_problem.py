@@ -2,6 +2,7 @@
 
 import configparser
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,10 +146,24 @@ def test_missing_file():
      "[eig]\nregion = square 0 1", "region"),
     ("[problem]\norder = 2\ninterval = 0 1\nphi1 = 0\nphi2 = 0\n"
      "[eig]\nregion = interval 0 1\nmax_count = 0", "max_count"),
+    ("[problem]\norder = 2\ninterval = 0 1\nphi1 = 0\nphi2 = 0\n"
+     "[eig]\nregion = interval 0 1\nsamples = 1", "samples"),
 ])
 def test_rejects_bad_config(mutation, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_text(mutation)
+
+
+@pytest.mark.parametrize("field, value, fragment", [
+    ("truncation", 0, "truncation"), ("truncation", -1, "truncation"),
+    ("rng_seed", -1, "seed"), ("max_retries", -1, "max_retries"),
+    ("residual_tol", -1.0, "residual"), ("residual_tol", float("nan"), "residual"),
+    ("wronskian_floor", -1.0, "wronskian_floor"), ("samples", 1, "samples"),
+    ("max_count", 0, "max_count")])
+def test_replaced_fields_are_checked(field, value, fragment):
+    cfg = parse_text(DIRICHLET)
+    with pytest.raises(ConfigError, match=fragment):
+        replace(cfg, **{field: value})
 
 
 def test_missing_problem_section():

@@ -402,18 +402,6 @@ def test_eigenfunction_residual_small_only_at_eigenvalue():
     assert abs(y_off.values[0]) + abs(y_off.values[-1]) > 1e-3
 
 
-def test_eigenfunction_from_characteristic_function():
-    ws = dirichlet_workspace()
-    bc = BoundaryConditions.separated(2, [0], [0])
-    fine = with_truncation(ws, ws.truncation + 5)
-    charfn_fine = characteristic_polynomials(fine, bc)
-    for lam in (-4.0, -9.0 + 1e-9j, -7.5):
-        assert np.array_equal(eigenfunction(fine, charfn_fine, lam).values,
-                              eigenfunction(fine, bc, lam).values)
-    with pytest.raises(ValueError, match="does not belong"):
-        eigenfunction(ws, charfn_fine, -4.0)
-
-
 # -- disk eigenvalue search ---------------------------------------------------------------
 
 def test_disk_mode_finds_real_eigenvalues():
