@@ -30,9 +30,10 @@ from .errors import (
 from .mesh import (
     Mesh,
     SampledFunction,
+    _antiderivative,
     _centred_sums,
+    _check_finite,
     centered_margin,
-    constant,
     cumulative_integral,
     differentiate,
     ladder_strides,
@@ -79,27 +80,32 @@ class OperatorSpec:
 class SolutionSystem:
     """n solutions of L y = 0 with tabulated derivatives through order n-1.
 
-    ``derivs[k][ell]`` is the ell-th derivative of solution k
-    (``derivs[k][0]`` is the solution itself). ``truncations`` lists the
-    seed builder's series truncation per order 2..n (empty if given).
+    ``derivs[k, ell]`` is the ell-th derivative of solution k + 1, one
+    read-only complex array of shape (n, n, mesh.n) taken from any finite
+    array-like of that shape. ``truncations`` lists the seed builder's
+    series truncation per order 2..n (empty if given).
     """
 
     op: OperatorSpec
-    derivs: tuple[tuple[SampledFunction, ...], ...]
+    derivs: np.ndarray
     retries: int = 0
     wronskian_min: float = float("nan")
     residual_max: float = float("nan")
     truncations: tuple[int, ...] = ()
 
     def __post_init__(self):
-        n = self.op.n
-        if len(self.derivs) != n or any(len(row) != n for row in self.derivs):
-            raise ValueError(f"need {n} solutions with derivatives through order {n - 1}")
-        object.__setattr__(self, "derivs", tuple(tuple(row) for row in self.derivs))
+        n, mesh = self.op.n, self.op.mesh
+        derivs = np.array(self.derivs, dtype=np.complex128)
+        if derivs.shape != (n, n, mesh.n):
+            raise ValueError(f"need {n} solutions with derivatives through order "
+                             f"{n - 1} on {mesh.n} nodes, got shape {derivs.shape}")
+        _check_finite(mesh, derivs)
+        derivs.setflags(write=False)
+        object.__setattr__(self, "derivs", derivs)
 
     @property
     def y(self) -> tuple[SampledFunction, ...]:
-        return tuple(row[0] for row in self.derivs)
+        return tuple(SampledFunction(self.op.mesh, v) for v in self.derivs[:, 0])
 
     @classmethod
     def from_functions(cls, op: OperatorSpec, funcs: Sequence[SampledFunction],
@@ -113,12 +119,8 @@ class SolutionSystem:
         n <= 4 on meshes of a few hundred nodes — pass a larger
         ``residual_tol`` for higher orders.
         """
-        n = op.n
-        if len(funcs) != n:
-            raise ValueError(f"need {n} functions, got {len(funcs)}")
-        derivs = tuple(
-            (f,) + tuple(differentiate(f, ell) for ell in range(1, n))
-            for f in funcs)
+        derivs = [[f.values] + [differentiate(f, ell).values for ell in range(1, op.n)]
+                  for f in funcs]  # SolutionSystem checks their count
         res = max(operator_residual(op, f) for f in funcs)
         if not res <= residual_tol:
             raise ResidualVerificationError(
@@ -192,29 +194,23 @@ def _floor_error(report: NonvanishingReport) -> WronskianFloorError:
 
 # -- Wronskians and factors ---------------------------------------------------
 
-def _nested_wronskians(derivs: Sequence[Sequence[SampledFunction]]
-                       ) -> list[SampledFunction]:
+def _nested_wronskians(mesh: Mesh, rows: np.ndarray) -> list[SampledFunction]:
     """Nested Wronskians [W_0, W_1, ..., W_m] of m derivative rows.
 
-    ``derivs[k][ell]`` is the ell-th derivative of solution k. W_0 = 1 and
+    ``rows[k, ell]`` is the ell-th derivative of solution k + 1. W_0 = 1 and
     W_1 is the first solution itself; W_j for j >= 2 is the determinant of
-    the j x j matrix of derivatives of the first j solutions, evaluated
-    nodewise (LU with partial pivoting under the hood).
+    the j x j matrix [ell, k] of derivatives of the first j solutions,
+    evaluated nodewise (LU with partial pivoting under the hood).
     """
-    mesh = derivs[0][0].mesh
-    out = [ones(mesh), derivs[0][0]]
-    for j in range(2, len(derivs) + 1):
-        mats = np.empty((mesh.n, j, j), dtype=np.complex128)
-        for k in range(j):
-            for ell in range(j):
-                mats[:, ell, k] = derivs[k][ell].values
-        out.append(SampledFunction(mesh, np.linalg.det(mats)))
+    out = [ones(mesh), SampledFunction(mesh, rows[0, 0])]
+    for j in range(2, len(rows) + 1):  # matrices [node, ell, k]
+        out.append(SampledFunction(mesh, np.linalg.det(rows[:j, :j].T)))
     return out
 
 
 def wronskians(sys: SolutionSystem) -> list[SampledFunction]:
     """Nested Wronskians [W_0, W_1, ..., W_n] of a solution system, W_0 = 1."""
-    return _nested_wronskians(sys.derivs)
+    return _nested_wronskians(sys.op.mesh, sys.derivs)
 
 
 @dataclass(frozen=True)
@@ -356,23 +352,15 @@ def _combination_matrix(rng: np.random.Generator, m: int, attempt: int) -> np.nd
             return c
 
 
-def _recombine(derivs: list[list[SampledFunction]],
-               c: np.ndarray) -> list[list[SampledFunction]]:
-    mesh = derivs[0][0].mesh
-    m = len(derivs)
-    out = []
-    for i in range(m):
-        row = []
-        for ell in range(len(derivs[0])):
-            acc = np.zeros(mesh.n, dtype=np.complex128)
-            for j in range(m):
-                acc += c[i, j] * derivs[j][ell].values
-            row.append(SampledFunction(mesh, acc))
-        out.append(row)
+def _recombine(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Rows of the solutions sum_j c[i, j] y_{j+1}, summed over ascending j."""
+    out = np.zeros(rows.shape, dtype=np.complex128)
+    for j in range(len(rows)):
+        out += c[:, j, None, None] * rows[j]
     return out
 
 
-def _recombine_until_nonvanishing(rows: list[list[SampledFunction]],
+def _recombine_until_nonvanishing(mesh: Mesh, rows: np.ndarray,
                                   rng: np.random.Generator, floor: float,
                                   max_retries: int, stage: str):
     """Draw recombinations of ``rows`` until all nested Wronskians clear
@@ -385,7 +373,7 @@ def _recombine_until_nonvanishing(rows: list[list[SampledFunction]],
     best = -math.inf
     for attempt in range(max_retries + 1):
         trial = _recombine(rows, _combination_matrix(rng, m, attempt))
-        W = _nested_wronskians(trial)
+        W = _nested_wronskians(mesh, trial)
         report = check_nonvanishing(W[1:], floor)
         if report.passed:
             return trial, W, report, attempt
@@ -443,20 +431,19 @@ def build_seed_system(op: OperatorSpec,
     truncations = []
 
     # order-1 base: z' + phi_1 z = 0
-    z = SampledFunction(
-        mesh, np.exp(-cumulative_integral(op.phi[0]).values))
-    level: list[list[SampledFunction]] = [[z]]
+    level = np.exp(-cumulative_integral(op.phi[0]).values)[None, None]
+    _check_finite(mesh, level)
 
     for m in range(2, n + 1):
         # family {1, int z_j}: derivative ell >= 1 of int z_j is z_j^(ell-1)
-        family: list[list[SampledFunction]] = [
-            [ones(mesh)] + [constant(mesh, 0.0) for _ in range(m - 1)]]
-        for zrow in level:
-            family.append([cumulative_integral(zrow[0])] + list(zrow[:m - 1]))
+        family = np.zeros((m, m, mesh.n), dtype=np.complex128)
+        family[0, 0] = 1.0
+        family[1:, 0] = [_antiderivative(z, mesh.h, mesh.i0) for z in level[:, 0]]
+        family[1:, 1:] = level
 
         # stage A: recombine until the homogeneous-part factorization exists
         rows, W, _, attempt = _recombine_until_nonvanishing(
-            family, rng, wronskian_floor, max_retries, "family")
+            mesh, family, rng, wronskian_floor, max_retries, "family")
         retries += attempt
         fac = polya_factors(W, wronskian_floor)
         table = formal_powers(fac, op.phi[m - 1], min(8, truncation))
@@ -472,25 +459,25 @@ def build_seed_system(op: OperatorSpec,
 
         # solutions of the full order-m equation at spectral parameter -1,
         # each derivative from the shifted series S_{k,alpha}, each summed once
-        sols: list[list[SampledFunction]] = []
+        sols = np.empty((m, m, mesh.n), dtype=np.complex128)
         for k, (s, ratio) in enumerate(sums, start=1):
             _warn_tail(ratio, k, -1.0)
             shifted = [s] + [_solution_sum(table, k, -1.0, alpha)[0]
                              for alpha in range(1, m)]
-            sols.append([SampledFunction(mesh, _from_shifted(coeffs, ell, shifted))
-                         for ell in range(m)])
+            sols[k - 1] = [_from_shifted(coeffs, ell, shifted) for ell in range(m)]
+            _check_finite(mesh, sols[k - 1])
 
         # stage B: recombine the new solutions until their Wronskians pass
         level, _, report, attempt = _recombine_until_nonvanishing(
-            sols, rng, wronskian_floor, max_retries, "solution")
+            mesh, sols, rng, wronskian_floor, max_retries, "solution")
         retries += attempt
 
     # final verification against the full operator
-    res = max(operator_residual(op, row[0]) for row in level)
+    res = max(operator_residual(op, SampledFunction(mesh, y)) for y in level[:, 0])
     if not res <= residual_tol:
         raise ResidualVerificationError(
             f"constructed system residual {res:.3e} exceeds {residual_tol:.1e}",
             residual=res)
-    return SolutionSystem(op, tuple(tuple(row) for row in level),
+    return SolutionSystem(op, level,
                           retries=retries, wronskian_min=report.min_relative,
                           residual_max=res, truncations=tuple(truncations))

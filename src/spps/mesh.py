@@ -196,10 +196,11 @@ class SampledFunction:
 
 
 def _check_finite(mesh: Mesh, v: np.ndarray) -> None:
-    """Raise VanishingValueError naming the first node where ``v`` is not finite."""
+    """Raise VanishingValueError naming the node of the first entry of ``v``
+    (in C order; its last axis runs over the nodes) that is not finite."""
     finite = np.isfinite(v.real) & np.isfinite(v.imag)
     if not np.all(finite):
-        bad = int(np.flatnonzero(~finite)[0])
+        bad = int(np.flatnonzero(~finite)[0]) % mesh.n
         raise VanishingValueError(
             f"non-finite value at node {bad} (x={mesh.nodes[bad]:.6g})",
             node=bad, x=float(mesh.nodes[bad]))

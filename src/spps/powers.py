@@ -23,7 +23,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,51 +42,45 @@ STOP_TOL = 1e-17
 
 @dataclass(frozen=True)
 class DerivativeCoeffs:
-    """Triangular table A[ell][alpha] of derivative coefficients.
+    """Triangle A[ell, alpha] of derivative coefficients on a mesh.
 
     Row ell expresses the ell-th derivative of b_0 times an iterated integral
-    as a combination of shallower iterated integrals; the table is the same
-    for every solution index, so one triangle serves all of u_1..u_n. Built
-    through row n-1.
+    as a combination of shallower iterated integrals; the triangle is the
+    same for every solution index, so one serves all of u_1..u_n. ``table``
+    is one read-only complex array of shape (n, n, mesh.n), zero above the
+    diagonal: ``table[ell, alpha]`` is A[ell, alpha].
 
-    The diagonal A[ell][ell] is the product b_0 b_1 ... b_ell, nonvanishing
+    The diagonal A[ell, ell] is the product b_0 b_1 ... b_ell, nonvanishing
     whenever the factorization exists.
     """
 
-    table: tuple[tuple[SampledFunction, ...], ...]
-
-    @property
-    def rows(self) -> int:
-        return len(self.table)
-
-    def at(self, ell: int, alpha: int) -> SampledFunction:
-        return self.table[ell][alpha]
+    mesh: Mesh
+    table: np.ndarray
 
 
-def compute_A(derivs: Sequence[Sequence[SampledFunction]],
-              table: "FormalPowerTable") -> DerivativeCoeffs:
+def compute_A(derivs: np.ndarray, table: "FormalPowerTable") -> DerivativeCoeffs:
     """Fill the derivative-coefficient triangle for rows 0..n-1 exactly.
 
-    ``derivs[k][ell]`` is the ell-th derivative of y_{k+1}, the seed whose
-    Wronskians gave the factors of ``table``. The Polya solution u_{k+1} is
-    the y_{k+1} - sum_{j<k} c_j y_{j+1} vanishing to order k-1 at x0 (a
-    k x k solve there), and at lambda = 0 its ell-th derivative is
-    sum_{beta <= k} A[ell][beta] X_{k+1}^(k-beta) / (k-beta)!, X^(0) = 1:
+    ``derivs[k, ell]`` is the ell-th derivative of y_{k+1}, the seed whose
+    Wronskians gave the factors of ``table`` (an (n, n, nodes) array, as
+    :class:`~spps.factorization.SolutionSystem` holds). The Polya solution
+    u_{k+1} is the y_{k+1} - sum_{j<k} c_j y_{j+1} vanishing to order k-1
+    at x0 (a k x k solve there), and at lambda = 0 its ell-th derivative is
+    sum_{beta <= k} A[ell, beta] X_{k+1}^(k-beta) / (k-beta)!, X^(0) = 1:
     that gives column k. Column 0 is y_1 = b_0's rows as given.
     """
     n, i0 = table.n, table.mesh.i0
-    at_x0 = np.array([[row[ell].values[i0] for row in derivs]
-                      for ell in range(n)])
-    rows: list[list[SampledFunction]] = [[derivs[0][ell]] for ell in range(n)]
+    at_x0 = derivs[:, :, i0].T  # [ell, k]
+    a = np.zeros((n, n, table.mesh.n), dtype=np.complex128)
+    a[:, 0] = derivs[0]
     for k in range(1, n):
         c = np.linalg.solve(at_x0[:k, :k], at_x0[:k, k])
         xs = [x / math.factorial(j) for j, x in enumerate(table.x[k][:k + 1])]
-        for ell in range(k, n):
-            acc = derivs[k][ell].values.copy()
-            for j in range(k):  # u_{k+1}^(ell) less the shallower columns
-                acc -= c[j] * derivs[j][ell].values + rows[ell][j].values * xs[k - j]
-            rows[ell].append(SampledFunction(table.mesh, acc))
-    return DerivativeCoeffs(tuple(tuple(r) for r in rows))
+        a[k:, k] = derivs[k, k:]
+        for j in range(k):  # u_{k+1}^(ell) less the shallower columns
+            a[k:, k] -= c[j] * derivs[j, k:] + a[k:, j] * xs[k - j]
+    a.setflags(write=False)
+    return DerivativeCoeffs(table.mesh, a)
 
 
 @dataclass(frozen=True)
@@ -219,11 +213,11 @@ def _solution_sum(table: FormalPowerTable, k: int, lam: complex,
 
 def _from_shifted(coeffs: DerivativeCoeffs, ell: int,
                   sums: list[np.ndarray]) -> np.ndarray:
-    """u_k^(ell) = sum_{alpha <= ell} A[ell][alpha] S_{k,alpha}, from
+    """u_k^(ell) = sum_{alpha <= ell} A[ell, alpha] S_{k,alpha}, from
     ``sums[alpha]`` = S_{k,alpha}."""
-    out = coeffs.at(ell, 0).values * sums[0]
+    out = coeffs.table[ell, 0] * sums[0]
     for alpha in range(1, ell + 1):
-        out += coeffs.at(ell, alpha).values * sums[alpha]
+        out += coeffs.table[ell, alpha] * sums[alpha]
     return out
 
 
@@ -262,7 +256,7 @@ def evaluate_derivatives(table: FormalPowerTable, coeffs: DerivativeCoeffs,
 
     Assembled from the derivative-coefficient triangle and shallower formal
     powers rather than finite differences: u_k^(ell) is the sum over
-    alpha <= ell of A[ell][alpha] times the shifted series S_{k,alpha},
+    alpha <= ell of A[ell, alpha] times the shifted series S_{k,alpha},
     which pairs X_k at index j = m n + k - alpha - 1 with lambda^m / j!
     (the rising-factorial prefactor folded into the reciprocal factorial).
     Each S_{k,alpha} stops as :func:`evaluate_solution` describes.
@@ -282,21 +276,10 @@ def initial_matrix(coeffs: DerivativeCoeffs) -> np.ndarray:
 
     Every formal power but X^(0) = 1 vanishes at the basepoint, so only the
     term alpha = k - 1, m = 0 of u_k^(ell) is left: T[ell, k-1] is
-    A[ell][k-1](x0) from order k-1 on, and derivatives below it vanish. The
-    diagonal is the running product (b_0 ... b_ell)(x0).
+    A[ell, k-1](x0) from order k-1 on, and derivatives below it vanish. The
+    diagonal is the running product (b_0 ... b_ell)(x0). A read-only view.
     """
-    return _coeffs_at(coeffs, [coeffs.at(0, 0).mesh.i0])[0]
-
-
-def _coeffs_at(coeffs: DerivativeCoeffs, nodes: list[int]) -> np.ndarray:
-    """A[ell][alpha] at the nodes, shape (len(nodes), n, n), zero above the
-    diagonal."""
-    n = coeffs.rows
-    out = np.zeros((len(nodes), n, n), dtype=np.complex128)
-    for ell in range(n):
-        for alpha in range(ell + 1):
-            out[:, ell, alpha] = coeffs.at(ell, alpha).values[nodes]
-    return out
+    return coeffs.table[:, :, coeffs.mesh.i0]
 
 
 def series_coefficients_at_node(table: FormalPowerTable, coeffs: DerivativeCoeffs,
@@ -305,7 +288,7 @@ def series_coefficients_at_node(table: FormalPowerTable, coeffs: DerivativeCoeff
 
     Returns c of shape (len(nodes), n, n, M + 1) with
     u_k^(ell)(x_p; lambda) = sum_m c[p, ell, k - 1, m] lambda^m, where
-    c[p, ell, k - 1, m] sums A[ell][alpha] X_k^(j) / j! at node p over
+    c[p, ell, k - 1, m] sums A[ell, alpha] X_k^(j) / j! at node p over
     alpha <= ell, j = m n + k - alpha - 1 >= 0. Used by the spectral layer
     to turn boundary data into polynomials in the spectral parameter.
     Reciprocal factorials are accumulated by division so large indices
@@ -314,7 +297,7 @@ def series_coefficients_at_node(table: FormalPowerTable, coeffs: DerivativeCoeff
     n, M = table.n, table.truncation
     rf = np.array(list(itertools.accumulate(range(1, M * n + n),
                                             lambda f, j: f / j, initial=1.0)))
-    a = _coeffs_at(coeffs, nodes)[..., None]
+    a = np.moveaxis(coeffs.table[:, :, nodes], 2, 0)[..., None]
     out = np.zeros((len(nodes), n, n, M + 1), dtype=np.complex128)
     for k in range(1, n + 1):
         xs = np.array([x[nodes] for x in table.x[k - 1]]).T

@@ -43,6 +43,8 @@ from .powers import (
     DerivativeCoeffs,
     FormalPowerTable,
     _grow_powers,
+    _solution_sum,
+    _warn_tail,
     compute_A,
     evaluate_solution,
     formal_powers,
@@ -151,6 +153,8 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
     TriangularDefectError
         If a diagonal initial value is numerically zero, which means the
         factorization cannot normalize that basis solution.
+    RegionTruncationError
+        If a summed u_k's series tail ratio is above TAIL_ERROR or not finite.
     """
     n = ws.n
     vals = np.asarray(values, dtype=complex)
@@ -166,17 +170,20 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
                 f"initial-value matrix diagonal {ell} is {abs(diag):.3e}; "
                 "the factorization is too close to singular at the basepoint")
         c[ell] = (vals[ell] - mat[ell, :ell] @ c[:ell]) / diag
-    return SampledFunction(ws.mesh, _combination(ws, c, lam))
-
-
-def _combination(ws: Workspace, coeff: np.ndarray, lam: complex) -> np.ndarray:
-    """sum_k coeff[k - 1] u_k(.; lam) over the mesh, zero terms skipped."""
     lam = complex(lam)
     acc = np.zeros(ws.mesh.n, dtype=complex)
-    for k, ck in enumerate(coeff, start=1):
-        if ck != 0:
-            acc += evaluate_solution(ws.table, ws.b0, k, lam).values * ck
-    return acc
+    for k, ck in enumerate(c, start=1):
+        if ck == 0:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # the gate reports it
+            s, ratio = _solution_sum(ws.table, k, lam)
+        if not ratio <= TAIL_ERROR:
+            raise RegionTruncationError(
+                f"series tail ratio {ratio:.3e} of u_{k} at lam={lam} exceeds "
+                f"{TAIL_ERROR:.1e}; raise the truncation")
+        _warn_tail(ratio, k, lam)
+        acc += ws.b0.values * s * ck
+    return SampledFunction(ws.mesh, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +260,10 @@ def _null_combination(ws: Workspace, mat: np.ndarray,
                       lam: complex) -> SampledFunction:
     """The basis solutions at ``lam`` summed with the right singular vector
     of the boundary matrix ``mat`` for its smallest singular value."""
-    acc = _combination(ws, np.linalg.svd(mat)[2][-1].conj(), lam)
+    acc = np.zeros(ws.mesh.n, dtype=complex)
+    for k, ck in enumerate(np.linalg.svd(mat)[2][-1].conj(), start=1):
+        if ck != 0:
+            acc += evaluate_solution(ws.table, ws.b0, k, complex(lam)).values * ck
     peak = int(np.argmax(np.abs(acc)))
     if acc[peak] == 0:
         raise TriangularDefectError(
@@ -414,6 +424,12 @@ class EigenOptions:
     samples: int = 1001
     max_count: int | None = None
     residual_tol: float = 1e-4
+
+    def __post_init__(self):
+        if not (self.samples >= 2 and self.residual_tol > 0
+                and (self.max_count is None or self.max_count >= 1)):
+            raise ValueError("need samples >= 2, max_count None or >= 1 and "
+                             f"residual_tol > 0, got {self}")
 
 
 #: Terms the truncation is raised by to confirm that a root persists.

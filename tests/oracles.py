@@ -2,9 +2,11 @@
 
 The solvers go through scipy's adaptive Runge-Kutta integration of the
 first-order companion system, which shares no code or method with the
-package under test. ``decimated_ladder_residual`` and ``loop_derivative``
-are the exception: the package's earlier residual ladder and
-finite-difference loop, kept as references that its array versions must
+package under test. ``decimated_ladder_residual``, ``loop_derivative``,
+``loop_recombine``, ``loop_wronskians`` and ``loop_triangle`` are the
+exception: the package's earlier residual ladder, finite-difference loop,
+per-entry recombination, nested-Wronskian assembly and row-by-row
+derivative triangle, kept as references that its array versions must
 match exactly. ``full_derivative_sum`` and ``node_coefficients`` are the
 package's earlier series for u_k^(ell) over all M + 1 terms and its
 per-entry coefficients at one node, which its stopped sums and gathered
@@ -114,14 +116,61 @@ def loop_derivative(v, h, order):
     return out / h ** order
 
 
+def loop_recombine(rows, c):
+    """Rows of sum_j c[i, j] y_{j+1}, entry by entry over ascending j;
+    ``rows[k, ell]`` is the ell-th derivative of y_{k+1}."""
+    m, depth, nodes = rows.shape
+    out = np.empty(rows.shape, dtype=np.complex128)
+    for i in range(m):
+        for ell in range(depth):
+            acc = np.zeros(nodes, dtype=np.complex128)
+            for j in range(m):
+                acc += c[i, j] * rows[j, ell]
+            out[i, ell] = acc
+    return out
+
+
+def loop_wronskians(rows):
+    """Nested Wronskians W_2..W_m of derivative rows, each nodewise matrix
+    [ell, k] filled entry by entry."""
+    out = []
+    for j in range(2, len(rows) + 1):
+        mats = np.empty((rows.shape[2], j, j), dtype=np.complex128)
+        for k in range(j):
+            for ell in range(j):
+                mats[:, ell, k] = rows[k, ell]
+        out.append(np.linalg.det(mats))
+    return out
+
+
+def loop_triangle(derivs, table):
+    """The derivative triangle A[ell, alpha] of seed rows ``derivs``, filled
+    row by row as lists of arrays (see ``spps.powers.compute_A``)."""
+    n, i0 = table.n, table.mesh.i0
+    at_x0 = np.array([[derivs[k, ell, i0] for k in range(n)] for ell in range(n)])
+    rows = [[derivs[0, ell]] for ell in range(n)]
+    for k in range(1, n):
+        c = np.linalg.solve(at_x0[:k, :k], at_x0[:k, k])
+        xs = [x / math.factorial(j) for j, x in enumerate(table.x[k][:k + 1])]
+        for ell in range(k, n):
+            acc = derivs[k, ell].copy()
+            for j in range(k):
+                acc -= c[j] * derivs[j, ell] + rows[ell][j] * xs[k - j]
+            rows[ell].append(acc)
+    out = np.zeros((n, n, table.mesh.n), dtype=np.complex128)
+    for ell, row in enumerate(rows):
+        out[ell, :len(row)] = row
+    return out
+
+
 def full_derivative_sum(table, coeffs, k, lam, ell):
     """u_k^(ell)(.; lam) as one compensated sum of every term
-    A[ell][alpha] X_k^(j) lam^m / j!, j = m n + k - alpha - 1 >= 0."""
+    A[ell, alpha] X_k^(j) lam^m / j!, j = m n + k - alpha - 1 >= 0."""
     n, M = table.n, table.truncation
     s = np.zeros(table.mesh.n, dtype=np.complex128)
     comp = np.zeros_like(s)
     for alpha in range(ell + 1):
-        a = coeffs.at(ell, alpha).values
+        a = coeffs.table[ell, alpha]
         m0 = 1 if k - alpha - 1 < 0 else 0
         c = complex(lam ** m0 / math.factorial(m0 * n + k - alpha - 1))
         for m in range(m0, M + 1):
@@ -143,7 +192,7 @@ def node_coefficients(table, coeffs, k, ell, node):
     for j in range(1, len(rf)):
         rf[j] = rf[j - 1] / j
     for alpha in range(ell + 1):
-        a = coeffs.at(ell, alpha).values[node]
+        a = coeffs.table[ell, alpha, node]
         for m in range(M + 1):
             j = m * n + k - alpha - 1
             if j >= 0:

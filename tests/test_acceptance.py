@@ -48,18 +48,12 @@ def monomial_seed(op):
     # derivatives of order n-1 would add roundoff noise ~ eps / h^(n-1) to
     # the top Wronskian, far above the accuracy being measured here
     mesh = op.mesh
-    derivs = []
+    derivs = np.zeros((op.n, op.n, mesh.n), dtype=complex)
     for k in range(op.n):
-        row = []
-        for ell in range(op.n):
-            if ell > k:
-                row.append(zeros(mesh))
-            else:
-                f = float(math.factorial(k - ell))
-                row.append(tabulate(
-                    mesh, lambda t, p=k - ell, f=f: (t - mesh.x0) ** p / f))
-        derivs.append(tuple(row))
-    return SolutionSystem(op, tuple(derivs), 0, 1.0, 0.0)
+        for ell in range(k + 1):
+            f = float(math.factorial(k - ell))
+            derivs[k, ell] = (mesh.nodes - mesh.x0) ** (k - ell) / f
+    return SolutionSystem(op, derivs, 0, 1.0, 0.0)
 
 
 def pure_workspace(mesh, n, truncation):

@@ -140,6 +140,15 @@ def test_solve_deterministic(config, capsys):
     assert first == second
 
 
+def test_solve_past_truncation_exit_code(tmp_path, capsys):
+    path = tmp_path / "p.ini"
+    path.write_text(DIRICHLET.replace("lambda = -4", "lambda = 1e4"),
+                    encoding="utf-8")
+    code, out, err = run_main(capsys, "solve", "--config", str(path))
+    assert code == 3
+    assert "truncation" in err and out == ""
+
+
 def test_solve_requires_initial_section(tmp_path, capsys):
     path = tmp_path / "p.ini"
     path.write_text("[problem]\norder = 2\ninterval = 0 1\n"

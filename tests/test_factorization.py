@@ -21,11 +21,14 @@ from spps.errors import (
     SeedConstructionError,
     StencilError,
     TruncationWarning,
+    VanishingValueError,
     WronskianFloorError,
 )
 from spps.factorization import (
     OperatorSpec,
     SolutionSystem,
+    _combination_matrix,
+    _recombine,
     apply_coefficients,
     apply_factorized,
     build_seed_system,
@@ -36,7 +39,16 @@ from spps.factorization import (
     wronskians,
 )
 
-from oracles import decimated_ladder_residual, integrate_ivp, loop_derivative
+from spps.powers import compute_A, formal_powers
+
+from oracles import (
+    decimated_ladder_residual,
+    integrate_ivp,
+    loop_derivative,
+    loop_recombine,
+    loop_triangle,
+    loop_wronskians,
+)
 
 
 def make_op(mesh, phis, r=None):
@@ -319,7 +331,7 @@ def test_from_functions_and_polya_factors_raise_the_same_floor_error():
     funcs = [e, 2.0 * e]
     with pytest.raises(WronskianFloorError) as seeded:
         SolutionSystem.from_functions(op, funcs)
-    sys = SolutionSystem(op, [(f, differentiate(f, 1)) for f in funcs])
+    sys = SolutionSystem(op, [(f.values, differentiate(f, 1).values) for f in funcs])
     with pytest.raises(WronskianFloorError) as factored:
         polya_factors(wronskians(sys))
     assert seeded.value.index == factored.value.index == 2
@@ -376,10 +388,10 @@ def test_build_seed_derivative_tables_match_fd():
     op = make_op(m, [zeros(m), constant(m, -1.0)])
     sys = build_seed_system(op, rng_seed=1)
     from spps import differentiate
-    for row in sys.derivs:
-        fd = differentiate(row[0], 1)
-        err = np.max(np.abs(fd.values - row[1].values))
-        assert err < 1e-7 * max(1.0, row[0].max_abs())
+    for y, row in zip(sys.y, sys.derivs):
+        fd = differentiate(y, 1)
+        err = np.max(np.abs(fd.values - row[1]))
+        assert err < 1e-7 * max(1.0, y.max_abs())
 
 
 def test_build_seed_exhausted_budget_names_stage():
@@ -447,9 +459,7 @@ def test_seed_truncation_stops_where_the_tail_is_negligible(n, monkeypatch):
                 <= 1e-17
         wide = build_seed_system(op, rng_seed=rng_seed, truncation=60)
         assert wide.truncations == capped.truncations
-        for row_a, row_b in zip(capped.derivs, wide.derivs):
-            for a, b in zip(row_a, row_b):
-                np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(capped.derivs, wide.derivs)
 
 
 def test_seed_truncation_is_capped():
@@ -469,13 +479,13 @@ def test_seed_rows_match_integrator(n):
     sys = build_seed_system(op, rng_seed=1, truncation=40)
     i0 = mesh.i0
     for row in sys.derivs:
-        y0 = [d.values[i0] for d in row]
+        y0 = row[:, i0]
         want = np.empty((n, mesh.n), dtype=complex)
         for end, part in ((mesh.x2, slice(i0, None)), (mesh.x1, slice(i0, None, -1))):
             want[:, part] = integrate_ivp(n, SEED_COEFFS[n], lambda x: 1.0, mesh.x0,
                                           end, y0, 0.0, t_eval=mesh.nodes[part])
         for d, w in zip(row, want):  # every derivative row
-            err = np.max(np.abs(d.values - w)) / np.max(np.abs(w))
+            err = np.max(np.abs(d - w)) / np.max(np.abs(w))
             assert err < 1e-8
 
 
@@ -495,5 +505,41 @@ def test_built_seed_triangle_takes_the_seed_rows(monkeypatch):
     ws = build_workspace(op, rng_seed=1)
     assert calls == []  # neither the seed builder nor the triangle differentiates
     for ell in range(4):
-        assert np.array_equal(ws.coeffs.at(ell, 0).values,
-                              ws.seed.derivs[0][ell].values)
+        assert np.array_equal(ws.coeffs.table[ell, 0], ws.seed.derivs[0, ell])
+
+
+# -- derivative rows as one array -----------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_row_arrays_match_per_entry_loops(n):
+    sys = build_seed_system(seed_op(n, nodes=401), rng_seed=1)
+    rows = sys.derivs
+    for attempt in (0, 1):  # unit lower triangular, then fully random
+        c = _combination_matrix(np.random.default_rng(n), n, attempt)
+        assert np.array_equal(_recombine(rows, c), loop_recombine(rows, c))
+    W = wronskians(sys)
+    assert np.array_equal(W[1].values, rows[0, 0])
+    for w, want in zip(W[2:], loop_wronskians(rows), strict=True):
+        assert np.array_equal(w.values, want)
+    table = formal_powers(polya_factors(W), sys.op.r, 4)
+    A = compute_A(rows, table)
+    assert np.array_equal(A.table, loop_triangle(rows, table))
+    assert not A.table.flags.writeable
+
+
+def test_solution_system_checks_its_rows():
+    m = Mesh(0.0, 1.0, 101)
+    op = make_op(m, [zeros(m), constant(m, -1.0)])
+    rows = np.ones((2, 2, m.n), dtype=complex)
+    for bad in (rows[:1], rows[:, :1], rows[:, :, :-1]):
+        with pytest.raises(ValueError, match="shape"):
+            SolutionSystem(op, bad)
+    rows[1, 1, 37] = np.inf
+    with pytest.raises(VanishingValueError, match="node 37") as exc:
+        SolutionSystem(op, rows)
+    assert exc.value.node == 37 and exc.value.x == m.nodes[37]
+    rows[1, 1, 37] = 2.0
+    sys = SolutionSystem(op, rows.tolist())  # any array-like, stored as a copy
+    rows[0, 0, 0] = 5.0
+    assert sys.derivs[0, 0, 0] == 1.0 and sys.derivs[1, 1, 37] == 2.0
+    assert not sys.derivs.flags.writeable

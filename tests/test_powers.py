@@ -75,18 +75,18 @@ def triangle_parts(op, sys, truncation=0):
 def test_A_all_ones_factors():
     m = Mesh(0.0, 1.0, 401, 0)
     _, _, A = triangle_parts(*trivial_system(m, 4))
-    assert A.rows == 4
+    assert A.table.shape == (4, 4, m.n)
     for ell in range(4):
         for alpha in range(ell + 1):
             want = 1.0 if alpha == ell else 0.0
             # the seed rows are finite differences of the monomials
-            assert np.max(np.abs(A.at(ell, alpha).values - want)) < 1e-6
+            assert np.max(np.abs(A.table[ell, alpha] - want)) < 1e-6
 
 
 def test_A_top_entry_is_first_factor():
     m = Mesh(0.0, 1.0, 101)
     _, _, A = triangle_parts(*exponential_system(m))
-    np.testing.assert_allclose(A.at(0, 0).values, np.exp(m.nodes), rtol=1e-9)
+    np.testing.assert_allclose(A.table[0, 0], np.exp(m.nodes), rtol=1e-9)
 
 
 def test_A_second_row_closed_form():
@@ -98,23 +98,20 @@ def test_A_second_row_closed_form():
     m = Mesh(0.0, 1.0, 401)
     x = m.nodes
     op = OperatorSpec(3, tuple(zeros(m) for _ in range(3)), ones(m))
-    derivs = []
-    for fn in [
-            lambda t, d: np.exp(t),
-            lambda t, d: (t + d) * np.exp(t),
-            lambda t, d: 3.0**d * np.exp(3 * t)]:
-        derivs.append(tuple(tabulate(m, lambda t, d=d, f=fn: f(t, d))
-                            for d in range(3)))
-    sys = SolutionSystem(op, tuple(derivs), 0, 1.0, 0.0)
+    derivs = [[fn(x, d) for d in range(3)] for fn in [
+        lambda t, d: np.exp(t),
+        lambda t, d: (t + d) * np.exp(t),
+        lambda t, d: 3.0**d * np.exp(3 * t)]]
+    sys = SolutionSystem(op, derivs, 0, 1.0, 0.0)
     W = wronskians(sys)
     np.testing.assert_allclose(W[1].values, np.exp(x), rtol=1e-12)
     np.testing.assert_allclose(W[2].values, np.exp(2 * x), rtol=1e-12)
     np.testing.assert_allclose(W[3].values, 4 * np.exp(5 * x), rtol=1e-12)
     _, _, A = triangle_parts(op, sys)
-    np.testing.assert_allclose(A.at(1, 0).values, np.exp(x), rtol=1e-12)
-    np.testing.assert_allclose(A.at(1, 1).values, np.exp(x), rtol=1e-12)
-    np.testing.assert_allclose(A.at(2, 1).values, 2 * np.exp(x), rtol=1e-12)
-    np.testing.assert_allclose(A.at(2, 2).values, 4 * np.exp(3 * x), rtol=1e-12)
+    np.testing.assert_allclose(A.table[1, 0], np.exp(x), rtol=1e-12)
+    np.testing.assert_allclose(A.table[1, 1], np.exp(x), rtol=1e-12)
+    np.testing.assert_allclose(A.table[2, 1], 2 * np.exp(x), rtol=1e-12)
+    np.testing.assert_allclose(A.table[2, 2], 4 * np.exp(3 * x), rtol=1e-12)
 
 
 # -- formal powers ----------------------------------------------------------------

@@ -101,6 +101,16 @@ def test_ivp_rejects_wrong_count():
         solve_initial_value(ws, [1.0, 0.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("lam", [1e4, 1e30])
+def test_ivp_past_its_truncation_raises(lam):
+    # y'' = lam y from the middle of [0, pi] at M = 30: at 1e4 the tail
+    # ratio is far above TAIL_ERROR and the sum misses the true max|y| of
+    # cosh(50 pi) ~ 1e68 by many orders; at 1e30 the sums are not finite
+    ws = dirichlet_workspace(nmesh=201, truncation=30)
+    with pytest.raises(RegionTruncationError, match="raise the truncation"):
+        solve_initial_value(ws, [1.0, 1.0], lam)
+
+
 def test_ivp_third_order_against_reference():
     mesh = Mesh(0.0, 1.0, 401)
     op = OperatorSpec(
@@ -591,12 +601,26 @@ def test_ivp_series_sums_stop_after_few_terms(monkeypatch):
 
     monkeypatch.setattr(spps.powers, "_kahan_add",
                         lambda *args: adds.append(add(*args)))
-    monkeypatch.setattr(spps.powers, "_solution_sum", counting_sum)
+    for module in (spps.powers, spps.spectral):  # the IVP sums in spectral
+        monkeypatch.setattr(module, "_solution_sum", counting_sum)
     lams = [85.0, -85.0, 85j, 60.0 - 60.0j, -60.0 + 60.0j, 0.0, 3.0 + 1.0j]
     for lam in lams:
         solve_initial_value(ws, [1.0, -0.5j, 0.25, 2.0], lam)
     assert len(counts) == 4 * len(lams)
     assert max(counts) <= 10
+
+
+@pytest.mark.parametrize("bad", [
+    {"samples": 0}, {"samples": -3}, {"samples": 1}, {"max_count": 0},
+    {"max_count": -1}, {"residual_tol": 0.0}, {"residual_tol": -1e-4},
+    {"residual_tol": float("nan")},
+])
+def test_eigen_options_reject_out_of_range_values(bad):
+    # max_count=-1 used to drop the largest accepted eigenvalue, samples=0
+    # to fail inside numpy; the limits are the ones ProblemConfig applies
+    with pytest.raises(ValueError):
+        EigenOptions(**bad)
+    EigenOptions(samples=2, max_count=1, residual_tol=1e-300)
 
 
 # -- against the shooting oracle ------------------------------------------------------------
