@@ -41,11 +41,9 @@ class WronskianFloorError(SppsError):
 class SeedConstructionError(SppsError):
     """Seed-system construction exhausted its retry budget."""
 
-    def __init__(self, message: str, best_wronskian_min: float | None = None,
-                 best_residual: float | None = None):
+    def __init__(self, message: str, best_wronskian_min: float | None = None):
         super().__init__(message)
         self.best_wronskian_min = best_wronskian_min
-        self.best_residual = best_residual
 
 
 class ResidualVerificationError(SppsError):

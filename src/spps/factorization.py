@@ -418,11 +418,14 @@ def build_seed_system(op: OperatorSpec,
     SeedConstructionError
         When a recombination stage exhausts ``max_retries`` (reports the best
         relative Wronskian minimum achieved).
+    RegionTruncationError
+        When a series tail at -1 is still above ``spps.powers``' TAIL_ERROR
+        at ``truncation``: raise the truncation.
     ResidualVerificationError
         When the final system fails its operator-residual verification.
     """
-    from .powers import (STOP_TOL, _from_shifted, _grow_powers, _solution_sum,
-                         _warn_tail, compute_A, formal_powers)
+    from .powers import (STOP_TOL, _check_ratio, _grow_powers, _rows,
+                         _solution_sum, compute_A, formal_powers)
 
     mesh = op.mesh
     n = op.n
@@ -461,10 +464,10 @@ def build_seed_system(op: OperatorSpec,
         # each derivative from the shifted series S_{k,alpha}, each summed once
         sols = np.empty((m, m, mesh.n), dtype=np.complex128)
         for k, (s, ratio) in enumerate(sums, start=1):
-            _warn_tail(ratio, k, -1.0)
-            shifted = [s] + [_solution_sum(table, k, -1.0, alpha)[0]
-                             for alpha in range(1, m)]
-            sols[k - 1] = [_from_shifted(coeffs, ell, shifted) for ell in range(m)]
+            _check_ratio(ratio, k, -1.0)
+            shifted = [_solution_sum(table, k, -1.0, alpha)[0]
+                       for alpha in range(1, m)]
+            sols[k - 1] = _rows(coeffs, [s] + shifted)
             _check_finite(mesh, sols[k - 1])
 
         # stage B: recombine the new solutions until their Wronskians pass

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import TruncationWarning
+from .errors import RegionTruncationError, TruncationWarning
 from .mesh import Mesh, SampledFunction, _antiderivative, _check_finite, ones
 
 if TYPE_CHECKING:  # import only for annotations, the dependency is one-way
@@ -35,6 +35,8 @@ if TYPE_CHECKING:  # import only for annotations, the dependency is one-way
 
 #: Tail ratios above this trigger a TruncationWarning.
 TAIL_WARN = 1e-12
+#: A tail ratio above this, or NaN, raises RegionTruncationError.
+TAIL_ERROR = 1e-6
 #: A series sum stops once the norm bounds of all its later terms add up to
 #: at most this fraction of the partial sum's max modulus.
 STOP_TOL = 1e-17
@@ -178,6 +180,28 @@ def tail_ratio(table: FormalPowerTable, k: int, lam: complex) -> float:
     return ratio
 
 
+def _check_ratio(ratio: float, k: int, lam: complex) -> None:
+    """The one tail policy for a sum of u_k at lam: raise unless the tail
+    ratio is at most TAIL_ERROR (so NaN raises), warn above TAIL_WARN."""
+    if not ratio <= TAIL_ERROR:
+        raise RegionTruncationError(
+            f"series tail ratio {ratio:.3e} of u_{k} at lam={lam} exceeds "
+            f"{TAIL_ERROR:.1e}; raise the truncation or bring lam nearer 0")
+    if ratio > TAIL_WARN:
+        warnings.warn(f"series tail ratio {ratio:.3e} of u_{k} at lam={lam}",
+                      TruncationWarning, stacklevel=4)
+
+
+def _gated_sum(table: FormalPowerTable, k: int, lam: complex) -> np.ndarray:
+    """S_{k,0} at lam once its tail ratio has passed :func:`_check_ratio`."""
+    if not 1 <= k <= table.n:
+        raise ValueError(f"solution index k={k} outside 1..{table.n}")
+    s, ratio = _solution_sum(table, k, lam)
+    _check_ratio(ratio, k, lam)
+    return s
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the ratio reports overflow
 def _solution_sum(table: FormalPowerTable, k: int, lam: complex,
                   alpha: int = 0) -> tuple[np.ndarray, float]:
     """The shifted series S_{k,alpha} = sum_m lambda^m X_k^(j) / j! over
@@ -211,13 +235,12 @@ def _solution_sum(table: FormalPowerTable, k: int, lam: complex,
     return s, ratio
 
 
-def _from_shifted(coeffs: DerivativeCoeffs, ell: int,
-                  sums: list[np.ndarray]) -> np.ndarray:
-    """u_k^(ell) = sum_{alpha <= ell} A[ell, alpha] S_{k,alpha}, from
-    ``sums[alpha]`` = S_{k,alpha}."""
-    out = coeffs.table[ell, 0] * sums[0]
-    for alpha in range(1, ell + 1):
-        out += coeffs.table[ell, alpha] * sums[alpha]
+def _rows(coeffs: DerivativeCoeffs, sums: list[np.ndarray]) -> np.ndarray:
+    """u_k^(ell) = sum_{alpha <= ell} A[ell, alpha] S_{k,alpha} for every
+    ell < len(sums), from ``sums[alpha]`` = S_{k,alpha}, ascending alpha."""
+    out = coeffs.table[:len(sums), 0] * sums[0]
+    for alpha in range(1, len(sums)):
+        out[alpha:] += coeffs.table[alpha:len(sums), alpha] * sums[alpha]
     return out
 
 
@@ -234,20 +257,10 @@ def evaluate_solution(table: FormalPowerTable, b0: SampledFunction, k: int,
     reduces to b_0 times the (k-1)-fold iterated integral, the k-th element
     of the homogeneous solution family.
 
-    Warns with TruncationWarning when the tail ratio exceeds 1e-12.
+    Raises RegionTruncationError when the :func:`tail_ratio` is above
+    TAIL_ERROR or NaN, and warns with TruncationWarning above TAIL_WARN.
     """
-    if not 1 <= k <= table.n:
-        raise ValueError(f"solution index k={k} outside 1..{table.n}")
-    s, ratio = _solution_sum(table, k, lam)
-    _warn_tail(ratio, k, lam)
-    return SampledFunction(b0.mesh, b0.values * s)
-
-
-def _warn_tail(ratio: float, k: int, lam: complex) -> None:
-    if ratio > TAIL_WARN:
-        warnings.warn(f"series tail for k={k}, lambda={lam:g} has relative size "
-                      f"{ratio:.2e}; increase the truncation order",
-                      TruncationWarning, stacklevel=3)
+    return SampledFunction(b0.mesh, b0.values * _gated_sum(table, k, lam))
 
 
 def evaluate_derivatives(table: FormalPowerTable, coeffs: DerivativeCoeffs,
@@ -259,15 +272,14 @@ def evaluate_derivatives(table: FormalPowerTable, coeffs: DerivativeCoeffs,
     alpha <= ell of A[ell, alpha] times the shifted series S_{k,alpha},
     which pairs X_k at index j = m n + k - alpha - 1 with lambda^m / j!
     (the rising-factorial prefactor folded into the reciprocal factorial).
-    Each S_{k,alpha} stops as :func:`evaluate_solution` describes.
+    Each S_{k,alpha} stops as :func:`evaluate_solution` describes, and the
+    tail of u_k itself (S_{k,0}) is gated as there.
     """
-    n = table.n
-    if not 1 <= k <= n:
-        raise ValueError(f"solution index k={k} outside 1..{n}")
-    if not 1 <= ell <= n - 1:
-        raise ValueError(f"derivative order {ell} outside 1..{n - 1}")
-    sums = [_solution_sum(table, k, lam, alpha)[0] for alpha in range(ell + 1)]
-    return SampledFunction(table.mesh, _from_shifted(coeffs, ell, sums))
+    if not 1 <= ell <= table.n - 1:
+        raise ValueError(f"derivative order {ell} outside 1..{table.n - 1}")
+    sums = [_gated_sum(table, k, lam)] + [
+        _solution_sum(table, k, lam, alpha)[0] for alpha in range(1, ell + 1)]
+    return SampledFunction(table.mesh, _rows(coeffs, sums)[ell])
 
 
 def initial_matrix(coeffs: DerivativeCoeffs) -> np.ndarray:

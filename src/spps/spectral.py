@@ -16,16 +16,11 @@ classes into small dense linear algebra:
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    RegionTruncationError,
-    TriangularDefectError,
-    TruncationWarning,
-)
+from .errors import TriangularDefectError
 from .factorization import (
     RESIDUAL_TOL,
     WRONSKIAN_FLOOR,
@@ -39,14 +34,12 @@ from .factorization import (
 )
 from .mesh import Mesh, SampledFunction
 from .powers import (
-    TAIL_WARN,
     DerivativeCoeffs,
     FormalPowerTable,
+    _check_ratio,
+    _gated_sum,
     _grow_powers,
-    _solution_sum,
-    _warn_tail,
     compute_A,
-    evaluate_solution,
     formal_powers,
     initial_matrix,
     series_coefficients_at_node,
@@ -154,13 +147,12 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
         If a diagonal initial value is numerically zero, which means the
         factorization cannot normalize that basis solution.
     RegionTruncationError
-        If a summed u_k's series tail ratio is above TAIL_ERROR or not finite.
+        If a summed u_k's series tail ratio is above TAIL_ERROR or NaN.
     """
     n = ws.n
     vals = np.asarray(values, dtype=complex)
-    if vals.shape != (n,):
-        raise ValueError(
-            f"expected {n} initial values, got shape {vals.shape}")
+    if vals.shape != (n,) or not np.all(np.isfinite(vals)):
+        raise ValueError(f"expected {n} finite initial values, got {vals}")
     mat = initial_matrix(ws.coeffs)
     c = np.zeros(n, dtype=complex)
     for ell in range(n):
@@ -170,20 +162,16 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
                 f"initial-value matrix diagonal {ell} is {abs(diag):.3e}; "
                 "the factorization is too close to singular at the basepoint")
         c[ell] = (vals[ell] - mat[ell, :ell] @ c[:ell]) / diag
-    lam = complex(lam)
+    return SampledFunction(ws.mesh, _combination(ws, c, lam))
+
+
+def _combination(ws: Workspace, c: np.ndarray, lam: complex) -> np.ndarray:
+    """sum_k c[k - 1] u_k(.; lam) over the mesh, each summed u_k gated."""
     acc = np.zeros(ws.mesh.n, dtype=complex)
     for k, ck in enumerate(c, start=1):
-        if ck == 0:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):  # the gate reports it
-            s, ratio = _solution_sum(ws.table, k, lam)
-        if not ratio <= TAIL_ERROR:
-            raise RegionTruncationError(
-                f"series tail ratio {ratio:.3e} of u_{k} at lam={lam} exceeds "
-                f"{TAIL_ERROR:.1e}; raise the truncation")
-        _warn_tail(ratio, k, lam)
-        acc += ws.b0.values * s * ck
-    return SampledFunction(ws.mesh, acc)
+        if ck != 0:
+            acc += ws.b0.values * _gated_sum(ws.table, k, complex(lam)) * ck
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +238,8 @@ def eigenfunction(ws: Workspace, bc: BoundaryConditions,
     Evaluates the boundary matrix from the characteristic polynomials at
     ``lam``, takes its right singular vector for the smallest singular value,
     and sums the basis solutions with those coefficients over the whole mesh,
-    normalized so the largest sample is 1.
+    normalized so the largest sample is 1. A basis solution summed past
+    its truncation raises RegionTruncationError, as in ``evaluate_solution``.
     """
     charfn = characteristic_polynomials(ws, bc)
     return _null_combination(ws, charfn.matrix(lam), lam)
@@ -260,10 +249,7 @@ def _null_combination(ws: Workspace, mat: np.ndarray,
                       lam: complex) -> SampledFunction:
     """The basis solutions at ``lam`` summed with the right singular vector
     of the boundary matrix ``mat`` for its smallest singular value."""
-    acc = np.zeros(ws.mesh.n, dtype=complex)
-    for k, ck in enumerate(np.linalg.svd(mat)[2][-1].conj(), start=1):
-        if ck != 0:
-            acc += evaluate_solution(ws.table, ws.b0, k, complex(lam)).values * ck
+    acc = _combination(ws, np.linalg.svd(mat)[2][-1].conj(), lam)
     peak = int(np.argmax(np.abs(acc)))
     if acc[peak] == 0:
         raise TriangularDefectError(
@@ -358,9 +344,7 @@ def characteristic_polynomials(ws: Workspace,
                                bc: BoundaryConditions) -> CharacteristicFunction:
     """Assemble the boundary matrix as polynomials in the spectral parameter."""
     n = ws.n
-    if bc.n != n:
-        raise ValueError(f"boundary conditions are {bc.n}-dimensional, "
-                         f"operator order is {n}")
+    _check_order(ws, bc)
     cl, cr = series_coefficients_at_node(ws.table, ws.coeffs,
                                          [0, ws.mesh.n - 1])
     poly = np.zeros((n, n, ws.truncation + 1), dtype=complex)
@@ -368,6 +352,12 @@ def characteristic_polynomials(ws: Workspace,
         poly += bc.left[:, ell, None, None] * cl[ell]
         poly += bc.right[:, ell, None, None] * cr[ell]
     return CharacteristicFunction(poly)
+
+
+def _check_order(ws: Workspace, bc: BoundaryConditions) -> None:
+    if bc.n != ws.n:
+        raise ValueError(f"boundary conditions are {bc.n}-dimensional, "
+                         f"operator order is {ws.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +428,6 @@ PERSISTENCE_EXTRA = 5
 PERSISTENCE_TOL = 1e-7
 #: Roots within this times max(1, extent) of the region's edge are dropped.
 MARGIN_TOL = 1e-6
-#: A series tail ratio above this where the search reaches raises.
-TAIL_ERROR = 1e-6
 
 
 def _window(lam):
@@ -472,17 +460,8 @@ class EigenResult:
 # ---------------------------------------------------------------------------
 
 def _check_tail(ws: Workspace, lam: complex) -> None:
-    worst = max(tail_ratio(ws.table, k, lam) for k in range(1, ws.n + 1))
-    if worst > TAIL_ERROR:
-        raise RegionTruncationError(
-            f"series tail ratio {worst:.3e} at lam={lam} exceeds "
-            f"{TAIL_ERROR:.1e}; raise the truncation or shrink "
-            "the search region")
-    if worst > TAIL_WARN:
-        warnings.warn(
-            f"series tail ratio {worst:.3e} at lam={lam}; "
-            "results there may be inaccurate", TruncationWarning,
-            stacklevel=3)
+    for k in range(1, ws.n + 1):
+        _check_ratio(tail_ratio(ws.table, k, lam), k, lam)
 
 
 # The roots of det T in a circle are counted and located from contour
@@ -647,6 +626,7 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
         raise TypeError(f"unsupported region type {type(region).__name__}")
     radius = WIDEN * box[1]
     edge = _farthest(box[0], radius)
+    _check_order(ws, bc)
     _check_tail(ws, edge)
     fine = with_truncation(ws, ws.truncation + PERSISTENCE_EXTRA)
     charfn_fine = characteristic_polynomials(fine, bc)

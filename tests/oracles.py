@@ -163,6 +163,18 @@ def loop_triangle(derivs, table):
     return out
 
 
+def loop_rows(a, sums):
+    """u_k^(ell) = sum_{alpha <= ell} A[ell, alpha] S_{k,alpha}, one row at
+    a time over ascending alpha, for ell < len(sums); ``a`` is A's table."""
+    out = []
+    for ell in range(len(sums)):
+        acc = a[ell, 0] * sums[0]
+        for alpha in range(1, ell + 1):
+            acc += a[ell, alpha] * sums[alpha]
+        out.append(acc)
+    return np.array(out)
+
+
 def full_derivative_sum(table, coeffs, k, lam, ell):
     """u_k^(ell)(.; lam) as one compensated sum of every term
     A[ell, alpha] X_k^(j) lam^m / j!, j = m n + k - alpha - 1 >= 0."""

@@ -184,6 +184,16 @@ def test_eig_region_truncation_exit_code(config, capsys):
     assert "truncation" in err
 
 
+def test_eig_disk_past_every_truncation_exit_code(tmp_path, capsys):
+    # the tail ratio is NaN there; it used to surface as a bare ValueError
+    path = tmp_path / "p.ini"
+    path.write_text(DIRICHLET.replace("interval -10 -0.5", "disk 0 0 1e200"),
+                    encoding="utf-8")
+    code, out, err = run_main(capsys, "eig", "--config", str(path))
+    assert code == 3
+    assert "raise the truncation" in err and out == ""
+
+
 def test_eig_requires_boundary(tmp_path, capsys):
     path = tmp_path / "p.ini"
     path.write_text("[problem]\norder = 2\ninterval = 0 1\n"

@@ -17,6 +17,7 @@ from spps import (
 )
 from spps.errors import (
     MeshMismatchError,
+    RegionTruncationError,
     ResidualVerificationError,
     SeedConstructionError,
     StencilError,
@@ -470,6 +471,13 @@ def test_seed_truncation_is_capped():
     with pytest.warns(TruncationWarning):  # as before, the cap may be short
         assert build_seed_system(seed_op(3), truncation=5).truncations == (5, 5)
     assert canonical_system(d_power_op(m, 2)).truncations == ()
+
+
+def test_seed_tail_past_the_cap_raises():
+    # at truncation 3 the order-3 seed's series at -1 keeps a tail ratio of
+    # 6e-6 there, above the limit of every other series sum
+    with pytest.raises(RegionTruncationError, match="lam=-1.0 exceeds"):
+        build_seed_system(seed_op(3), truncation=3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

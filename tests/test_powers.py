@@ -8,7 +8,11 @@ import pytest
 
 import spps.powers
 from spps import Mesh, SampledFunction, constant, coordinate, ones, tabulate, zeros
-from spps.errors import TruncationWarning, VanishingValueError
+from spps.errors import (
+    RegionTruncationError,
+    TruncationWarning,
+    VanishingValueError,
+)
 from spps.factorization import (
     OperatorSpec,
     SolutionSystem,
@@ -18,6 +22,7 @@ from spps.factorization import (
 )
 from spps.powers import (
     DerivativeCoeffs,
+    _rows,
     compute_A,
     evaluate_derivatives,
     evaluate_solution,
@@ -27,7 +32,7 @@ from spps.powers import (
     tail_ratio,
 )
 
-from oracles import full_derivative_sum, node_coefficients
+from oracles import full_derivative_sum, loop_rows, node_coefficients
 
 
 def trivial_system(mesh, n):
@@ -240,12 +245,21 @@ def test_solution_solves_equation_at_complex_lambda():
         assert operator_residual(op, u, lam=lam) < 1e-8
 
 
-def test_truncation_warning_raised_when_tail_large():
+def test_truncation_warning_raised_when_tail_measurable():
     m = Mesh(0.0, 1.0, 401, 0)
     op, fac = trivial_factorization(m, 2)
     table = formal_powers(fac, op.r, truncation=3)
-    assert tail_ratio(table, 1, 400.0) > 1e-12
+    assert 1e-12 < tail_ratio(table, 1, 0.01) <= 1e-6
     with pytest.warns(TruncationWarning):
+        evaluate_solution(table, fac.b[0], 1, 0.01)
+
+
+def test_truncation_error_raised_when_tail_large():
+    m = Mesh(0.0, 1.0, 401, 0)
+    op, fac = trivial_factorization(m, 2)
+    table = formal_powers(fac, op.r, truncation=3)
+    assert tail_ratio(table, 1, 400.0) > 1e-6
+    with pytest.raises(RegionTruncationError, match="raise the truncation"):
         evaluate_solution(table, fac.b[0], 1, 400.0)
 
 
@@ -435,6 +449,19 @@ def test_derivatives_stop_early_and_match_the_full_sum(lam, monkeypatch):
             assert len(terms) <= 16 * (ell + 1)
             want = full_derivative_sum(table, A, k, lam, ell)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_rows_match_per_row_loop():
+    # the rows of every ell at once, in the per-row loop's operations
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        a = (rng.normal(size=(n, n, 57)) + 1j * rng.normal(size=(n, n, 57))) \
+            * np.tri(n)[:, :, None]  # zero above the diagonal, as A is
+        coeffs = DerivativeCoeffs(Mesh(0.0, 1.0, 57), a)
+        sums = list(rng.normal(size=(n, 57)) + 1j * rng.normal(size=(n, 57)))
+        for count in range(1, n + 1):
+            assert np.array_equal(_rows(coeffs, sums[:count]),
+                                  loop_rows(coeffs.table, sums[:count]))
 
 
 # -- per-node series coefficients ------------------------------------------------

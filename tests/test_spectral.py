@@ -1,5 +1,7 @@
 """Initial-value propagation and eigenvalue search."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,16 @@ def test_ivp_rejects_wrong_count():
     ws = pure_workspace(Mesh(0.0, 1.0, 401, 0), 2)
     with pytest.raises(ValueError):
         solve_initial_value(ws, [1.0, 0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("values", [[np.nan, 0.0], [np.inf, 1.0],
+                                    [1.0, complex(0.0, np.nan)]])
+def test_ivp_rejects_non_finite_values(values):
+    # NaN used to surface as a vanishing value at node 0, inf as a numpy
+    # divide warning in the forward substitution
+    ws = dirichlet_workspace(nmesh=201)
+    with pytest.raises(ValueError, match="finite initial values"):
+        solve_initial_value(ws, values, -1.0)
 
 
 @pytest.mark.parametrize("lam", [1e4, 1e30])
@@ -377,6 +389,46 @@ def test_region_truncation_error_when_series_cannot_reach():
         find_eigenvalues(ws, bc, Interval(-100.0, 0.0))
 
 
+GATED = {
+    "eigenfunction": lambda ws, bc: eigenfunction(ws, bc, -1e4),
+    "evaluate_derivatives": lambda ws, bc: evaluate_derivatives(
+        ws.table, ws.coeffs, 1, -1e4, 1),
+    "evaluate_solution": lambda ws, bc: evaluate_solution(
+        ws.table, ws.b0, 1, -1e4),
+    "evaluate_solution_nan": lambda ws, bc: evaluate_solution(
+        ws.table, ws.b0, 1, -1e30),
+    "huge_disk": lambda ws, bc: find_eigenvalues(ws, bc, Disk(0, 1e200)),
+    "huge_interval": lambda ws, bc: find_eigenvalues(
+        ws, bc, Interval(-1e300, -1e299)),
+}
+
+
+@pytest.mark.parametrize("call", GATED.values(), ids=GATED.keys())
+def test_every_series_sum_past_its_truncation_raises(call):
+    # y'' = lam y, Dirichlet on [0, pi], M = 30: at -1e4 (the eigenvalue
+    # -100^2) the sums miss their functions by orders of magnitude, and
+    # past |lam| ~ 1e30 the tail ratio is NaN; none may return or warn
+    # from numpy
+    ws = dirichlet_workspace(nmesh=201, truncation=30)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RegionTruncationError, match="raise the truncation"):
+            call(ws, bc)
+
+
+def test_wrong_size_conditions_refused_before_the_tail(monkeypatch):
+    ws = dirichlet_workspace()
+    bc = BoundaryConditions.separated(3, [0], [0, 1])
+    calls = []
+    monkeypatch.setattr(spps.spectral, "with_truncation",
+                        lambda *args: calls.append(args))
+    for region in (Interval(-300.0, -0.5), Interval(-10.0, -0.5)):
+        with pytest.raises(ValueError, match="3-dimensional"):
+            find_eigenvalues(ws, bc, region)
+    assert calls == []
+
+
 def test_interval_search_of_complex_problem_finds_nothing():
     # weight i: the eigenvalues i, 4i, 9i, ... lie off the real interval
     mesh = Mesh(0.0, np.pi, 401)
@@ -601,8 +653,7 @@ def test_ivp_series_sums_stop_after_few_terms(monkeypatch):
 
     monkeypatch.setattr(spps.powers, "_kahan_add",
                         lambda *args: adds.append(add(*args)))
-    for module in (spps.powers, spps.spectral):  # the IVP sums in spectral
-        monkeypatch.setattr(module, "_solution_sum", counting_sum)
+    monkeypatch.setattr(spps.powers, "_solution_sum", counting_sum)
     lams = [85.0, -85.0, 85j, 60.0 - 60.0j, -60.0 + 60.0j, 0.0, 3.0 + 1.0j]
     for lam in lams:
         solve_initial_value(ws, [1.0, -0.5j, 0.25, 2.0], lam)
