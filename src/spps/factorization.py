@@ -294,9 +294,10 @@ def operator_residual(op: OperatorSpec, y: SampledFunction,
     like 1/h^n): fine strides certify oscillatory solutions, coarse ones
     smooth ones. Stride s keeps every s-th node; its sup runs over the nodes
     at least ``centered_margin(n)`` from either end, with centered stencils
-    only (the integrator-oracle tests cover the boundary). Strides that
-    ``Mesh.decimate`` refuses, or whose mesh is below the order-n stencil,
-    are skipped (s <= 1 is the full mesh): inf if none is left, 0.0 if y = 0.
+    only (the integrator-oracle tests cover the boundary). A stride is
+    used only if it divides the segment count, keeps the basepoint node, and
+    leaves a node count 1 (mod 4) larger than the order-n stencil (s <= 1 is
+    the full mesh): inf if none is left, 0.0 if y = 0.
     """
     mesh, n = y.mesh, op.n
     if strides is None:

@@ -62,11 +62,15 @@ class Mesh:
         i0 = int(i0)
         if not (0 <= i0 <= n - 1):
             raise ValueError(f"basepoint index {i0} outside 0..{n - 1}")
+        h = (x2 - x1) / (n - 1)
+        if not np.isfinite(h):  # also where x1 or x2 is not finite
+            raise ValueError(f"need finite x1, x2 and spacing, "
+                             f"got [{x1}, {x2}]")
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "x2", x2)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "i0", i0)
-        object.__setattr__(self, "h", (x2 - x1) / (n - 1))
+        object.__setattr__(self, "h", h)
         nodes = np.linspace(x1, x2, n)
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -82,7 +86,8 @@ class Mesh:
     @classmethod
     def with_basepoint(cls, x1: float, x2: float, n: int, x0: float) -> "Mesh":
         """Build a mesh whose basepoint is the node nearest to ``x0``."""
-        h = (float(x2) - float(x1)) / (int(n) - 1)
+        # a node count below 2 divides by 1 here and is refused by cls()
+        h = (float(x2) - float(x1)) / max(int(n) - 1, 1)
         i0 = int(round((float(x0) - float(x1)) / h))
         i0 = min(max(i0, 0), int(n) - 1)
         return cls(x1, x2, n, i0)
@@ -416,10 +421,14 @@ def format_json(f: SampledFunction) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def ladder_strides(mesh: Mesh, low: int = 65, high: int = 161) -> list[int]:
+#: Node counts of the coarsened meshes of the residual ladder.
+_LADDER_NODES = range(65, 162)
+
+
+def ladder_strides(mesh: Mesh) -> list[int]:
     """Strides for residual measurement: 1 plus coarsenings with node counts
-    in [low, high], basepoint preserved, panel structure intact."""
+    in ``_LADDER_NODES``, basepoint preserved, panel structure intact."""
     segs = mesh.n - 1
     return [1] + [s for s in range(2, segs + 1)
-                  if not segs % s and low <= segs // s + 1 <= high
+                  if not segs % s and segs // s + 1 in _LADDER_NODES
                   and not (segs // s) % 4 and not mesh.i0 % s]

@@ -44,12 +44,20 @@ A problem file is an INI document. The only required section is
 
 Coefficients, seeds, and scalar values are expressions in ``x`` (see
 :mod:`spps.expressions`); lists are comma- or whitespace-separated.
+Interval endpoints must be finite and increase, and a basepoint lies in
+the interval. ``phi``, ``y`` and ``row`` are numbered 1..order. Also
+``truncation`` and ``residual`` must be positive, ``seed``, ``max_retries``
+and ``wronskian_floor`` nonnegative, ``samples`` in 2..16384 and
+``max_count`` at least 1.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+import io
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,21 +68,51 @@ from .mesh import Mesh
 from .spectral import (
     BoundaryConditions,
     Disk,
+    EigenOptions,
     Interval,
     Workspace,
     build_workspace,
 )
 
-_KNOWN = {
-    "problem": {"order", "interval", "basepoint", "weight"},  # + phi1..phiN
-    "mesh": {"nodes"},
-    "series": {"truncation"},
-    "random": {"seed", "max_retries"},
-    "tolerances": {"residual", "wronskian_floor"},
-    "seed_system": None,  # y1..yN
-    "boundary": None,  # row1..rowN
-    "initial": {"values", "lambda"},
-    "eig": {"region", "samples", "max_count"},
+
+class _Setting(NamedTuple):
+    section: str
+    key: str
+    kind: type
+    valid: str | None = None  # a key of _RANGES; None: checked where used
+    field_name: str | None = None  # of ProblemConfig, where not the key
+
+    @property
+    def field(self) -> str:
+        return self.field_name or self.key
+
+
+_RANGES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
+
+#: The single-value settings, one row each, read by the parser, its key
+#: check, the range checks and dump_config. Ranges left None are checked
+#: elsewhere: the basepoint's below, nodes by Mesh, [eig] by EigenOptions.
+_SETTINGS = (
+    _Setting("problem", "weight", str),
+    _Setting("problem", "basepoint", float),
+    _Setting("mesh", "nodes", int),
+    _Setting("series", "truncation", int, "positive"),
+    _Setting("random", "seed", int, "nonnegative", "rng_seed"),
+    _Setting("random", "max_retries", int, "nonnegative"),
+    _Setting("tolerances", "residual", float, "positive", "residual_tol"),
+    _Setting("tolerances", "wronskian_floor", float, "nonnegative"),
+    _Setting("eig", "samples", int),
+    _Setting("eig", "max_count", int),
+)
+
+#: Each section's keys besides its settings, and the prefix of its numbered
+#: keys prefix1..prefix<order>; the other sections hold settings alone.
+_SECTIONS = {
+    "problem": (("order", "interval"), "phi"),
+    "seed_system": ((), "y"),
+    "boundary": ((), "row"),
+    "initial": (("values", "lambda"), None),
+    "eig": (("region",), None),
 }
 
 
@@ -103,30 +141,27 @@ class ProblemConfig:
 
     def __post_init__(self):
         # checked here, not in the parser, so that replace() checks too
-        for ok, message in (
-                (self.truncation >= 1, "[series]: truncation must be positive"),
-                (self.rng_seed >= 0, "[random]: seed must be nonnegative"),
-                (self.max_retries >= 0, "[random]: max_retries must be nonnegative"),
-                (self.residual_tol > 0, "[tolerances]: residual must be positive"),
-                (self.wronskian_floor >= 0,
-                 "[tolerances]: wronskian_floor must be nonnegative"),
-                (self.samples >= 2, "[eig]: samples must be at least 2"),
-                (self.max_count is None or self.max_count >= 1,
-                 "[eig]: max_count must be positive")):
-            if not ok:
-                raise ConfigError(message)
+        for s in _SETTINGS:
+            if s.valid and not _RANGES[s.valid](getattr(self, s.field)):
+                raise ConfigError(f"[{s.section}]: {s.key} must be {s.valid}")
+        x1, x2 = self.interval
+        if self.basepoint is not None and not x1 <= self.basepoint <= x2:
+            raise ConfigError("[problem]: basepoint lies outside the interval")
+        try:
+            EigenOptions(samples=self.samples, max_count=self.max_count)
+        except ValueError as exc:
+            raise ConfigError(f"[eig]: {exc}") from exc
 
     # -- assembly -----------------------------------------------------------
 
     def make_mesh(self) -> Mesh:
         x1, x2 = self.interval
         try:
-            mesh = Mesh(x1, x2, self.nodes)
+            if self.basepoint is None:
+                return Mesh(x1, x2, self.nodes)
+            return Mesh.with_basepoint(x1, x2, self.nodes, self.basepoint)
         except ValueError as exc:
             raise ConfigError(f"[mesh]: {exc}") from exc
-        if self.basepoint is not None:
-            return Mesh.with_basepoint(x1, x2, self.nodes, self.basepoint)
-        return mesh
 
     def make_operator(self, mesh: Mesh | None = None) -> OperatorSpec:
         mesh = mesh or self.make_mesh()
@@ -167,61 +202,44 @@ def _split_values(text: str) -> list[str]:
     return [p for p in parts if p]
 
 
-def _constants(text: str, where: str) -> tuple[complex, ...]:
+def _constants(parts: list[str], where: str) -> tuple[complex, ...]:
     try:
-        return tuple(evaluate_constant(p) for p in _split_values(text))
+        return tuple(evaluate_constant(p) for p in parts)
     except ExpressionError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _constant_scalar(text: str, where: str) -> complex:
-    """A single constant expression; may contain spaces, unlike a list."""
+def _read(section, key: str, kind: type, where: str):
+    """The value of ``key`` as a ``kind`` (int, float or str)."""
     try:
-        return evaluate_constant(text)
-    except ExpressionError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _get_int(section, key: str, default: int | None, where: str) -> int | None:
-    raw = section.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
+        return kind(section[key])
     except ValueError as exc:
-        raise ConfigError(f"{where}: {key} must be an integer, "
-                          f"got {raw!r}") from exc
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: {key} must be {noun}, "
+                          f"got {section[key]!r}") from exc
 
 
-def _get_float(section, key: str, default: float, where: str) -> float:
-    raw = section.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {key} must be a number, "
-                          f"got {raw!r}") from exc
-
-
-def _numbered_keys(section, prefix: str, where: str) -> list[str]:
-    """Values of prefix1..prefixN, which must be exactly the keys present."""
-    found = {}
-    for key in section:
-        if not key.startswith(prefix):
-            raise ConfigError(f"{where}: unexpected key {key!r}")
-        try:
-            idx = int(key[len(prefix):])
-        except ValueError as exc:
-            raise ConfigError(f"{where}: unexpected key {key!r}") from exc
-        found[idx] = section[key]
-    if not found:
-        raise ConfigError(f"{where}: section is empty")
-    count = max(found)
-    missing = [f"{prefix}{i}" for i in range(1, count + 1) if i not in found]
+def _numbered(section, name: str, order: int) -> tuple[str, ...]:
+    """Values of the section's numbered keys, which must be exactly
+    prefix1..prefix<order>; any key the section does not take is refused."""
+    fixed, prefix = _SECTIONS.get(name, ((), None))
+    keys = [f"{prefix}{j}" for j in range(1, order + 1)] if prefix else []
+    unknown = set(section) - set(fixed) - set(keys) - {
+        s.key for s in _SETTINGS if s.section == name}
+    if unknown:
+        raise ConfigError(
+            f"[{name}]: unknown keys {', '.join(sorted(unknown))}")
+    missing = [key for key in keys if key not in section]
     if missing:
-        raise ConfigError(f"{where}: missing {', '.join(missing)}")
-    return [found[i] for i in range(1, count + 1)]
+        raise ConfigError(f"[{name}]: expected {order} keys {keys[0]}.."
+                          f"{keys[-1]}, missing {', '.join(missing)}")
+    return tuple(section[key] for key in keys)
+
+
+def _entries(name: str, values) -> dict[str, str]:
+    """Numbered keys prefix1.. of a section, one for each value."""
+    prefix = _SECTIONS[name][1]
+    return {f"{prefix}{j}": v for j, v in enumerate(values, start=1)}
 
 
 def _parse_region(text: str) -> Interval | Disk:
@@ -239,6 +257,18 @@ def _parse_region(text: str) -> Interval | Disk:
         f"got {text!r}")
 
 
+def _boundary_row(row: str, idx: int, order: int):
+    halves = row.split(";")
+    if len(halves) != 2:
+        raise ConfigError(f"[boundary]: row{idx} must be 'LEFT ; RIGHT'")
+    a, c = (_constants(_split_values(half), f"[boundary] row{idx}")
+            for half in halves)
+    if len(a) != order or len(c) != order:
+        raise ConfigError(
+            f"[boundary]: row{idx} needs {order} coefficients on each side")
+    return a, c
+
+
 def load_config(path: str) -> ProblemConfig:
     """Read and validate a problem file."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -254,24 +284,17 @@ def load_config(path: str) -> ProblemConfig:
 
 def parse_config(parser: configparser.ConfigParser) -> ProblemConfig:
     for name in parser.sections():
-        if name not in _KNOWN:
+        if name not in {*_SECTIONS, *(s.section for s in _SETTINGS)}:
             raise ConfigError(f"unknown section [{name}]")
-        allowed = _KNOWN[name]
-        if allowed is None:
-            continue
-        extra = {k for k in parser[name]} - allowed
-        if name == "problem":
-            extra = {k for k in extra if not k.startswith("phi")}
-        if extra:
-            raise ConfigError(
-                f"[{name}]: unknown keys {', '.join(sorted(extra))}")
-
     if "problem" not in parser:
         raise ConfigError("missing required section [problem]")
     prob = parser["problem"]
-    order = _get_int(prob, "order", 0, "[problem]")
+    order = _read(prob, "order", int, "[problem]") if "order" in prob else 0
     if order < 2:
         raise ConfigError("[problem]: order must be at least 2")
+    numbered = {name: _numbered(parser[name], name, order)
+                for name in parser.sections()}
+
     raw_interval = prob.get("interval")
     if raw_interval is None:
         raise ConfigError("[problem]: interval is required")
@@ -282,149 +305,68 @@ def parse_config(parser: configparser.ConfigParser) -> ProblemConfig:
         x1, x2 = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"[problem]: bad interval {raw_interval!r}") from exc
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ConfigError("[problem]: interval endpoints must be finite")
     if not x1 < x2:
         raise ConfigError("[problem]: interval endpoints must increase")
 
-    phi = []
-    for j in range(1, order + 1):
-        key = f"phi{j}"
-        if key not in prob:
-            raise ConfigError(f"[problem]: {key} is required for order {order}")
-        phi.append(prob[key])
-    for key in prob:
-        if key.startswith("phi") and key not in {f"phi{j}" for j in
-                                                 range(1, order + 1)}:
-            raise ConfigError(f"[problem]: unexpected key {key!r}")
-
-    basepoint = None
-    if "basepoint" in prob:
-        basepoint = _get_float(prob, "basepoint", 0.0, "[problem]")
-        if not x1 <= basepoint <= x2:
-            raise ConfigError("[problem]: basepoint lies outside the interval")
-
-    cfg = ProblemConfig(
-        order=order,
-        interval=(x1, x2),
-        phi=tuple(phi),
-        weight=prob.get("weight", "1"),
-        basepoint=basepoint,
-    )
-
-    if "mesh" in parser:
-        cfg = replace(cfg, nodes=_get_int(parser["mesh"], "nodes",
-                                          cfg.nodes, "[mesh]"))
-    if "series" in parser:
-        cfg = replace(cfg, truncation=_get_int(
-            parser["series"], "truncation", cfg.truncation, "[series]"))
-    if "random" in parser:
-        sec = parser["random"]
-        cfg = replace(cfg,
-                      rng_seed=_get_int(sec, "seed", cfg.rng_seed, "[random]"),
-                      max_retries=_get_int(sec, "max_retries",
-                                           cfg.max_retries, "[random]"))
-    if "tolerances" in parser:
-        sec = parser["tolerances"]
-        cfg = replace(
-            cfg,
-            residual_tol=_get_float(sec, "residual", cfg.residual_tol,
-                                    "[tolerances]"),
-            wronskian_floor=_get_float(sec, "wronskian_floor",
-                                       cfg.wronskian_floor, "[tolerances]"))
-
-    if "seed_system" in parser:
-        seeds = _numbered_keys(parser["seed_system"], "y", "[seed_system]")
-        if len(seeds) != order:
-            raise ConfigError(
-                f"[seed_system]: expected {order} entries, got {len(seeds)}")
-        cfg = replace(cfg, seeds=tuple(seeds))
-
+    values = {s.field: _read(parser[s.section], s.key, s.kind,
+                             f"[{s.section}]")
+              for s in _SETTINGS
+              if s.section in parser and s.key in parser[s.section]}
+    values["seeds"] = numbered.get("seed_system")
     if "boundary" in parser:
-        rows = _numbered_keys(parser["boundary"], "row", "[boundary]")
-        if len(rows) != order:
-            raise ConfigError(
-                f"[boundary]: expected {order} rows, got {len(rows)}")
-        parsed = []
-        for idx, row in enumerate(rows, start=1):
-            halves = row.split(";")
-            if len(halves) != 2:
-                raise ConfigError(
-                    f"[boundary]: row{idx} must be 'LEFT ; RIGHT'")
-            a = _constants(halves[0], f"[boundary] row{idx}")
-            c = _constants(halves[1], f"[boundary] row{idx}")
-            if len(a) != order or len(c) != order:
-                raise ConfigError(
-                    f"[boundary]: row{idx} needs {order} coefficients on "
-                    "each side")
-            parsed.append((a, c))
-        cfg = replace(cfg, boundary_rows=tuple(parsed))
-
+        values["boundary_rows"] = tuple(
+            _boundary_row(row, idx, order)
+            for idx, row in enumerate(numbered["boundary"], start=1))
     if "initial" in parser:
         sec = parser["initial"]
         if "values" not in sec:
             raise ConfigError("[initial]: values is required")
-        vals = _constants(sec["values"], "[initial]")
+        vals = _constants(_split_values(sec["values"]), "[initial]")
         if len(vals) != order:
             raise ConfigError(
                 f"[initial]: expected {order} values, got {len(vals)}")
-        lam = 0.0 + 0.0j
-        if "lambda" in sec:
-            lam = _constant_scalar(sec["lambda"], "[initial]")
-        cfg = replace(cfg, initial_values=vals, initial_lambda=lam)
-
+        values["initial_values"] = vals
+        # one expression, which may contain spaces
+        values["initial_lambda"], = _constants([sec.get("lambda", "0")],
+                                               "[initial]")
     if "eig" in parser:
-        sec = parser["eig"]
-        if "region" not in sec:
+        if "region" not in parser["eig"]:
             raise ConfigError("[eig]: region is required")
-        region = _parse_region(sec["region"])
-        cfg = replace(cfg, region=region,
-                      samples=_get_int(sec, "samples", cfg.samples, "[eig]"),
-                      max_count=_get_int(sec, "max_count", None, "[eig]"))
-
-    return cfg
+        values["region"] = _parse_region(parser["eig"]["region"])
+    return ProblemConfig(order=order, interval=(x1, x2),
+                         phi=numbered["problem"], **values)
 
 
 def dump_config(cfg: ProblemConfig) -> str:
     """Render a configuration back to INI text (inverse of load_config)."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["problem"] = {
-        "order": str(cfg.order),
-        "interval": f"{cfg.interval[0]!r} {cfg.interval[1]!r}",
-    }
-    for j, s in enumerate(cfg.phi, start=1):
-        parser["problem"][f"phi{j}"] = s
-    parser["problem"]["weight"] = cfg.weight
-    if cfg.basepoint is not None:
-        parser["problem"]["basepoint"] = repr(cfg.basepoint)
-    parser["mesh"] = {"nodes": str(cfg.nodes)}
-    parser["series"] = {"truncation": str(cfg.truncation)}
-    parser["random"] = {"seed": str(cfg.rng_seed),
-                        "max_retries": str(cfg.max_retries)}
-    parser["tolerances"] = {"residual": repr(cfg.residual_tol),
-                            "wronskian_floor": repr(cfg.wronskian_floor)}
+    x1, x2 = cfg.interval
+    sections = {"problem": {"order": cfg.order, "interval": f"{x1!r} {x2!r}",
+                            **_entries("problem", cfg.phi)}}
+    for s in _SETTINGS:  # [eig] is written only with its region
+        value = getattr(cfg, s.field)
+        if value is not None and (s.section != "eig"
+                                  or cfg.region is not None):
+            sections.setdefault(s.section, {})[s.key] = value
     if cfg.seeds is not None:
-        parser["seed_system"] = {f"y{i}": s
-                                 for i, s in enumerate(cfg.seeds, start=1)}
+        sections["seed_system"] = _entries("seed_system", cfg.seeds)
     if cfg.boundary_rows is not None:
-        parser["boundary"] = {}
-        for i, (a, c) in enumerate(cfg.boundary_rows, start=1):
-            parser["boundary"][f"row{i}"] = (
-                " ".join(_fmt_complex(v) for v in a) + " ; "
-                + " ".join(_fmt_complex(v) for v in c))
+        sections["boundary"] = _entries("boundary", (
+            " ".join(map(_fmt_complex, a)) + " ; "
+            + " ".join(map(_fmt_complex, c)) for a, c in cfg.boundary_rows))
     if cfg.initial_values is not None:
-        parser["initial"] = {
-            "values": ", ".join(_fmt_complex(v) for v in cfg.initial_values),
+        sections["initial"] = {
+            "values": ", ".join(map(_fmt_complex, cfg.initial_values)),
             "lambda": _fmt_complex(cfg.initial_lambda),
         }
     if cfg.region is not None:
-        if isinstance(cfg.region, Interval):
-            region = f"interval {cfg.region.lo!r} {cfg.region.hi!r}"
-        else:
-            region = (f"disk {cfg.region.center.real!r} "
-                      f"{cfg.region.center.imag!r} {cfg.region.radius!r}")
-        parser["eig"] = {"region": region, "samples": str(cfg.samples)}
-        if cfg.max_count is not None:
-            parser["eig"]["max_count"] = str(cfg.max_count)
-    import io
+        r = cfg.region
+        sections.setdefault("eig", {})["region"] = (
+            f"interval {r.lo!r} {r.hi!r}" if isinstance(r, Interval)
+            else f"disk {r.center.real!r} {r.center.imag!r} {r.radius!r}")
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(sections)  # str() of each value, exact for floats
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -404,11 +404,11 @@ class Disk:
 class EigenOptions:
     """Knobs for the eigenvalue search.
 
-    ``samples`` is the number of contour points the root count starts from;
-    they are doubled until the count converges. At most ``max_count``
-    eigenvalues are returned, the lowest first. A candidate is accepted only
-    if the reconstructed eigenfunction drives the equation residual below
-    ``residual_tol``.
+    ``samples`` (2..``MAX_POINTS``) is the number of contour points the root
+    count starts from; they are doubled until the count converges. At most
+    ``max_count`` eigenvalues are returned, the lowest first. A candidate is
+    accepted only if the reconstructed eigenfunction drives the equation
+    residual below ``residual_tol``.
     """
 
     samples: int = 1001
@@ -416,10 +416,15 @@ class EigenOptions:
     residual_tol: float = 1e-4
 
     def __post_init__(self):
-        if not (self.samples >= 2 and self.residual_tol > 0
-                and (self.max_count is None or self.max_count >= 1)):
-            raise ValueError("need samples >= 2, max_count None or >= 1 and "
-                             f"residual_tol > 0, got {self}")
+        for name, ok, limit in (
+                ("samples", 2 <= self.samples <= MAX_POINTS,
+                 f"in 2..{MAX_POINTS}"),
+                ("max_count", self.max_count is None or self.max_count >= 1,
+                 "at least 1"),
+                ("residual_tol", self.residual_tol > 0, "positive")):
+            if not ok:
+                raise ValueError(f"{name} must be {limit}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 #: Terms the truncation is raised by to confirm that a root persists.

@@ -268,6 +268,25 @@ def test_out_of_range_value_is_a_config_error(config, tmp_path, capsys, flag,
         assert message in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("interval = 0 3.141592653589793", "interval = 0 inf",
+     "[problem]: interval endpoints must be finite"),
+    ("interval = 0 3.141592653589793", "interval = -1e308 1e308",
+     "[mesh]: need finite x1, x2 and spacing"),
+    ("samples = 501", "samples = 20000",
+     "[eig]: samples must be in 2..16384, got 20000")])
+def test_value_refused_before_any_numerics(tmp_path, capsys, old, new,
+                                           message):
+    # each used to exit 2: a numpy warning and a NaN node, or a contour
+    # integral that never started ("diverge")
+    path = tmp_path / "p.ini"
+    path.write_text(DIRICHLET.replace(old, new), encoding="utf-8")
+    for command in ("solve", "eig"):
+        code, out, err = run_main(capsys, command, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert message in err
+
+
 def test_bad_seed_system_exit_code(tmp_path, capsys):
     # y1, y2 dependent: numerical validation failure, not a config error
     path = tmp_path / "p.ini"

@@ -47,6 +47,14 @@ def test_mesh_rejects_reversed_interval():
         Mesh(1.0, 0.0, 401)
 
 
+@pytest.mark.parametrize("x1, x2", [
+    (0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)])
+def test_mesh_rejects_non_finite_spacing(x1, x2):
+    # these used to warn and build NaN nodes; the last overflows x2 - x1
+    with pytest.raises(ValueError, match="finite"):
+        Mesh(x1, x2, 9)
+
+
 def test_mesh_rejects_basepoint_outside():
     with pytest.raises(ValueError):
         Mesh(0.0, 1.0, 401, 401)

@@ -112,6 +112,53 @@ max_count = 3
     assert parse_text(dump_config(cfg)) == cfg
 
 
+def test_round_trip_of_every_setting():
+    # every value unlike the others and unlike its default, so a key read
+    # into the wrong field, or written from it, shows
+    cfg = parse_text("""
+[problem]
+order = 2
+interval = -1 2
+phi1 = x
+phi2 = -3
+weight = 2 + x
+basepoint = 0.25
+
+[mesh]
+nodes = 205
+
+[series]
+truncation = 17
+
+[random]
+seed = 3
+max_retries = 4
+
+[tolerances]
+residual = 2.5e-07
+wronskian_floor = 7.5e-09
+
+[initial]
+values = 0.5, -6
+lambda = 8 - 9*i
+
+[eig]
+region = interval -40 -20
+samples = 777
+max_count = 5
+""")
+    defaults = ProblemConfig(order=2, interval=(-1.0, 2.0), phi=("x", "-3"))
+    got = {"weight": "2 + x", "basepoint": 0.25, "nodes": 205,
+           "truncation": 17, "rng_seed": 3, "max_retries": 4,
+           "residual_tol": 2.5e-7, "wronskian_floor": 7.5e-9,
+           "initial_values": (0.5, -6.0), "initial_lambda": 8 - 9j,
+           "samples": 777, "max_count": 5}
+    assert {field: getattr(cfg, field) for field in got} == got
+    assert all(getattr(defaults, field) != value
+               for field, value in got.items())
+    assert parse_text(dump_config(cfg)) == cfg
+
+
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/problem.ini")
@@ -209,6 +256,13 @@ phi2 = 0
 basepoint = 0
 """)
     assert cfg.make_mesh().i0 == 0
+
+
+@pytest.mark.parametrize("nodes", [1, 7])
+def test_make_mesh_with_basepoint_refuses_bad_node_count(nodes):
+    cfg = replace(parse_text(DIRICHLET), basepoint=1.0, nodes=nodes)
+    with pytest.raises(ConfigError, match="at least 9 nodes"):
+        cfg.make_mesh()
 
 
 def test_make_workspace_with_explicit_seed():

@@ -664,14 +664,16 @@ def test_ivp_series_sums_stop_after_few_terms(monkeypatch):
 @pytest.mark.parametrize("bad", [
     {"samples": 0}, {"samples": -3}, {"samples": 1}, {"max_count": 0},
     {"max_count": -1}, {"residual_tol": 0.0}, {"residual_tol": -1e-4},
-    {"residual_tol": float("nan")},
+    {"residual_tol": float("nan")}, {"samples": 16385},
 ])
 def test_eigen_options_reject_out_of_range_values(bad):
     # max_count=-1 used to drop the largest accepted eigenvalue, samples=0
-    # to fail inside numpy; the limits are the ones ProblemConfig applies
-    with pytest.raises(ValueError):
+    # to fail inside numpy, and samples past MAX_POINTS = 16384 to never
+    # start the root count; ProblemConfig takes its [eig] limits from here
+    with pytest.raises(ValueError, match=next(iter(bad))):
         EigenOptions(**bad)
     EigenOptions(samples=2, max_count=1, residual_tol=1e-300)
+    EigenOptions(samples=16384)
 
 
 # -- against the shooting oracle ------------------------------------------------------------
