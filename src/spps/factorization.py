@@ -119,19 +119,20 @@ class SolutionSystem:
         n <= 4 on meshes of a few hundred nodes — pass a larger
         ``residual_tol`` for higher orders.
         """
-        derivs = [[f.values] + [differentiate(f, ell).values for ell in range(1, op.n)]
-                  for f in funcs]  # SolutionSystem checks their count
+        if len(funcs) != op.n:
+            raise ValueError(f"need {op.n} solutions, got {len(funcs)}")
         res = max(operator_residual(op, f) for f in funcs)
         if not res <= residual_tol:
             raise ResidualVerificationError(
                 f"seed function residual {res:.3e} exceeds {residual_tol:.1e}",
                 residual=res)
-        sys = cls(op, derivs, residual_max=res)
-        report = check_nonvanishing(wronskians(sys)[1:], wronskian_floor)
+        derivs = np.array([[f.values] + [differentiate(f, ell).values
+                                         for ell in range(1, op.n)] for f in funcs])
+        report = check_nonvanishing(_nested_wronskians(op.mesh, derivs)[1:],
+                                    wronskian_floor)
         if not report.passed:
             raise _floor_error(report)
-        object.__setattr__(sys, "wronskian_min", report.min_relative)
-        return sys
+        return cls(op, derivs, wronskian_min=report.min_relative, residual_max=res)
 
 
 # -- nonvanishing reports -----------------------------------------------------
@@ -168,14 +169,22 @@ def check_nonvanishing(fs: Sequence[SampledFunction],
                        floor: float = WRONSKIAN_FLOOR) -> NonvanishingReport:
     """Report min/max moduli of each function against a relative floor.
 
-    A function passes when its minimum modulus exceeds ``floor`` times its
-    maximum modulus; the report names the node of the minimum.
+    The minimum runs over the chords between neighbouring nodes, so a sign
+    change between two nodes counts. A function passes when its minimum
+    modulus exceeds ``floor`` times its maximum; the report names the node
+    nearer the minimum.
     """
     entries = []
     for f in fs:
-        mags = np.abs(f.values)
-        i = int(np.argmin(mags))
-        lo, hi = float(mags[i]), float(np.max(mags))
+        a, d = f.values[:-1], np.diff(f.values)
+        mags, step = np.abs(f.values), np.abs(d)
+        u = np.divide(d, step, out=np.zeros_like(d), where=step > 0)
+        # distance along the chord a -> a + d to its point nearest 0
+        s = np.clip(-(a.conj() * u).real, 0.0, step)
+        low = np.where(s < step, np.abs(a + s * u), mags[1:])
+        k = int(np.argmin(low))
+        i = k + int(s[k] > step[k] / 2)
+        lo, hi = float(low[k]), float(np.max(mags))
         rel = lo / hi if hi > 0 else 0.0
         entries.append(NonvanishingEntry(
             lo, hi, rel, i, float(f.mesh.nodes[i]), rel > floor))

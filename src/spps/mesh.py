@@ -5,13 +5,16 @@ anchored at a basepoint, finite-difference differentiation of arbitrary order,
 pointwise algebra, and CSV/JSON emission.
 
 Everything here is pure: meshes and sampled functions are immutable after
-construction (the value arrays are write-protected), so they can be shared
-freely between threads, and every operation returns a new object.
+construction (the value arrays are write-protected; copies and unpickled
+objects are rebuilt through the constructor), so they can be shared freely
+between threads, and every operation returns a new object.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -29,6 +32,7 @@ _QUAD_WINDOW = QUADRATURE_DEGREE + 1
 FD_ACCURACY = 4
 
 
+@dataclass(frozen=True, slots=True)
 class Mesh:
     """A uniform grid on [x1, x2] with a distinguished basepoint node.
 
@@ -45,38 +49,35 @@ class Mesh:
         initial data is imposed.
     """
 
-    __slots__ = ("x1", "x2", "n", "i0", "h", "nodes")
+    x1: float
+    x2: float
+    n: int
+    i0: int | None = None
+    h: float = field(init=False, compare=False, repr=False)
+    nodes: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __init__(self, x1: float, x2: float, n: int, i0: int | None = None):
-        x1 = float(x1)
-        x2 = float(x2)
+    def __post_init__(self):
+        x1, x2, n = float(self.x1), float(self.x2), int(self.n)
         if not (x1 < x2):
             raise ValueError(f"need x1 < x2, got [{x1}, {x2}]")
-        n = int(n)
         if n < 9:
             raise ValueError(f"mesh needs at least 9 nodes, got {n}")
         if (n - 1) % 4 != 0:
             raise ValueError(f"node count must be 1 (mod 4), got {n}")
-        if i0 is None:
-            i0 = (n - 1) // 2
-        i0 = int(i0)
+        i0 = (n - 1) // 2 if self.i0 is None else int(self.i0)
         if not (0 <= i0 <= n - 1):
             raise ValueError(f"basepoint index {i0} outside 0..{n - 1}")
         h = (x2 - x1) / (n - 1)
         if not np.isfinite(h):  # also where x1 or x2 is not finite
-            raise ValueError(f"need finite x1, x2 and spacing, "
-                             f"got [{x1}, {x2}]")
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "i0", i0)
-        object.__setattr__(self, "h", h)
+            raise ValueError(f"need finite x1, x2 and spacing, got [{x1}, {x2}]")
         nodes = np.linspace(x1, x2, n)
         nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        for name, value in (("x1", x1), ("x2", x2), ("n", n), ("i0", i0),
+                            ("h", h), ("nodes", nodes)):
+            object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Mesh is immutable")
+    def __reduce__(self):
+        return type(self), (self.x1, self.x2, self.n, self.i0)
 
     @property
     def x0(self) -> float:
@@ -86,11 +87,11 @@ class Mesh:
     @classmethod
     def with_basepoint(cls, x1: float, x2: float, n: int, x0: float) -> "Mesh":
         """Build a mesh whose basepoint is the node nearest to ``x0``."""
-        # a node count below 2 divides by 1 here and is refused by cls()
-        h = (float(x2) - float(x1)) / max(int(n) - 1, 1)
-        i0 = int(round((float(x0) - float(x1)) / h))
-        i0 = min(max(i0, 0), int(n) - 1)
-        return cls(x1, x2, n, i0)
+        mesh, x0 = cls(x1, x2, n), float(x0)
+        if not np.isfinite(x0):
+            raise ValueError(f"need a finite basepoint, got {x0}")
+        t = (x0 - mesh.x1) / mesh.h  # clipped before rounding: may overflow
+        return replace(mesh, i0=int(round(min(max(t, 0.0), mesh.n - 1))))
 
     def decimate(self, stride: int) -> "Mesh":
         """Coarsened copy keeping every ``stride``-th node (basepoint preserved)."""
@@ -99,99 +100,73 @@ class Mesh:
             raise ValueError(f"stride {stride} does not divide {self.n - 1} segments")
         if self.i0 % stride != 0:
             raise ValueError(f"stride {stride} drops the basepoint node {self.i0}")
-        return Mesh(self.x1, self.x2, (self.n - 1) // stride + 1, self.i0 // stride)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Mesh)
-                and self.x1 == other.x1 and self.x2 == other.x2
-                and self.n == other.n and self.i0 == other.i0)
-
-    def __hash__(self) -> int:
-        return hash((self.x1, self.x2, self.n, self.i0))
+        return replace(self, n=(self.n - 1) // stride + 1, i0=self.i0 // stride)
 
     def __repr__(self) -> str:
         return f"Mesh([{self.x1}, {self.x2}], n={self.n}, i0={self.i0})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SampledFunction:
     """A complex-valued function tabulated on a mesh.
 
-    Values are validated to be finite and stored read-only. Arithmetic is
-    defined between functions on the identical mesh and with scalars.
+    Values are validated to be finite and stored read-only; equality is
+    identity. Arithmetic is defined with scalars and functions on one mesh.
     """
 
-    __slots__ = ("mesh", "values")
+    mesh: Mesh
+    values: np.ndarray
 
-    def __init__(self, mesh: Mesh, values):
-        v = np.asarray(values, dtype=np.complex128)
-        if v.shape != (mesh.n,):
-            raise ValueError(f"expected {mesh.n} values, got shape {v.shape}")
-        _check_finite(mesh, v)
-        v = v.copy()
+    def __post_init__(self):
+        v = np.array(self.values, dtype=np.complex128)
+        if v.shape != (self.mesh.n,):
+            raise ValueError(f"expected {self.mesh.n} values, got shape {v.shape}")
+        _check_finite(self.mesh, v)
         v.setflags(write=False)
-        object.__setattr__(self, "mesh", mesh)
         object.__setattr__(self, "values", v)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SampledFunction is immutable")
-
-    # -- basic queries ----------------------------------------------------
+    def __reduce__(self):
+        return type(self), (self.mesh, self.values)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "SampledFunction":
+    def _combine(self, other, op: Callable) -> "SampledFunction":
+        """op(self.values, other) for a scalar or a function on this mesh."""
         if isinstance(other, SampledFunction):
             if other.mesh != self.mesh:
                 raise MeshMismatchError(
                     f"cannot combine functions on {self.mesh} and {other.mesh}")
-            return other
-        return NotImplemented
+            other = other.values
+        elif not isinstance(other, (int, float, complex)):
+            return NotImplemented
+        return SampledFunction(self.mesh, op(self.values, other))
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return SampledFunction(self.mesh, self.values + other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return SampledFunction(self.mesh, self.values + other.values)
-
-    __radd__ = __add__
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return SampledFunction(self.mesh, self.values - other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return SampledFunction(self.mesh, self.values - other.values)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return SampledFunction(self.mesh, other - self.values)
-        return NotImplemented
+        return self._combine(other, lambda v, c: c - v)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return SampledFunction(self.mesh, self.values * other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return SampledFunction(self.mesh, self.values * other.values)
+        return self._combine(other, operator.mul)
 
-    __rmul__ = __mul__
+    __radd__, __rmul__ = __add__, __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            if other == 0:
-                raise ZeroDivisionError("division of a sampled function by zero")
-            return SampledFunction(self.mesh, self.values / other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * reciprocal(other)
+        if isinstance(other, SampledFunction):
+            return self * reciprocal(other)
+        if isinstance(other, (int, float, complex)) and other == 0:
+            raise ZeroDivisionError("division of a sampled function by zero")
+        return self._combine(other, operator.truediv)
+
+    def __rtruediv__(self, other):  # c / f keeps the floor of reciprocal(f)
+        return self._combine(other, lambda v, c: c * reciprocal(self).values)
 
     def __neg__(self):
         return SampledFunction(self.mesh, -self.values)

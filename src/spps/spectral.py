@@ -96,8 +96,10 @@ def build_workspace(
     op : OperatorSpec
         Operator coefficients and weight on a shared mesh.
     seed : SolutionSystem, optional
-        A verified solution system for ``L y = 0``. When omitted, one is
-        constructed by random recombination of iterated integrals.
+        A verified solution system for ``L y = 0``: its operator must have
+        the order, mesh and coefficients of ``op`` (the weight may differ),
+        else ValueError. When omitted, one is constructed by random
+        recombination of iterated integrals.
     truncation : int
         Number of series terms in the spectral parameter.
     rng_seed, max_retries :
@@ -111,6 +113,9 @@ def build_workspace(
             op, rng_seed=rng_seed, max_retries=max_retries,
             truncation=truncation, wronskian_floor=wronskian_floor,
             residual_tol=residual_tol)
+    elif (seed.op.n, seed.op.mesh) != (op.n, op.mesh) or not all(
+            np.array_equal(p.values, q.values) for p, q in zip(seed.op.phi, op.phi)):
+        raise ValueError("the seed solves another order, mesh or coefficients")
     fac = polya_factors(wronskians(seed), wronskian_floor)
     table = formal_powers(fac, op.r, truncation)
     coeffs = compute_A(seed.derivs, table)

@@ -337,6 +337,20 @@ def test_small_wronskian_floor_is_honoured(tmp_path, capsys):
     assert json.loads(out)["wronskian_min"] == pytest.approx(1e-8, rel=1e-6)
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_seed_changing_sign_between_nodes_is_refused(tmp_path, capsys, command):
+    # y1 = cos(x) passes the floor at every node, yet vanishes at x = pi/2
+    path = tmp_path / "p.ini"
+    path.write_text("[problem]\norder = 2\ninterval = 0 3\n"
+                    "phi1 = 0\nphi2 = 1\n"
+                    "[seed_system]\ny1 = cos(x)\ny2 = sin(x)\n"
+                    "[initial]\nvalues = 0, 1\nlambda = -3\n",
+                    encoding="utf-8")
+    code, out, err = run_main(capsys, command, "--config", str(path))
+    assert (code, out) == (2, "")
+    assert "W_1" in err and "node 209 (x=1.5675)" in err
+
+
 def test_residual_tolerance_reaches_random_seed(tmp_path, capsys):
     text = "[problem]\norder = 2\ninterval = 0 1\nphi1 = x\nphi2 = 1\n"
     path = tmp_path / "p.ini"

@@ -98,6 +98,25 @@ def test_nonvanishing_fails_at_zero_crossing():
     assert rep.entries[0].node == 50  # the node nearest x = 0
 
 
+def test_nonvanishing_sees_a_sign_change_between_nodes():
+    m = Mesh(0.0, 3.0, 401)  # cos vanishes at pi/2, between nodes 209 and 210
+    rep = check_nonvanishing([tabulate(m, np.cos)], 1e-6)
+    assert not rep.passed
+    assert rep.entries[0].relative < 1e-15
+    assert rep.entries[0].node == 209
+
+
+def test_nonvanishing_measures_the_chord_between_nodes():
+    # x - 0.1 + 0.001i passes 0.001 from zero at x = 0.1, between the nodes
+    # 0 and 0.25; the nearer one is reported
+    m = Mesh(-1.0, 1.0, 9)
+    rep = check_nonvanishing([coordinate(m) - 0.1 + 0.001j], 1e-6)
+    e = rep.entries[0]
+    assert rep.passed
+    assert e.min_modulus == pytest.approx(0.001, rel=1e-12)
+    assert (e.node, e.x) == (4, 0.0)
+
+
 # -- wronskians -----------------------------------------------------------------
 
 def test_wronskian_of_exponentials():

@@ -1,5 +1,8 @@
 """Mesh substrate: quadrature, differentiation, pointwise algebra, emission."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,10 @@ def test_mesh_rejects_basepoint_outside():
 def test_with_basepoint_snaps_to_node():
     m = Mesh.with_basepoint(0.0, 1.0, 401, 0.50001)
     assert m.i0 == 200
+    # the nearest node, also for basepoints far outside the interval
+    for x0 in [-1e308, *np.linspace(-0.1, 1.1, 97), 1e308]:
+        m = Mesh.with_basepoint(0.0, 1.0, 401, x0)
+        assert m.i0 == np.argmin(np.abs(m.nodes - np.clip(x0, 0.0, 1.0)))
 
 
 def test_decimate_preserves_basepoint():
@@ -76,6 +83,43 @@ def test_decimate_refuses_dropping_basepoint():
     m = Mesh(0.0, 1.0, 401, 1)
     with pytest.raises(ValueError):
         m.decimate(4)
+
+
+@pytest.mark.parametrize("x1, x2, x0", [
+    (0.0, 0.0, 0.0), (0.0, 1.0, np.inf), (0.0, 1.0, -np.inf), (0.0, 1.0, np.nan)])
+def test_with_basepoint_refuses_degenerate_input(x1, x2, x0):
+    with pytest.raises(ValueError):
+        Mesh.with_basepoint(x1, x2, 401, x0)
+
+
+def test_mesh_equality_ignores_default_basepoint_spelling():
+    m = Mesh(0, 1, 9)
+    assert m == Mesh(0.0, 1.0, 9, 4)
+    assert hash(m) == hash(Mesh(0.0, 1.0, 9, 4))
+    assert {m: "a"}[Mesh(0.0, 1.0, 9, 4)] == "a"
+    assert m != Mesh(0.0, 1.0, 9, 3)
+
+
+def test_fields_cannot_be_assigned():
+    m = Mesh(0.0, 1.0, 9)
+    f = ones(m)
+    with pytest.raises(AttributeError):
+        m.n = 13
+    with pytest.raises(AttributeError):
+        f.values = np.zeros(9)
+
+
+@pytest.mark.parametrize("copier", [
+    copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))])
+def test_copies_are_rebuilt_read_only(copier):
+    m = Mesh(0.0, 1.0, 9, 2)
+    f = tabulate(m, np.sin)
+    m2, f2 = copier(m), copier(f)
+    assert m2 == m and m2.h == m.h and np.array_equal(m2.nodes, m.nodes)
+    assert f2.mesh == m and np.array_equal(f2.values, f.values)
+    for arr in (m2.nodes, f2.mesh.nodes, f2.values):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 # -- sampled functions --------------------------------------------------------
@@ -111,6 +155,27 @@ def test_pointwise_algebra():
     np.testing.assert_allclose((f - g).values, m.nodes**2 - 2 * m.nodes + 1.5)
     np.testing.assert_allclose((f * g).values, (m.nodes**2 + 1) * (2 * m.nodes - 0.5))
     np.testing.assert_allclose((f * 2j).values, 2j * (m.nodes**2 + 1))
+    # scalar - and / in both orders; / by a function keeps reciprocal's floor
+    np.testing.assert_allclose((f - 2.0).values, m.nodes**2 - 1.0)
+    np.testing.assert_allclose((2.0 - f).values, 1.0 - m.nodes**2)
+    np.testing.assert_allclose((f / 2.0).values, (m.nodes**2 + 1) / 2.0)
+    np.testing.assert_allclose((2.0 / f).values, 2.0 / (m.nodes**2 + 1))
+    np.testing.assert_allclose((g / f).values, (2 * m.nodes - 0.5) / (m.nodes**2 + 1))
+    with pytest.raises(ZeroDivisionError):
+        f / 0
+    with pytest.raises(VanishingValueError):
+        1.0 / x
+
+
+@pytest.mark.parametrize("other", ["2", [1.0], None])
+def test_unsupported_operands_raise_type_error(other):
+    f = ones(Mesh(0.0, 1.0, 9))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b):
+        with pytest.raises(TypeError):
+            op(f, other)
+        with pytest.raises(TypeError):
+            op(other, f)
 
 
 def test_reciprocal_of_exponential():

@@ -1,5 +1,7 @@
 """Initial-value propagation and eigenvalue search."""
 
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -141,6 +143,78 @@ def test_ivp_third_order_against_reference():
                         t_eval=mesh.nodes[mesh.i0::-1])
     ref = np.concatenate([bwd[0][::-1][:-1], fwd[0]])
     assert np.max(np.abs(y.values - ref)) < 1e-6
+
+
+# -- built seeds whose Wronskians change sign between nodes --------------------------
+
+def shifted_workspace(rng_seed):
+    """y'' + 5y = lam y on [0, pi]: the first draw of the seed builder keeps
+    y_1 real, and b_0 = y_1 changes sign between two nodes."""
+    mesh = Mesh(0.0, np.pi, 401)
+    op = OperatorSpec(2, (zeros(mesh), constant(mesh, 5.0)), ones(mesh))
+    return build_workspace(op, rng_seed=rng_seed)
+
+
+@pytest.mark.parametrize("rng_seed, tol", [(0, 1e-7), (1, 1e-4)])
+def test_seed_with_sign_change_between_nodes_is_redrawn(rng_seed, tol):
+    ws = shifted_workspace(rng_seed)
+    assert ws.seed.retries == 1
+    y = solve_initial_value(ws, [0.0, 1.0], -4.0)  # y'' + 9y = 0
+    x = ws.mesh.nodes - ws.mesh.x0
+    assert np.max(np.abs(y.values - np.sin(3 * x) / 3)) < tol
+
+
+def test_eigenvalues_with_a_redrawn_seed():
+    ws = shifted_workspace(0)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    got = find_eigenvalues(ws, bc, Interval(-30.0, -0.5)).values
+    np.testing.assert_allclose(got, [-20.0, -11.0, -4.0], atol=1e-11)
+
+
+def test_third_order_seed_with_sign_change_between_nodes_is_redrawn():
+    mesh = Mesh(0.0, 2 * np.pi, 1201)
+    op = OperatorSpec(3, (zeros(mesh), zeros(mesh), constant(mesh, 3.0)),
+                      ones(mesh))
+    ws = build_workspace(op, truncation=40, rng_seed=1)
+    assert ws.seed.retries == 1
+    lam, y0 = -2.0 + 1.0j, [1.0, -1.0, 0.5]
+    y = solve_initial_value(ws, y0, lam)
+    phi = [lambda x: 0.0, lambda x: 0.0, lambda x: 3.0]
+    fwd = integrate_ivp(3, phi, lambda x: 1.0, mesh.x0, mesh.x2, y0, lam,
+                        t_eval=mesh.nodes[mesh.i0:])
+    bwd = integrate_ivp(3, phi, lambda x: 1.0, mesh.x0, mesh.x1, y0, lam,
+                        t_eval=mesh.nodes[mesh.i0::-1])
+    ref = np.concatenate([bwd[0][::-1][:-1], fwd[0]])
+    assert np.max(np.abs(y.values - ref)) < 1e-8 * np.max(np.abs(ref))
+
+
+def test_build_workspace_refuses_a_seed_of_another_operator():
+    mesh = Mesh(0.0, np.pi, 401)
+    pure = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    seed = monomial_seed(pure)
+    finer = Mesh(0.0, np.pi, 405)
+    for op in (OperatorSpec(2, (zeros(mesh), constant(mesh, 5.0)), ones(mesh)),
+               OperatorSpec(2, (zeros(finer), zeros(finer)), ones(finer)),
+               OperatorSpec(3, (zeros(mesh),) * 3, ones(mesh))):
+        with pytest.raises(ValueError, match="another"):
+            build_workspace(op, seed=seed)
+    # the weight is free: the seed solves L y = 0
+    weighted = OperatorSpec(2, pure.phi, constant(mesh, 2.0))
+    ws = build_workspace(weighted, seed=seed)
+    y = solve_initial_value(ws, [0.0, 1.0], -2.0)  # y'' + 4y = 0
+    x = mesh.nodes - mesh.x0
+    assert np.max(np.abs(y.values - np.sin(2 * x) / 2)) < 1e-10
+
+
+def test_workspace_copies_solve_bitwise_equal():
+    ws = dirichlet_workspace()
+    want = solve_initial_value(ws, [0.0, 1.0], -4.0).values
+    for copy_ in (copy.deepcopy(ws), pickle.loads(pickle.dumps(ws))):
+        assert np.array_equal(solve_initial_value(copy_, [0.0, 1.0], -4.0).values,
+                              want)
+        assert not copy_.mesh.nodes.flags.writeable
+        assert not copy_.op.r.values.flags.writeable
+        assert not copy_.b0.values.flags.writeable
 
 
 # -- boundary conditions ------------------------------------------------------------
