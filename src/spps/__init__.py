@@ -30,13 +30,10 @@ from .factorization import (
     OperatorSpec,
     PolyaFactorization,
     SolutionSystem,
-    apply_coefficients,
-    apply_factorized,
     build_seed_system,
     check_nonvanishing,
     operator_residual,
     polya_factors,
-    polya_system,
     wronskians,
 )
 from .mesh import (
@@ -45,7 +42,6 @@ from .mesh import (
     Mesh,
     SampledFunction,
     constant,
-    coordinate,
     cumulative_integral,
     differentiate,
     format_csv,
@@ -66,7 +62,7 @@ from .powers import (
     series_coefficients_at_node,
     tail_ratio,
 )
-from .problem import ProblemConfig, dump_config, load_config
+from .problem import ProblemConfig, load_config
 from .spectral import (
     BoundaryConditions,
     CharacteristicFunction,
@@ -92,19 +88,18 @@ __all__ = [
     "TriangularDefectError", "TruncationWarning", "VanishingValueError",
     "WronskianFloorError",
     "FD_ACCURACY", "QUADRATURE_DEGREE", "Mesh", "SampledFunction",
-    "constant", "coordinate", "cumulative_integral", "differentiate",
+    "constant", "cumulative_integral", "differentiate",
     "format_csv", "format_json", "ones", "reciprocal", "tabulate", "zeros",
     "OperatorSpec", "PolyaFactorization", "SolutionSystem",
-    "apply_coefficients", "apply_factorized", "build_seed_system",
-    "check_nonvanishing", "operator_residual", "polya_factors",
-    "polya_system", "wronskians",
+    "build_seed_system", "check_nonvanishing", "operator_residual",
+    "polya_factors", "wronskians",
     "DerivativeCoeffs", "FormalPowerTable", "compute_A",
     "evaluate_derivatives", "evaluate_solution", "formal_powers",
     "initial_matrix", "series_coefficients_at_node",
     "tail_ratio",
     "Expression", "evaluate_constant", "parse_expression",
     "tabulate_expression",
-    "ProblemConfig", "dump_config", "load_config",
+    "ProblemConfig", "load_config",
     "BoundaryConditions", "CharacteristicFunction", "Disk", "EigenOptions",
     "EigenResult", "Eigenvalue", "Interval", "Workspace",
     "build_workspace", "characteristic_polynomials", "eigenfunction",

@@ -7,10 +7,9 @@ interval, factors into first-order steps
     L = (1/b_n) D (1/b_{n-1}) D ... (1/b_1) D (1/b_0),   D = d/dx,
 
 with b_0 = W_1, b_j = W_{j-1} W_{j+1} / W_j^2 for 0 < j < n, and
-b_n = W_{n-1}/W_n. This module computes the Wronskians and factors, applies
-operators in both coefficient and factorized form, measures residuals, and
-constructs seed solution systems for arbitrary coefficients by an inductive
-randomized procedure.
+b_n = W_{n-1}/W_n. This module computes the Wronskians and factors, measures
+operator residuals, and constructs seed solution systems for arbitrary
+coefficients by an inductive randomized procedure.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .mesh import (
     _antiderivative,
     _centred_sums,
     _check_finite,
+    _reduce,
     centered_margin,
     cumulative_integral,
     differentiate,
@@ -103,9 +103,7 @@ class SolutionSystem:
         derivs.setflags(write=False)
         object.__setattr__(self, "derivs", derivs)
 
-    @property
-    def y(self) -> tuple[SampledFunction, ...]:
-        return tuple(SampledFunction(self.op.mesh, v) for v in self.derivs[:, 0])
+    __reduce__ = _reduce
 
     @classmethod
     def from_functions(cls, op: OperatorSpec, funcs: Sequence[SampledFunction],
@@ -260,57 +258,22 @@ def polya_factors(W: Sequence[SampledFunction],
     return PolyaFactorization(tuple(b))
 
 
-# -- operator application -----------------------------------------------------
-
-def apply_coefficients(op: OperatorSpec, y: SampledFunction) -> SampledFunction:
-    """L y via finite differences of y against the coefficient list."""
-    out = differentiate(y, op.n)
-    for j in range(1, op.n):
-        out = out + op.phi[j - 1] * differentiate(y, op.n - j)
-    return out + op.phi[op.n - 1] * y
-
-
-def apply_factorized(fac: PolyaFactorization, y: SampledFunction) -> SampledFunction:
-    """L y via the nested first-order factors (divide, differentiate, repeat)."""
-    u = SampledFunction(y.mesh, y.values / fac.b[0].values)
-    for j in range(1, fac.n + 1):
-        u = differentiate(u, 1)
-        u = SampledFunction(u.mesh, u.values / fac.b[j].values)
-    return u
-
-
-def polya_system(fac: PolyaFactorization) -> list[SampledFunction]:
-    """The n solutions b_0, b_0*I(b_1), b_0*I(b_1 I(b_2)), ... of L y = 0,
-    where I g denotes the cumulative integral of g from the basepoint."""
-    out = [fac.b[0]]
-    for k in range(1, fac.n):
-        g = ones(fac.mesh)
-        for j in range(k, 0, -1):
-            g = cumulative_integral(fac.b[j] * g)
-        out.append(fac.b[0] * g)
-    return out
-
-
 # -- residual measurement -----------------------------------------------------
 
 def operator_residual(op: OperatorSpec, y: SampledFunction,
-                      lam: complex = 0.0,
-                      strides: Sequence[int] | None = None) -> float:
+                      lam: complex = 0.0) -> float:
     """Relative residual max|L y - lambda r y| / max|y|, the minimum over
-    a ladder of strides (default ``ladder_strides``).
+    the ladder of strides ``ladder_strides(mesh)``.
 
     High-order finite differences sit on a roundoff floor (weights scale
     like 1/h^n): fine strides certify oscillatory solutions, coarse ones
     smooth ones. Stride s keeps every s-th node; its sup runs over the nodes
     at least ``centered_margin(n)`` from either end, with centered stencils
     only (the integrator-oracle tests cover the boundary). A stride is
-    used only if it divides the segment count, keeps the basepoint node, and
-    leaves a node count 1 (mod 4) larger than the order-n stencil (s <= 1 is
-    the full mesh): inf if none is left, 0.0 if y = 0.
+    used only if it leaves more nodes than the order-n stencil: inf if none
+    is left, 0.0 if y = 0.
     """
     mesh, n = y.mesh, op.n
-    if strides is None:
-        strides = ladder_strides(mesh)
     margin = centered_margin(n)
     scale_y = y.max_abs()
     if scale_y == 0.0:
@@ -318,16 +281,15 @@ def operator_residual(op: OperatorSpec, y: SampledFunction,
     if op.mesh != mesh:
         raise MeshMismatchError(f"operator on {op.mesh}, function on {mesh}")
     best = math.inf
-    for s in strides:
-        s = int(s) if s > 1 else 1
+    for s in ladder_strides(mesh):
         count = (mesh.n - 1) // s + 1
-        if ((mesh.n - 1) % s or mesh.i0 % s or (count - 1) % 4
-                or count <= 2 * margin):
+        if count <= 2 * margin:
             continue
         h = (mesh.x2 - mesh.x1) / (count - 1)
         inner = slice(margin, count - margin)
         v = np.ascontiguousarray(y.values[::s])
-        # apply_coefficients' operations and order: values round as there
+        # tests/oracles.py apply_coefficients' operations and order: values
+        # round as there, and the ladder test compares the two with ==
         res = _centred_sums(v, n, margin, count - margin) / h ** n
         for j, f in enumerate(op.phi[:-1], start=1):
             d = _centred_sums(v, n - j, margin, count - margin) / h ** (n - j)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -30,6 +30,15 @@ _QUAD_WINDOW = QUADRATURE_DEGREE + 1
 
 #: Finite differences are at least this accurate in h.
 FD_ACCURACY = 4
+
+#: :func:`reciprocal` refuses moduli at most this fraction of the largest.
+_RECIPROCAL_FLOOR = 1e-14
+
+
+def _reduce(obj):
+    """``__reduce__`` of a record: copies and unpickled records are rebuilt
+    through the constructor, which checks them and write-protects arrays."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj) if f.init)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +85,7 @@ class Mesh:
                             ("h", h), ("nodes", nodes)):
             object.__setattr__(self, name, value)
 
-    def __reduce__(self):
-        return type(self), (self.x1, self.x2, self.n, self.i0)
+    __reduce__ = _reduce
 
     @property
     def x0(self) -> float:
@@ -125,8 +133,7 @@ class SampledFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def __reduce__(self):
-        return type(self), (self.mesh, self.values)
+    __reduce__ = _reduce
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -200,11 +207,6 @@ def ones(mesh: Mesh) -> SampledFunction:
     return constant(mesh, 1.0)
 
 
-def coordinate(mesh: Mesh) -> SampledFunction:
-    """The identity function x tabulated on the mesh."""
-    return SampledFunction(mesh, mesh.nodes.astype(np.complex128))
-
-
 def tabulate(mesh: Mesh, fn: Callable) -> SampledFunction:
     """Tabulate a vectorized callable of x on the mesh."""
     return SampledFunction(mesh, np.asarray(fn(mesh.nodes), dtype=np.complex128))
@@ -212,17 +214,17 @@ def tabulate(mesh: Mesh, fn: Callable) -> SampledFunction:
 
 # -- pointwise operations ---------------------------------------------------
 
-def reciprocal(f: SampledFunction, floor: float = 1e-14) -> SampledFunction:
+def reciprocal(f: SampledFunction) -> SampledFunction:
     """Pointwise 1/f.
 
-    Refuses when some |f(node)| drops below ``floor`` relative to max|f|,
-    naming the node: a zero here usually signals a vanishing Wronskian
-    further down the pipeline.
+    Refuses when some |f(node)| drops to ``_RECIPROCAL_FLOOR`` relative to
+    max|f|, naming the node: a zero here usually signals a vanishing
+    Wronskian further down the pipeline.
     """
     mags = np.abs(f.values)
     top = float(np.max(mags))
     i = int(np.argmin(mags))
-    if top == 0.0 or mags[i] <= floor * top:
+    if top == 0.0 or mags[i] <= _RECIPROCAL_FLOOR * top:
         raise VanishingValueError(
             f"reciprocal of a (near-)vanishing function: |f|={mags[i]:.3e} "
             f"at node {i} (x={f.mesh.nodes[i]:.6g})",

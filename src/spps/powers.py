@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -28,10 +30,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import RegionTruncationError, TruncationWarning
-from .mesh import Mesh, SampledFunction, _antiderivative, _check_finite, ones
+from .mesh import (Mesh, SampledFunction, _antiderivative, _check_finite,
+                   _reduce, ones)
 
 if TYPE_CHECKING:  # import only for annotations, the dependency is one-way
     from .factorization import PolyaFactorization
+
+_PACKAGE = os.path.dirname(__file__)  # warnings name the first caller outside
 
 #: Tail ratios above this trigger a TruncationWarning.
 TAIL_WARN = 1e-12
@@ -59,6 +64,11 @@ class DerivativeCoeffs:
     mesh: Mesh
     table: np.ndarray
 
+    def __post_init__(self):
+        self.table.setflags(write=False)
+
+    __reduce__ = _reduce
+
 
 def compute_A(derivs: np.ndarray, table: "FormalPowerTable") -> DerivativeCoeffs:
     """Fill the derivative-coefficient triangle for rows 0..n-1 exactly.
@@ -81,7 +91,6 @@ def compute_A(derivs: np.ndarray, table: "FormalPowerTable") -> DerivativeCoeffs
         a[k:, k] = derivs[k, k:]
         for j in range(k):  # u_{k+1}^(ell) less the shallower columns
             a[k:, k] -= c[j] * derivs[j, k:] + a[k:, j] * xs[k - j]
-    a.setflags(write=False)
     return DerivativeCoeffs(table.mesh, a)
 
 
@@ -101,6 +110,12 @@ class FormalPowerTable:
     weight: SampledFunction
     x: tuple[tuple[np.ndarray, ...], ...]
     norms: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        for power in itertools.chain.from_iterable(self.x):
+            power.setflags(write=False)
+
+    __reduce__ = _reduce
 
     @property
     def mesh(self) -> Mesh:
@@ -153,7 +168,6 @@ def _grow_powers(fac: "PolyaFactorization", r: SampledFunction, rows, norms,
             sup = float(np.max(np.abs(power)))
             if not math.isfinite(sup):  # name the node, as the check does
                 _check_finite(mesh, power)
-            power.setflags(write=False)
             xs.append(power)
             sups.append(sup)
         ks.append(tuple(xs))
@@ -187,9 +201,12 @@ def _check_ratio(ratio: float, k: int, lam: complex) -> None:
         raise RegionTruncationError(
             f"series tail ratio {ratio:.3e} of u_{k} at lam={lam} exceeds "
             f"{TAIL_ERROR:.1e}; raise the truncation or bring lam nearer 0")
-    if ratio > TAIL_WARN:
+    if ratio > TAIL_WARN:  # told at the first caller outside the package
+        frame, level = sys._getframe(1), 2
+        while frame.f_back and os.path.dirname(frame.f_code.co_filename) == _PACKAGE:
+            frame, level = frame.f_back, level + 1
         warnings.warn(f"series tail ratio {ratio:.3e} of u_{k} at lam={lam}",
-                      TruncationWarning, stacklevel=4)
+                      TruncationWarning, stacklevel=level)
 
 
 def _gated_sum(table: FormalPowerTable, k: int, lam: complex) -> np.ndarray:

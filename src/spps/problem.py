@@ -54,7 +54,6 @@ and ``wronskian_floor`` nonnegative, ``samples`` in 2..16384 and
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -90,8 +89,8 @@ class _Setting(NamedTuple):
 _RANGES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 
 #: The single-value settings, one row each, read by the parser, its key
-#: check, the range checks and dump_config. Ranges left None are checked
-#: elsewhere: the basepoint's below, nodes by Mesh, [eig] by EigenOptions.
+#: check and the range checks. Ranges left None are checked elsewhere: the
+#: basepoint's below, nodes by Mesh, [eig] by EigenOptions.
 _SETTINGS = (
     _Setting("problem", "weight", str),
     _Setting("problem", "basepoint", float),
@@ -236,12 +235,6 @@ def _numbered(section, name: str, order: int) -> tuple[str, ...]:
     return tuple(section[key] for key in keys)
 
 
-def _entries(name: str, values) -> dict[str, str]:
-    """Numbered keys prefix1.. of a section, one for each value."""
-    prefix = _SECTIONS[name][1]
-    return {f"{prefix}{j}": v for j, v in enumerate(values, start=1)}
-
-
 def _parse_region(text: str) -> Interval | Disk:
     parts = text.split()
     try:
@@ -337,46 +330,3 @@ def parse_config(parser: configparser.ConfigParser) -> ProblemConfig:
         values["region"] = _parse_region(parser["eig"]["region"])
     return ProblemConfig(order=order, interval=(x1, x2),
                          phi=numbered["problem"], **values)
-
-
-def dump_config(cfg: ProblemConfig) -> str:
-    """Render a configuration back to INI text (inverse of load_config)."""
-    x1, x2 = cfg.interval
-    sections = {"problem": {"order": cfg.order, "interval": f"{x1!r} {x2!r}",
-                            **_entries("problem", cfg.phi)}}
-    for s in _SETTINGS:  # [eig] is written only with its region
-        value = getattr(cfg, s.field)
-        if value is not None and (s.section != "eig"
-                                  or cfg.region is not None):
-            sections.setdefault(s.section, {})[s.key] = value
-    if cfg.seeds is not None:
-        sections["seed_system"] = _entries("seed_system", cfg.seeds)
-    if cfg.boundary_rows is not None:
-        sections["boundary"] = _entries("boundary", (
-            " ".join(map(_fmt_complex, a)) + " ; "
-            + " ".join(map(_fmt_complex, c)) for a, c in cfg.boundary_rows))
-    if cfg.initial_values is not None:
-        sections["initial"] = {
-            "values": ", ".join(map(_fmt_complex, cfg.initial_values)),
-            "lambda": _fmt_complex(cfg.initial_lambda),
-        }
-    if cfg.region is not None:
-        r = cfg.region
-        sections.setdefault("eig", {})["region"] = (
-            f"interval {r.lo!r} {r.hi!r}" if isinstance(r, Interval)
-            else f"disk {r.center.real!r} {r.center.imag!r} {r.radius!r}")
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_dict(sections)  # str() of each value, exact for floats
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
-
-
-def _fmt_complex(v: complex) -> str:
-    v = complex(v)
-    if v.imag == 0.0:
-        return repr(v.real)
-    if v.real == 0.0:
-        return f"{v.imag!r}*i"
-    sign = "+" if v.imag >= 0 else "-"
-    return f"({v.real!r}{sign}{abs(v.imag)!r}*i)"

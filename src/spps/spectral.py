@@ -560,9 +560,10 @@ def _farthest(center: complex, radius: float) -> complex:
 def _roots_in(charfn: CharacteristicFunction, box, options: EigenOptions,
               radius: float | None = None, splits: int = 6):
     """Roots of det T in a box (center, half width, half height) grown by
-    their windows, from a circle about it (by default through its corners,
-    widened); the estimates in it counted but not confirmed; and the point
-    of largest modulus on the circles. While the confirmed roots miss the
+    their windows (in a flat box's span, whatever their imaginary part),
+    from a circle about it (by default through its corners, widened); the
+    estimates in the box counted but not confirmed; and the point of
+    largest modulus on the circles. While the confirmed roots miss the
     count, the box is halved and searched, ``splits`` times over."""
     center, hx, hy = box
     radius = radius or WIDEN * abs(complex(hx, hy))
@@ -591,8 +592,9 @@ def _roots_in(charfn: CharacteristicFunction, box, options: EigenOptions,
         return (found[0][0] + found[1][0], found[0][1] + found[1][1],
                 max(far, found[0][2], found[1][2], key=abs))
     d, tol = z - center, _window(z)
-    inside = (abs(d.real) <= hx + tol) & (abs(d.imag) <= hy + tol)
-    return list(z[ok & inside]), list(z[~ok & inside]), far
+    span = abs(d.real) <= hx + tol
+    inside = span & (abs(d.imag) <= hy + tol)
+    return list(z[ok & (inside if hy else span)]), list(z[~ok & inside]), far
 
 
 def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
@@ -608,7 +610,7 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     ``options.residual_tol``. Roots failing either, or counted in the region
     but never located, are rejected; roots within twice their persistence
     window are merged, as a multiple root. An interval's roots are real; one
-    whose imaginary part exceeds that window is not on it.
+    whose imaginary part exceeds that window is rejected as off the axis.
 
     Raises
     ------
@@ -646,6 +648,9 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
         _check_tail(ws, far)
     rejected = [(lam, "counted but not confirmed as a root")
                 for lam in unconfirmed if place(lam) is not None]
+    for z in roots:  # an interval's confirmed roots may lie off its axis
+        if not box[2] and place(z) is None and place(z.real) is not None:
+            rejected.append((complex(z), f"off the real axis by {abs(z.imag):.1e}"))
     roots = np.array([z for z in roots if place(z) is not None], dtype=complex)
     # from the real part of a root near the real axis, Newton's method stays
     # on it exactly when T is real there (real data and seed system)

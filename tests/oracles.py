@@ -2,14 +2,18 @@
 
 The solvers go through scipy's adaptive Runge-Kutta integration of the
 first-order companion system, which shares no code or method with the
-package under test. ``decimated_ladder_residual``, ``loop_derivative``,
+package under test. ``apply_coefficients``, ``apply_factorized`` and
+``polya_system`` are references for the factorization: L y by finite
+differences against the coefficients and through the nested first-order
+factors, and the Polya solution system rebuilt from the factors by
+cumulative integrals. ``decimated_ladder_residual``, ``loop_derivative``,
 ``loop_recombine``, ``loop_wronskians`` and ``loop_triangle`` are the
-exception: the package's earlier residual ladder, finite-difference loop,
-per-entry recombination, nested-Wronskian assembly and row-by-row
-derivative triangle, kept as references that its array versions must
-match exactly. ``full_derivative_sum`` and ``node_coefficients`` are the
-package's earlier series for u_k^(ell) over all M + 1 terms and its
-per-entry coefficients at one node, which its stopped sums and gathered
+package's earlier residual ladder, finite-difference loop, per-entry
+recombination, nested-Wronskian assembly and row-by-row derivative
+triangle, kept as references that its array versions must match exactly.
+``full_derivative_sum`` and ``node_coefficients`` are the package's
+earlier series for u_k^(ell) over all M + 1 terms and its per-entry
+coefficients at one node, which its stopped sums and gathered
 coefficients must match to rounding.
 """
 
@@ -19,13 +23,16 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from spps.errors import StencilError
-from spps.factorization import OperatorSpec, apply_coefficients
+from spps.factorization import OperatorSpec, PolyaFactorization
 from spps.mesh import (
     SampledFunction,
     _diff_weights,
     _diff_window,
     centered_margin,
+    cumulative_integral,
+    differentiate,
     ladder_strides,
+    ones,
 )
 
 
@@ -96,6 +103,35 @@ def refine_eigenvalue(n, phi, r, x1, x2, left, right, lam0, spread=1e-3):
         if abs(b - a) < 1e-12 * max(1.0, abs(b)):
             break
     return b
+
+
+def apply_coefficients(op: OperatorSpec, y: SampledFunction) -> SampledFunction:
+    """L y via finite differences of y against the coefficient list."""
+    out = differentiate(y, op.n)
+    for j in range(1, op.n):
+        out = out + op.phi[j - 1] * differentiate(y, op.n - j)
+    return out + op.phi[op.n - 1] * y
+
+
+def apply_factorized(fac: PolyaFactorization, y: SampledFunction) -> SampledFunction:
+    """L y via the nested first-order factors (divide, differentiate, repeat)."""
+    u = SampledFunction(y.mesh, y.values / fac.b[0].values)
+    for j in range(1, fac.n + 1):
+        u = differentiate(u, 1)
+        u = SampledFunction(u.mesh, u.values / fac.b[j].values)
+    return u
+
+
+def polya_system(fac: PolyaFactorization) -> list[SampledFunction]:
+    """The n solutions b_0, b_0*I(b_1), b_0*I(b_1 I(b_2)), ... of L y = 0,
+    where I g denotes the cumulative integral of g from the basepoint."""
+    out = [fac.b[0]]
+    for k in range(1, fac.n):
+        g = ones(fac.mesh)
+        for j in range(k, 0, -1):
+            g = cumulative_integral(fac.b[j] * g)
+        out.append(fac.b[0] * g)
+    return out
 
 
 def loop_derivative(v, h, order):
@@ -216,17 +252,15 @@ def _decimate(f, stride):
     return SampledFunction(f.mesh.decimate(stride), f.values[::stride])
 
 
-def decimated_ladder_residual(op, y, lam=0.0, strides=None):
+def decimated_ladder_residual(op, y, lam=0.0):
     """max|L y - lam r y| / max|y| over the ladder, each stride on a decimated
     Mesh, OperatorSpec and SampledFunction, L y by ``apply_coefficients``."""
-    if strides is None:
-        strides = ladder_strides(y.mesh)
     margin = centered_margin(op.n)
     scale_y = y.max_abs()
     if scale_y == 0.0:
         return 0.0
     best = math.inf
-    for s in strides:
+    for s in ladder_strides(y.mesh):
         try:
             ys = _decimate(y, s) if s > 1 else y
             ops = OperatorSpec(op.n, tuple(_decimate(f, s) for f in op.phi),
@@ -234,7 +268,7 @@ def decimated_ladder_residual(op, y, lam=0.0, strides=None):
             res = apply_coefficients(ops, ys)
             if lam != 0:
                 res = res - lam * (ops.r * ys)
-        except (ValueError, StencilError):
+        except StencilError:
             continue
         vals = np.abs(res.values[margin:res.mesh.n - margin])
         if vals.size:

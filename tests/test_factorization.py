@@ -8,8 +8,8 @@ import spps.mesh
 import spps.powers
 from spps import (
     Mesh,
+    SampledFunction,
     constant,
-    coordinate,
     differentiate,
     ones,
     tabulate,
@@ -30,25 +30,25 @@ from spps.factorization import (
     SolutionSystem,
     _combination_matrix,
     _recombine,
-    apply_coefficients,
-    apply_factorized,
     build_seed_system,
     check_nonvanishing,
     operator_residual,
     polya_factors,
-    polya_system,
     wronskians,
 )
 
 from spps.powers import compute_A, formal_powers
 
 from oracles import (
+    apply_coefficients,
+    apply_factorized,
     decimated_ladder_residual,
     integrate_ivp,
     loop_derivative,
     loop_recombine,
     loop_triangle,
     loop_wronskians,
+    polya_system,
 )
 
 
@@ -93,7 +93,7 @@ def test_nonvanishing_exponential_passes_min_at_left():
 
 def test_nonvanishing_fails_at_zero_crossing():
     m = Mesh(-1.0, 1.0, 101)
-    rep = check_nonvanishing([coordinate(m)], 1e-6)
+    rep = check_nonvanishing([tabulate(m, lambda x: x)], 1e-6)
     assert not rep.passed
     assert rep.entries[0].node == 50  # the node nearest x = 0
 
@@ -110,7 +110,7 @@ def test_nonvanishing_measures_the_chord_between_nodes():
     # x - 0.1 + 0.001i passes 0.001 from zero at x = 0.1, between the nodes
     # 0 and 0.25; the nearer one is reported
     m = Mesh(-1.0, 1.0, 9)
-    rep = check_nonvanishing([coordinate(m) - 0.1 + 0.001j], 1e-6)
+    rep = check_nonvanishing([tabulate(m, lambda x: x) - 0.1 + 0.001j], 1e-6)
     e = rep.entries[0]
     assert rep.passed
     assert e.min_modulus == pytest.approx(0.001, rel=1e-12)
@@ -162,7 +162,7 @@ def test_factors_for_monomial_seed_are_one():
 
 def test_factors_raise_on_vanishing_wronskian():
     m = Mesh(-1.0, 1.0, 101)
-    W = [ones(m), coordinate(m), ones(m)]
+    W = [ones(m), tabulate(m, lambda x: x), ones(m)]
     with pytest.raises(WronskianFloorError) as exc:
         polya_factors(W)
     assert exc.value.index == 1
@@ -265,10 +265,6 @@ def ladder_op(mesh, n):
 @pytest.mark.parametrize("nodes", [401, 801, 1601])
 def test_operator_residual_matches_decimated_ladder(nodes):
     segs = nodes - 1
-    # 3 divides no segment count; 2 drops an odd basepoint; segs // 50 leaves
-    # 51 nodes, not 1 (mod 4); segs // 8 leaves 9 nodes, below the order-6
-    # stencil; segs // 4 leaves 5 nodes; 0 means the full mesh
-    awkward = [3, 2, segs // 50, segs // 8, segs // 4, 0]
     for i0 in (segs // 2, 0, segs // 2 + 1):
         m = Mesh(0.0, 1.0, nodes, i0)
         y = tabulate(m, lambda t: np.exp((0.3 + 2j) * t) * (1 + t * t))
@@ -276,14 +272,19 @@ def test_operator_residual_matches_decimated_ladder(nodes):
             op = ladder_op(m, n)
             # where lam r y dominates, lam * a and a * lam round apart
             for lam in (0, -9, 0.3 + 1.2j, 250 - 400j):
-                for strides in (None, awkward):
-                    got = operator_residual(op, y, lam, strides)
-                    assert got == decimated_ladder_residual(op, y, lam, strides)
-                    assert 0.0 < got < np.inf
-            for strides in (None, awkward):
-                assert operator_residual(op, zeros(m), -9, strides) == 0.0
-            assert operator_residual(op, y, 1.0, [3, segs // 4]) == np.inf
-            assert decimated_ladder_residual(op, y, 1.0, [3, segs // 4]) == np.inf
+                got = operator_residual(op, y, lam)
+                assert got == decimated_ladder_residual(op, y, lam)
+                assert 0.0 < got < np.inf
+            assert operator_residual(op, zeros(m), -9) == 0.0
+
+
+def test_operator_residual_is_inf_without_a_usable_stride():
+    # 9 nodes are too few for the order-6 stencil, and no coarser stride
+    # is on the ladder
+    m = Mesh(0.0, 1.0, 9)
+    op, y = ladder_op(m, 6), tabulate(m, np.exp)
+    assert operator_residual(op, y, 1.0) == np.inf
+    assert decimated_ladder_residual(op, y, 1.0) == np.inf
 
 
 def test_operator_residual_refuses_a_function_on_another_mesh():
@@ -368,10 +369,10 @@ def test_build_seed_for_zero_coefficients_spans_polynomials():
     assert sys.residual_max <= 1e-6
     assert sys.wronskian_min > 1e-6
     # every solution is a polynomial of degree <= 2: third differences vanish
-    for y in sys.y:
-        coeffs = np.polyfit(m.nodes, y.values, 2)
+    for y in sys.derivs[:, 0]:
+        coeffs = np.polyfit(m.nodes, y, 2)
         fit = np.polyval(coeffs, m.nodes)
-        assert np.max(np.abs(fit - y.values)) < 1e-8 * max(1.0, y.max_abs())
+        assert np.max(np.abs(fit - y)) < 1e-8 * max(1.0, np.max(np.abs(y)))
 
 
 def test_build_seed_exponential_span():
@@ -380,35 +381,35 @@ def test_build_seed_exponential_span():
     sys = build_seed_system(op, rng_seed=3)
     # solutions lie in span{e^x, e^-x}: project and compare
     basis = np.column_stack([np.exp(m.nodes), np.exp(-m.nodes)])
-    for y in sys.y:
-        c, *_ = np.linalg.lstsq(basis, y.values, rcond=None)
-        assert np.max(np.abs(basis @ c - y.values)) < 1e-8 * max(1.0, y.max_abs())
+    for y in sys.derivs[:, 0]:
+        c, *_ = np.linalg.lstsq(basis, y, rcond=None)
+        assert np.max(np.abs(basis @ c - y)) < 1e-8 * max(1.0, np.max(np.abs(y)))
 
 
 def test_build_seed_deterministic():
     m = Mesh(0.0, 1.0, 101)
-    op = make_op(m, [coordinate(m), constant(m, 1.0)])
+    op = make_op(m, [tabulate(m, lambda x: x), constant(m, 1.0)])
     a = build_seed_system(op, rng_seed=11)
     b = build_seed_system(op, rng_seed=11)
-    for ya, yb in zip(a.y, b.y):
-        np.testing.assert_array_equal(ya.values, yb.values)
+    np.testing.assert_array_equal(a.derivs[:, 0], b.derivs[:, 0])
 
 
 def test_build_seed_third_order_smooth_coefficients():
     m = Mesh(0.0, 1.0, 401)
-    op = make_op(m, [coordinate(m), ones(m), tabulate(m, np.sin)])
+    op = make_op(m, [tabulate(m, lambda x: x), ones(m), tabulate(m, np.sin)])
     sys = build_seed_system(op, rng_seed=5)
     assert sys.residual_max <= 1e-6
     assert sys.wronskian_min > 1e-6
-    assert all(operator_residual(op, y) < 1e-5 for y in sys.y)
+    assert all(operator_residual(op, SampledFunction(m, y)) < 1e-5
+               for y in sys.derivs[:, 0])
 
 
 def test_build_seed_derivative_tables_match_fd():
     m = Mesh(0.0, 1.0, 401)
     op = make_op(m, [zeros(m), constant(m, -1.0)])
     sys = build_seed_system(op, rng_seed=1)
-    from spps import differentiate
-    for y, row in zip(sys.y, sys.derivs):
+    for row in sys.derivs:
+        y = SampledFunction(m, row[0])
         fd = differentiate(y, 1)
         err = np.max(np.abs(fd.values - row[1]))
         assert err < 1e-7 * max(1.0, y.max_abs())
@@ -424,8 +425,8 @@ def test_build_seed_exhausted_budget_names_stage():
 
 
 @pytest.mark.parametrize("phis", [
-    lambda m: [coordinate(m), ones(m)],
-    lambda m: [coordinate(m), ones(m), tabulate(m, np.sin)],
+    lambda m: [tabulate(m, lambda x: x), ones(m)],
+    lambda m: [tabulate(m, lambda x: x), ones(m), tabulate(m, np.sin)],
     lambda m: [zeros(m), constant(m, -2.0), zeros(m), ones(m)],
 ], ids=["order2", "order3", "order4"])
 def test_build_seed_wronskian_min_is_final_report(phis):

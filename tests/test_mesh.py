@@ -13,7 +13,6 @@ from spps import (
     StencilError,
     VanishingValueError,
     constant,
-    coordinate,
     cumulative_integral,
     differentiate,
     format_csv,
@@ -148,7 +147,7 @@ def test_mesh_mismatch_raises():
 
 def test_pointwise_algebra():
     m = Mesh(0.0, 1.0, 101)
-    x = coordinate(m)
+    x = tabulate(m, lambda x: x)
     f = x * x + 1.0
     g = 2.0 * x - 0.5
     np.testing.assert_allclose((f + g).values, m.nodes**2 + 2 * m.nodes + 0.5)
@@ -186,7 +185,7 @@ def test_reciprocal_of_exponential():
 
 def test_reciprocal_names_offending_node():
     m = Mesh(-1.0, 1.0, 101)
-    f = coordinate(m)  # vanishes at x=0
+    f = tabulate(m, lambda x: x)  # vanishes at x=0
     with pytest.raises(VanishingValueError) as exc:
         reciprocal(f)
     assert exc.value.node == 50

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spps.powers
-from spps import Mesh, SampledFunction, constant, coordinate, ones, tabulate, zeros
+from spps import Mesh, SampledFunction, constant, ones, tabulate, zeros
 from spps.errors import (
     RegionTruncationError,
     TruncationWarning,
@@ -16,7 +16,6 @@ from spps.errors import (
 from spps.factorization import (
     OperatorSpec,
     SolutionSystem,
-    apply_coefficients,
     polya_factors,
     wronskians,
 )
@@ -193,7 +192,7 @@ def test_powers_are_integrated_as_arrays(n, monkeypatch):
 def test_overflowing_power_names_the_first_node():
     m = Mesh(0.0, 1.0, 101)
     op = OperatorSpec(2, (zeros(m), zeros(m)), constant(m, 1e200))
-    sys = SolutionSystem.from_functions(op, [ones(m), coordinate(m)])
+    sys = SolutionSystem.from_functions(op, [ones(m), tabulate(m, lambda x: x)])
     fac = polya_factors(wronskians(sys))
     with np.errstate(all="ignore"), pytest.raises(VanishingValueError) as exc:
         formal_powers(fac, op.r, 10)
@@ -368,7 +367,7 @@ def test_derivative_ladder_for_pure_operator():
 def test_third_order_derivative_consistency():
     m = Mesh(0.0, 1.0, 801)
     op = OperatorSpec(
-        3, (coordinate(m), ones(m), tabulate(m, np.sin)), ones(m))
+        3, (tabulate(m, lambda x: x), ones(m), tabulate(m, np.sin)), ones(m))
     from spps.factorization import build_seed_system
     sys = build_seed_system(op, rng_seed=5)
     fac, table, A = triangle_parts(op, sys, truncation=25)
@@ -396,7 +395,7 @@ def test_initial_values_structure():
 def test_initial_matrix_lower_triangular():
     m = Mesh(0.0, 1.0, 401)
     op = OperatorSpec(
-        3, (coordinate(m), ones(m), tabulate(m, np.sin)), ones(m))
+        3, (tabulate(m, lambda x: x), ones(m), tabulate(m, np.sin)), ones(m))
     from spps.factorization import build_seed_system
     _, _, A = triangle_parts(op, build_seed_system(op, rng_seed=5))
     mat = initial_matrix(A)
@@ -423,7 +422,8 @@ def test_initial_matrix_matches_evaluated_solutions():
 
 def third_order_table(mesh, truncation):
     op = OperatorSpec(
-        3, (coordinate(mesh), ones(mesh), tabulate(mesh, np.sin)), ones(mesh))
+        3, (tabulate(mesh, lambda x: x), ones(mesh), tabulate(mesh, np.sin)),
+        ones(mesh))
     from spps.factorization import build_seed_system
     _, table, A = triangle_parts(op, build_seed_system(op, rng_seed=5),
                                  truncation)

@@ -1,4 +1,4 @@
-"""Problem files: parsing, validation, assembly, round-trip."""
+"""Problem files: parsing, validation, assembly."""
 
 import configparser
 import textwrap
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spps.errors import ConfigError
-from spps.problem import ProblemConfig, dump_config, load_config, parse_config
+from spps.problem import ProblemConfig, load_config, parse_config
 from spps.spectral import Disk, Interval
 
 
@@ -82,7 +82,7 @@ phi2 = x
 def test_file_round_trip(tmp_path):
     cfg = parse_text(DIRICHLET)
     path = tmp_path / "problem.ini"
-    path.write_text(dump_config(cfg), encoding="utf-8")
+    path.write_text(DIRICHLET, encoding="utf-8")
     again = load_config(str(path))
     assert again == cfg
 
@@ -109,12 +109,11 @@ max_count = 3
     assert cfg.initial_lambda == -1 + 0.5j
     assert cfg.region == Disk(5.0j, 4.75)
     assert cfg.max_count == 3
-    assert parse_text(dump_config(cfg)) == cfg
 
 
 def test_round_trip_of_every_setting():
     # every value unlike the others and unlike its default, so a key read
-    # into the wrong field, or written from it, shows
+    # into the wrong field shows
     cfg = parse_text("""
 [problem]
 order = 2
@@ -156,7 +155,6 @@ max_count = 5
     assert {field: getattr(cfg, field) for field in got} == got
     assert all(getattr(defaults, field) != value
                for field, value in got.items())
-    assert parse_text(dump_config(cfg)) == cfg
 
 
 def test_missing_file():

@@ -1,6 +1,7 @@
 """Initial-value propagation and eigenvalue search."""
 
 import copy
+import dataclasses
 import pickle
 import warnings
 
@@ -12,8 +13,13 @@ from hypothesis import strategies as st
 import spps.powers
 import spps.spectral
 from spps import Mesh, constant, ones, tabulate, zeros
-from spps.errors import RegionTruncationError
-from spps.factorization import OperatorSpec, SolutionSystem, operator_residual
+from spps.errors import RegionTruncationError, TruncationWarning
+from spps.factorization import (
+    OperatorSpec,
+    SolutionSystem,
+    build_seed_system,
+    operator_residual,
+)
 from spps.powers import evaluate_derivatives, evaluate_solution, formal_powers
 from spps.spectral import (
     BoundaryConditions,
@@ -171,6 +177,25 @@ def test_eigenvalues_with_a_redrawn_seed():
     np.testing.assert_allclose(got, [-20.0, -11.0, -4.0], atol=1e-11)
 
 
+@pytest.mark.parametrize("rng_seed", [1, 3])
+def test_interval_roots_off_the_real_axis_are_rejected(rng_seed):
+    # on 201 nodes these seeds put the roots -20, -11 and -4 off the axis
+    # by more than their windows: each is reported, none is dropped
+    mesh = Mesh.with_basepoint(0.0, np.pi, 201, 0.0)
+    op = OperatorSpec(2, (zeros(mesh), constant(mesh, 5.0)), ones(mesh))
+    ws = build_workspace(op, truncation=40, rng_seed=rng_seed)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    result = find_eigenvalues(ws, bc, Interval(-30.0, -0.5))
+    assert result.eigenvalues == ()
+    lams = [lam for lam, _ in result.rejected]
+    np.testing.assert_allclose(sorted(lam.real for lam in lams),
+                               [-20.0, -11.0, -4.0], atol=2e-3)
+    for lam, reason in result.rejected:
+        assert type(lam) is complex
+        assert abs(lam.imag) > spps.spectral._window(lam)
+        assert reason == f"off the real axis by {abs(lam.imag):.1e}"
+
+
 def test_third_order_seed_with_sign_change_between_nodes_is_redrawn():
     mesh = Mesh(0.0, 2 * np.pi, 1201)
     op = OperatorSpec(3, (zeros(mesh), zeros(mesh), constant(mesh, 3.0)),
@@ -215,6 +240,51 @@ def test_workspace_copies_solve_bitwise_equal():
         assert not copy_.mesh.nodes.flags.writeable
         assert not copy_.op.r.values.flags.writeable
         assert not copy_.b0.values.flags.writeable
+
+
+def arrays(obj):
+    """Every ndarray reachable through dataclass fields, tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from arrays(getattr(obj, field.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from arrays(item)
+
+
+def test_workspace_copies_keep_every_array_read_only():
+    ws = double_well_workspace()  # a built seed, so truncations are set
+    want = list(arrays(ws))
+    assert len(want) > 100 and not any(a.flags.writeable for a in want)
+    for copy_ in (copy.deepcopy(ws), pickle.loads(pickle.dumps(ws))):
+        got = list(arrays(copy_))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert not a.flags.writeable
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_truncation_warning_points_at_the_caller():
+    mesh = Mesh(0.0, np.pi, 201)
+    ws = build_workspace(OperatorSpec(2, (zeros(mesh),) * 2, ones(mesh)),
+                         truncation=12)  # y'' = lam y
+    bc = BoundaryConditions.separated(2, [0], [0])
+    unit = Mesh(0.0, 1.0, 201)
+    third = OperatorSpec(3, (tabulate(unit, lambda x: 0.2 * x),
+                             tabulate(unit, np.sin), constant(unit, 0.5)),
+                         ones(unit))
+    for call in (lambda: solve_initial_value(ws, [1.0, 0.0], -10.0),
+                 lambda: evaluate_solution(ws.table, ws.b0, 1, -10.0),
+                 lambda: eigenfunction(ws, bc, -10.0),
+                 lambda: build_seed_system(third, truncation=5)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert caught
+        assert all(w.category is TruncationWarning and w.filename == __file__
+                   for w in caught)
 
 
 # -- boundary conditions ------------------------------------------------------------
