@@ -75,14 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ProblemConfig:
     cfg = load_config(args.config)
-    if args.mesh is not None:
-        cfg = replace(cfg, nodes=args.mesh)
-    if args.order is not None:
-        cfg = replace(cfg, truncation=args.order)
-    if args.seed is not None:
-        cfg = replace(cfg, rng_seed=args.seed)
-    if args.tol is not None:
-        cfg = replace(cfg, residual_tol=args.tol)
+    for flag, field in (("mesh", "nodes"), ("order", "truncation"),
+                        ("seed", "rng_seed"), ("tol", "residual_tol")):
+        if getattr(args, flag) is not None:  # one at a time, each checked
+            cfg = replace(cfg, **{field: getattr(args, flag)})
     return cfg
 
 

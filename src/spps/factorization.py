@@ -32,6 +32,7 @@ from .mesh import (
     _antiderivative,
     _centred_sums,
     _check_finite,
+    _is_int,
     _reduce,
     centered_margin,
     cumulative_integral,
@@ -61,14 +62,12 @@ class OperatorSpec:
     r: SampledFunction
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"operator order must be >= 2, got {self.n}")
+        if not (_is_int(self.n) and self.n >= 2):
+            raise ValueError(f"operator order must be an integer >= 2, got {self.n!r}")
         if len(self.phi) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(self.phi)}")
-        mesh = self.r.mesh
-        for f in self.phi:
-            if f.mesh != mesh:
-                raise ValueError("all coefficients must share one mesh")
+        if any(f.mesh != self.r.mesh for f in self.phi):
+            raise ValueError("all coefficients must share one mesh")
         object.__setattr__(self, "phi", tuple(self.phi))
 
     @property
@@ -117,20 +116,12 @@ class SolutionSystem:
         n <= 4 on meshes of a few hundred nodes — pass a larger
         ``residual_tol`` for higher orders.
         """
-        if len(funcs) != op.n:
-            raise ValueError(f"need {op.n} solutions, got {len(funcs)}")
-        res = max(operator_residual(op, f) for f in funcs)
-        if not res <= residual_tol:
-            raise ResidualVerificationError(
-                f"seed function residual {res:.3e} exceeds {residual_tol:.1e}",
-                residual=res)
+        if len(funcs) != op.n or any(f.mesh != op.mesh for f in funcs):
+            raise ValueError(f"need {op.n} solutions on {op.mesh}, got "
+                             f"{len(funcs)} on {[f.mesh for f in funcs]}")
         derivs = np.array([[f.values] + [differentiate(f, ell).values
                                          for ell in range(1, op.n)] for f in funcs])
-        report = check_nonvanishing(_nested_wronskians(op.mesh, derivs)[1:],
-                                    wronskian_floor)
-        if not report.passed:
-            raise _floor_error(report)
-        return cls(op, derivs, wronskian_min=report.min_relative, residual_max=res)
+        return _accepted(op, derivs, wronskian_floor, residual_tol)
 
 
 # -- nonvanishing reports -----------------------------------------------------
@@ -189,14 +180,18 @@ def check_nonvanishing(fs: Sequence[SampledFunction],
     return NonvanishingReport(tuple(entries), floor)
 
 
-def _floor_error(report: NonvanishingReport) -> WronskianFloorError:
-    """The error for a failed report, naming its worst Wronskian and node."""
-    j = report.worst
-    e = report.entries[j]
-    return WronskianFloorError(
-        f"W_{j + 1} has relative min modulus {e.relative:.3e} below the "
-        f"{report.floor:.1e} floor at node {e.node} (x={e.x:.6g})",
-        index=j + 1, node=e.node, x=e.x)
+def _floor_report(W: Sequence[SampledFunction], floor: float) -> NonvanishingReport:
+    """The report on W_1..W_n; WronskianFloorError naming the worst
+    Wronskian and its node when one fails."""
+    report = check_nonvanishing(W[1:], floor)
+    if not report.passed:
+        j = report.worst
+        e = report.entries[j]
+        raise WronskianFloorError(
+            f"W_{j + 1} has relative min modulus {e.relative:.3e} below the "
+            f"{report.floor:.1e} floor at node {e.node} (x={e.x:.6g})",
+            index=j + 1, node=e.node, x=e.x)
+    return report
 
 
 # -- Wronskians and factors ---------------------------------------------------
@@ -248,9 +243,7 @@ def polya_factors(W: Sequence[SampledFunction],
     n = len(W) - 1
     if n < 2:
         raise ValueError("need Wronskians W_0..W_n with n >= 2")
-    report = check_nonvanishing(W[1:], floor)
-    if not report.passed:
-        raise _floor_error(report)
+    _floor_report(W, floor)
     b = [W[1]]
     for j in range(1, n):
         b.append(W[j - 1] * W[j + 1] / W[j] / W[j])
@@ -313,11 +306,7 @@ def _annulus(rng: np.random.Generator, shape) -> np.ndarray:
 def _combination_matrix(rng: np.random.Generator, m: int, attempt: int) -> np.ndarray:
     """Identity plus random strictly-lower part first, fully random afterwards."""
     if attempt == 0:
-        c = np.eye(m, dtype=np.complex128)
-        if m > 1:
-            low = _annulus(rng, (m, m))
-            c += np.tril(low, k=-1)
-        return c
+        return np.eye(m, dtype=np.complex128) + np.tril(_annulus(rng, (m, m)), k=-1)
     while True:
         c = _annulus(rng, (m, m))
         if abs(np.linalg.det(c)) > 1e-6:
@@ -334,25 +323,34 @@ def _recombine(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _recombine_until_nonvanishing(mesh: Mesh, rows: np.ndarray,
                                   rng: np.random.Generator, floor: float,
-                                  max_retries: int, stage: str):
+                                  max_retries: int):
     """Draw recombinations of ``rows`` until all nested Wronskians clear
-    ``floor``.
-
-    Returns the accepted rows, their Wronskians [W_0..W_m], the
-    nonvanishing report and the number of draws beyond the first.
-    """
+    ``floor``; the accepted rows and the number of draws beyond the first."""
     m = len(rows)
     best = -math.inf
     for attempt in range(max_retries + 1):
         trial = _recombine(rows, _combination_matrix(rng, m, attempt))
-        W = _nested_wronskians(mesh, trial)
-        report = check_nonvanishing(W[1:], floor)
+        report = check_nonvanishing(_nested_wronskians(mesh, trial)[1:], floor)
         if report.passed:
-            return trial, W, report, attempt
+            return trial, attempt
         best = max(best, report.min_relative)
     raise SeedConstructionError(
-        f"order-{m} {stage} recombination exhausted {max_retries} retries",
+        f"order-{m} recombination exhausted {max_retries} retries",
         best_wronskian_min=best)
+
+
+def _accepted(op: OperatorSpec, derivs: np.ndarray, floor: float, tol: float,
+              **fields) -> SolutionSystem:
+    """The solution system of the rows ``derivs``, once the ladder residual
+    of each solution is at most ``tol`` and its nested Wronskians clear
+    ``floor``; explicit and generated seeds both end here."""
+    res = max(operator_residual(op, SampledFunction(op.mesh, y)) for y in derivs[:, 0])
+    if not res <= tol:
+        raise ResidualVerificationError(
+            f"seed residual {res:.3e} exceeds {tol:.1e}", residual=res)
+    report = _floor_report(_nested_wronskians(op.mesh, derivs), floor)
+    return SolutionSystem(op, derivs, wronskian_min=report.min_relative,
+                          residual_max=res, **fields)
 
 
 def build_seed_system(op: OperatorSpec,
@@ -367,28 +365,32 @@ def build_seed_system(op: OperatorSpec,
     Order 1 is solved in closed form (y = exp of minus the integral of the
     coefficient). Given solutions z_1..z_{m-1} of the order-(m-1) problem
     built from phi_1..phi_{m-1}, the family {1, int z_1, ..., int z_{m-1}}
-    solves the order-m operator with no zeroth-order term; random complex
-    recombinations of it (coefficients from the annulus 0.5 <= |c| <= 1) are
-    drawn until all nested Wronskians clear the floor, the resulting operator
-    is factorized, and the power-series machinery with weight phi_m evaluated
-    at spectral parameter -1 produces solutions of the full order-m equation,
-    which are recombined once more until their Wronskians pass. The
-    derivative triangle of each factorization comes from the accepted
-    family's rows (:func:`~spps.powers.compute_A`), so derivative tables
-    propagate analytically through every level, with no finite difference
-    anywhere. The series at -1 converges fast: its table starts at 8 terms
-    and grows by 8 while some tail ratio there exceeds STOP_TOL (1e-17), up
-    to ``truncation``; ``truncations`` records where it stopped, and the
-    sums of that last test are the solutions.
+    solves the order-m operator with no zeroth-order term. Its nested
+    Wronskians are those of the z's, which cleared the floor one order
+    below, so it is factorized as it stands. The power-series machinery
+    with weight phi_m at spectral parameter -1 then gives solutions of the
+    full order-m equation, and random complex recombinations of them
+    (coefficients from the annulus 0.5 <= |c| <= 1) are drawn until all
+    their nested Wronskians clear the floor. The derivative triangle of
+    each factorization comes from the family's rows
+    (:func:`~spps.powers.compute_A`), so derivative tables propagate
+    analytically through every level, with no finite difference anywhere.
+    The series at -1 converges fast: its table starts at 8 terms and grows
+    by 8 while some tail ratio there exceeds STOP_TOL (1e-17), up to
+    ``truncation``; ``truncations`` records where it stopped, and the sums
+    of that last test are the solutions. The result passes the residual and
+    floor check of :meth:`SolutionSystem.from_functions`.
 
-    The retry budget applies per recombination stage; ``retries`` on the
-    result counts all draws beyond first attempts. Deterministic for a fixed
-    ``rng_seed``.
+    ``retries`` counts the draws beyond the first, at most ``max_retries``
+    per order. Deterministic for a fixed ``rng_seed``.
 
     Raises
     ------
+    WronskianFloorError
+        When W_2 = exp(-int phi_1) dips below the floor, which no
+        recombination can lift (W_m scales by det c).
     SeedConstructionError
-        When a recombination stage exhausts ``max_retries`` (reports the best
+        When an order's draws exhaust ``max_retries`` (reports the best
         relative Wronskian minimum achieved).
     RegionTruncationError
         When a series tail at -1 is still above ``spps.powers``' TAIL_ERROR
@@ -399,8 +401,7 @@ def build_seed_system(op: OperatorSpec,
     from .powers import (STOP_TOL, _check_ratio, _grow_powers, _rows,
                          _solution_sum, compute_A, formal_powers)
 
-    mesh = op.mesh
-    n = op.n
+    mesh, n = op.mesh, op.n
     rng = np.random.default_rng(rng_seed)
     retries = 0
     truncations = []
@@ -416,11 +417,10 @@ def build_seed_system(op: OperatorSpec,
         family[1:, 0] = [_antiderivative(z, mesh.h, mesh.i0) for z in level[:, 0]]
         family[1:, 1:] = level
 
-        # stage A: recombine until the homogeneous-part factorization exists
-        rows, W, _, attempt = _recombine_until_nonvanishing(
-            mesh, family, rng, wronskian_floor, max_retries, "family")
-        retries += attempt
-        fac = polya_factors(W, wronskian_floor)
+        # stage A: one identity-plus-lower draw mixes the rows and leaves
+        # every W_j as it is; only order 2's W_2 = z_1 is new and can fail
+        rows = _recombine(family, _combination_matrix(rng, m, 0))
+        fac = polya_factors(_nested_wronskians(mesh, rows), wronskian_floor)
         table = formal_powers(fac, op.phi[m - 1], min(8, truncation))
         coeffs = compute_A(rows, table)
         while True:  # the sums at -1 that pass the stop test are kept
@@ -443,16 +443,9 @@ def build_seed_system(op: OperatorSpec,
             _check_finite(mesh, sols[k - 1])
 
         # stage B: recombine the new solutions until their Wronskians pass
-        level, _, report, attempt = _recombine_until_nonvanishing(
-            mesh, sols, rng, wronskian_floor, max_retries, "solution")
+        level, attempt = _recombine_until_nonvanishing(
+            mesh, sols, rng, wronskian_floor, max_retries)
         retries += attempt
 
-    # final verification against the full operator
-    res = max(operator_residual(op, SampledFunction(mesh, y)) for y in level[:, 0])
-    if not res <= residual_tol:
-        raise ResidualVerificationError(
-            f"constructed system residual {res:.3e} exceeds {residual_tol:.1e}",
-            residual=res)
-    return SolutionSystem(op, level,
-                          retries=retries, wronskian_min=report.min_relative,
-                          residual_max=res, truncations=tuple(truncations))
+    return _accepted(op, level, wronskian_floor, residual_tol,
+                     retries=retries, truncations=tuple(truncations))

@@ -13,6 +13,7 @@ between threads, and every operation returns a new object.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -41,6 +42,10 @@ def _reduce(obj):
     return type(obj), tuple(getattr(obj, f.name) for f in fields(obj) if f.init)
 
 
+def _is_int(value) -> bool:  # a bool is no integer here
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class Mesh:
     """A uniform grid on [x1, x2] with a distinguished basepoint node.
@@ -66,6 +71,8 @@ class Mesh:
     nodes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"node count must be an integer, got {self.n!r}")
         x1, x2, n = float(self.x1), float(self.x2), int(self.n)
         if not (x1 < x2):
             raise ValueError(f"need x1 < x2, got [{x1}, {x2}]")
@@ -73,15 +80,15 @@ class Mesh:
             raise ValueError(f"mesh needs at least 9 nodes, got {n}")
         if (n - 1) % 4 != 0:
             raise ValueError(f"node count must be 1 (mod 4), got {n}")
-        i0 = (n - 1) // 2 if self.i0 is None else int(self.i0)
-        if not (0 <= i0 <= n - 1):
-            raise ValueError(f"basepoint index {i0} outside 0..{n - 1}")
+        i0 = (n - 1) // 2 if self.i0 is None else self.i0
+        if not (_is_int(i0) and 0 <= i0 <= n - 1):
+            raise ValueError(f"basepoint index {i0!r} outside 0..{n - 1}")
         h = (x2 - x1) / (n - 1)
         if not np.isfinite(h):  # also where x1 or x2 is not finite
             raise ValueError(f"need finite x1, x2 and spacing, got [{x1}, {x2}]")
         nodes = np.linspace(x1, x2, n)
         nodes.setflags(write=False)
-        for name, value in (("x1", x1), ("x2", x2), ("n", n), ("i0", i0),
+        for name, value in (("x1", x1), ("x2", x2), ("n", n), ("i0", int(i0)),
                             ("h", h), ("nodes", nodes)):
             object.__setattr__(self, name, value)
 
@@ -273,11 +280,8 @@ def _diff_weights(window: int, order: int, at: int) -> np.ndarray:
     row = []
     for coeffs in _lagrange_basis(window):
         val = Fraction(0)
-        for p in range(order, len(coeffs)):
-            fall = 1
-            for t in range(p, p - order, -1):
-                fall *= t
-            val += coeffs[p] * fall * (Fraction(at) ** (p - order))
+        for p in range(order, len(coeffs)):  # falling factorial p!/(p-order)!
+            val += coeffs[p] * math.perm(p, order) * (Fraction(at) ** (p - order))
         row.append(float(val))
     return np.array(row)
 

@@ -32,7 +32,7 @@ from .factorization import (
     polya_factors,
     wronskians,
 )
-from .mesh import Mesh, SampledFunction
+from .mesh import Mesh, SampledFunction, _is_int
 from .powers import (
     DerivativeCoeffs,
     FormalPowerTable,
@@ -156,8 +156,9 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
     """
     n = ws.n
     vals = np.asarray(values, dtype=complex)
-    if vals.shape != (n,) or not np.all(np.isfinite(vals)):
-        raise ValueError(f"expected {n} finite initial values, got {vals}")
+    if vals.shape != (n,) or not (np.all(np.isfinite(vals)) and np.isfinite(lam)):
+        raise ValueError(f"expected {n} finite initial values and a finite "
+                         f"lambda, got {vals} and {lam}")
     mat = initial_matrix(ws.coeffs)
     c = np.zeros(n, dtype=complex)
     for ell in range(n):
@@ -202,7 +203,10 @@ class BoundaryConditions:
                 "boundary condition arrays must be two square matrices of "
                 f"equal size; got {left.shape} and {right.shape}")
         stacked = np.hstack([left, right])
-        if np.linalg.matrix_rank(stacked, tol=1e-10) < left.shape[0]:
+        if not np.all(np.isfinite(stacked)):
+            raise ValueError(f"boundary condition entries must be finite, got {stacked}")
+        # relative to the largest singular value, so scaled rows are as good
+        if np.linalg.matrix_rank(stacked, 1e-10 * np.linalg.norm(stacked, 2)) < len(left):
             raise ValueError("boundary condition rows are linearly dependent")
         left.setflags(write=False)
         right.setflags(write=False)
@@ -246,6 +250,8 @@ def eigenfunction(ws: Workspace, bc: BoundaryConditions,
     normalized so the largest sample is 1. A basis solution summed past
     its truncation raises RegionTruncationError, as in ``evaluate_solution``.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"need a finite lambda, got {lam}")
     charfn = characteristic_polynomials(ws, bc)
     return _null_combination(ws, charfn.matrix(lam), lam)
 
@@ -285,8 +291,7 @@ class CharacteristicFunction:
         return self.poly.shape[2] - 1
 
     def matrix(self, lam: complex) -> np.ndarray:
-        lams = np.asarray([complex(lam)])
-        return self._matrices(lams)[0]
+        return self._matrices(np.asarray([complex(lam)]))[0]
 
     def _matrices(self, lams: np.ndarray, derivative: bool = False):
         """Stack of boundary matrices, shape (len(lams), n, n); with
@@ -422,10 +427,11 @@ class EigenOptions:
 
     def __post_init__(self):
         for name, ok, limit in (
-                ("samples", 2 <= self.samples <= MAX_POINTS,
+                ("samples", _is_int(self.samples) and 2 <= self.samples <= MAX_POINTS,
                  f"in 2..{MAX_POINTS}"),
-                ("max_count", self.max_count is None or self.max_count >= 1,
-                 "at least 1"),
+                ("max_count", self.max_count is None
+                 or _is_int(self.max_count) and self.max_count >= 1,
+                 "an integer, at least 1"),
                 ("residual_tol", self.residual_tol > 0, "positive")):
             if not ok:
                 raise ValueError(f"{name} must be {limit}, "

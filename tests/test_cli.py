@@ -377,7 +377,8 @@ def test_verify_reports_seed_truncations(config, tmp_path, capsys):
     assert json.loads(out)["truncations"] == [8, 8]
 
 def test_wronskian_floor_reaches_random_seed(tmp_path, capsys):
-    # no relative Wronskian minimum exceeds 1, so every draw fails
+    # no relative Wronskian minimum exceeds 1, so the first draw fails, and
+    # W_2 = exp(-int x) cannot be redrawn
     path = tmp_path / "p.ini"
     path.write_text("[problem]\norder = 2\ninterval = 0 1\nphi1 = x\n"
                     "phi2 = 1\n[random]\nmax_retries = 2\n"
@@ -385,7 +386,7 @@ def test_wronskian_floor_reaches_random_seed(tmp_path, capsys):
     code, out, err = run_main(capsys, "verify", "--config", str(path))
     assert code == 2
     assert out == ""
-    assert "recombination exhausted 2 retries" in err
+    assert "W_2" in err and "node 400 (x=1)" in err
 
 
 def test_large_disk_eig_exit_code(tmp_path, capsys):

@@ -10,6 +10,7 @@ from spps import (
     Mesh,
     SampledFunction,
     constant,
+    cumulative_integral,
     differentiate,
     ones,
     tabulate,
@@ -329,6 +330,15 @@ def test_operator_residual_builds_no_wrappers(monkeypatch):
 
 # -- explicit seed systems -----------------------------------------------------------
 
+@pytest.mark.parametrize("order", [2.0, 2.5, True, "2"])
+def test_operator_order_must_be_an_integer(order):
+    # OperatorSpec(2.0, ...) used to be accepted
+    m = Mesh(0.0, 1.0, 101)
+    with pytest.raises(ValueError, match="operator order must be an integer"):
+        OperatorSpec(order, (zeros(m), zeros(m)), ones(m))
+    assert OperatorSpec(np.int64(2), (zeros(m), zeros(m)), ones(m)).n == 2
+
+
 def test_from_functions_rejects_bad_seed():
     m = Mesh(0.0, 1.0, 401)
     op = make_op(m, [constant(m, 0.0), constant(m, 1.0)])  # y'' + y
@@ -358,6 +368,34 @@ def test_from_functions_and_polya_factors_raise_the_same_floor_error():
     assert seeded.value.index == factored.value.index == 2
     assert seeded.value.node == factored.value.node
     assert str(seeded.value) == str(factored.value)
+
+
+def test_from_functions_refuses_solutions_on_another_mesh():
+    m = Mesh(0.0, 1.0, 401)
+    op = make_op(m, [constant(m, 0.0), constant(m, 1.0)])
+    other = Mesh(0.0, 2.0, 401)
+    with pytest.raises(ValueError, match=r"need 2 solutions on Mesh\(\[0.0, 1.0\]"):
+        SolutionSystem.from_functions(op, [tabulate(other, np.sin),
+                                           tabulate(other, np.cos)])
+
+
+def test_explicit_and_generated_seeds_end_in_one_check(monkeypatch):
+    checked = []
+    original = spps.factorization._accepted
+
+    def recording(op, derivs, *args, **fields):
+        checked.append(sorted(fields))
+        return original(op, derivs, *args, **fields)
+
+    monkeypatch.setattr(spps.factorization, "_accepted", recording)
+    m = Mesh(0.0, 1.0, 401)
+    op = make_op(m, [constant(m, 0.0), constant(m, 1.0)])  # y'' + y
+    given = SolutionSystem.from_functions(op, [tabulate(m, np.cos),
+                                               tabulate(m, np.sin)])
+    built = build_seed_system(op, rng_seed=1)
+    assert checked == [[], ["retries", "truncations"]]
+    for sys in (given, built):
+        assert sys.residual_max <= 1e-6 and sys.wronskian_min > 1e-6
 
 
 # -- build_seed_system ----------------------------------------------------------------
@@ -415,13 +453,56 @@ def test_build_seed_derivative_tables_match_fd():
         assert err < 1e-7 * max(1.0, y.max_abs())
 
 
-def test_build_seed_exhausted_budget_names_stage():
+def test_build_seed_exhausted_budget_names_order():
     m = Mesh(0.0, 1.0, 101)
-    op = d_power_op(m, 2)
-    # no relative Wronskian minimum exceeds 1, so every draw fails
-    with pytest.raises(SeedConstructionError, match="family") as exc:
-        build_seed_system(op, max_retries=2, wronskian_floor=1.0)
-    assert exc.value.best_wronskian_min <= 1.0
+    op = make_op(m, [zeros(m), ones(m)])  # y'' + y
+    # the family {1, x - x0} has W_1 = W_2 = 1 and passes; no combination
+    # of cos and sin keeps its modulus within 0.1% of its maximum
+    with pytest.raises(SeedConstructionError,
+                       match="order-2 recombination exhausted 2 retries") as exc:
+        build_seed_system(op, max_retries=2, wronskian_floor=0.999)
+    assert exc.value.best_wronskian_min <= 0.999
+
+
+def test_build_seed_refuses_a_steep_first_coefficient_on_the_first_draw(monkeypatch):
+    # order 2's W_2 = exp(-int phi_1) spans e^-40 on [0, 1]; a recombination
+    # scales it by det c, so no redraw could lift it above the floor
+    draws = []
+
+    def counting(rng, m, attempt):
+        draws.append(attempt)
+        return _combination_matrix(rng, m, attempt)
+
+    monkeypatch.setattr(spps.factorization, "_combination_matrix", counting)
+    m = Mesh(0.0, 1.0, 401)
+    with pytest.raises(WronskianFloorError, match="W_2 .* 4.248e-18 .* node 400") as exc:
+        build_seed_system(make_op(m, [constant(m, 40.0), ones(m)]))
+    assert (exc.value.index, exc.value.node) == (2, 400)
+    assert draws == [0]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_family_wronskians_are_those_of_the_order_below(order):
+    # {1, int z_1, ..., int z_{m-1}}: W_{j+1} of the family is W_j of the
+    # z's, also after the builder's identity-plus-lower draw
+    op = seed_op(4, nodes=401)
+    m = op.mesh
+    if order == 2:
+        lower = np.exp(-cumulative_integral(op.phi[0]).values)[None, None]
+    else:
+        lower = build_seed_system(make_op(m, op.phi[:order - 1]), rng_seed=1).derivs
+    family = np.zeros((order, order, m.n), dtype=complex)
+    family[0, 0] = 1.0
+    family[1:, 0] = [cumulative_integral(SampledFunction(m, z)).values
+                     for z in lower[:, 0]]
+    family[1:, 1:] = lower
+    c = _combination_matrix(np.random.default_rng(order), order, 0)
+    rows = loop_recombine(family, c)
+    assert np.array_equal(rows[0, 0], np.ones(m.n))
+    got = loop_wronskians(rows)
+    want = [lower[0, 0]] + loop_wronskians(lower)
+    for w, v in zip(got, want, strict=True):
+        np.testing.assert_allclose(w, v, rtol=0, atol=1e-12 * np.max(np.abs(v)))
 
 
 @pytest.mark.parametrize("phis", [

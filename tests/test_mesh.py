@@ -62,6 +62,18 @@ def test_mesh_rejects_basepoint_outside():
         Mesh(0.0, 1.0, 401, 401)
 
 
+@pytest.mark.parametrize("n, i0, fragment", [
+    (9.7, None, "node count must be an integer, got 9.7"),
+    (9.0, None, "node count must be an integer"), (True, None, "node count"),
+    (9, 2.5, "basepoint index 2.5"), (9, True, "basepoint index True")])
+def test_mesh_refuses_counts_that_are_not_integers(n, i0, fragment):
+    # Mesh(0, 1, 9.7) used to build 9 nodes, and i0 = 2.5 basepoint 2
+    with pytest.raises(ValueError, match=fragment):
+        Mesh(0.0, 1.0, n, i0)
+    m = Mesh(0.0, 1.0, np.int64(9), np.int64(2))  # numpy integers are integers
+    assert (m.n, m.i0) == (9, 2) and type(m.n) is int and type(m.i0) is int
+
+
 def test_with_basepoint_snaps_to_node():
     m = Mesh.with_basepoint(0.0, 1.0, 401, 0.50001)
     assert m.i0 == 200

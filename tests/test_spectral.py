@@ -121,6 +121,18 @@ def test_ivp_rejects_non_finite_values(values):
         solve_initial_value(ws, values, -1.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, complex(1.0, -np.inf),
+                                 complex(np.nan, 0.0)])
+def test_non_finite_lambda_is_refused(lam):
+    # solve_initial_value used to raise RegionTruncationError ("raise the
+    # truncation", exit 3 from the CLI) and eigenfunction a LinAlgError
+    ws = dirichlet_workspace(nmesh=201)
+    with pytest.raises(ValueError, match="finite lambda"):
+        solve_initial_value(ws, [1.0, 0.0], lam)
+    with pytest.raises(ValueError, match="finite lambda"):
+        eigenfunction(ws, BoundaryConditions.separated(2, [0], [0]), lam)
+
+
 @pytest.mark.parametrize("lam", [1e4, 1e30])
 def test_ivp_past_its_truncation_raises(lam):
     # y'' = lam y from the middle of [0, pi] at M = 30: at 1e4 the tail
@@ -301,6 +313,27 @@ def test_dependent_rows_rejected():
     left = np.array([[1.0, 0.0], [1.0, 0.0]])
     right = np.zeros((2, 2))
     with pytest.raises(ValueError):
+        BoundaryConditions(left, right)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        BoundaryConditions(1e-12 * left, right)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        BoundaryConditions(np.zeros((2, 2)), right)
+
+
+def test_independence_is_relative_to_the_rows_scale():
+    # the rank tolerance was an absolute 1e-10, which refused these
+    dirichlet = BoundaryConditions.separated(2, [0], [0])
+    for scale in (1e-12, 1e12):
+        bc = BoundaryConditions(scale * dirichlet.left, scale * dirichlet.right)
+        assert np.array_equal(bc.left, scale * dirichlet.left)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_boundary_entries_are_refused(bad):
+    # a NaN used to raise LinAlgError: SVD did not converge
+    left, right = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    right[1, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
         BoundaryConditions(left, right)
 
 
@@ -803,6 +836,19 @@ def test_ivp_series_sums_stop_after_few_terms(monkeypatch):
         solve_initial_value(ws, [1.0, -0.5j, 0.25, 2.0], lam)
     assert len(counts) == 4 * len(lams)
     assert max(counts) <= 10
+
+
+@pytest.mark.parametrize("bad", [
+    {"samples": 100.5}, {"samples": 100.0}, {"samples": True},
+    {"max_count": 2.5}, {"max_count": 2.0}, {"max_count": True},
+    {"samples": "100"}, {"max_count": np.float64(3.0)},
+])
+def test_eigen_options_refuse_counts_that_are_not_integers(bad):
+    # max_count=2.5 used to be taken and then raise "slice indices must be
+    # integers" in find_eigenvalues; samples=100.5 was used as it stood
+    with pytest.raises(ValueError, match=f"{next(iter(bad))} must be"):
+        EigenOptions(**bad)
+    EigenOptions(samples=np.int64(100), max_count=np.int32(2))
 
 
 @pytest.mark.parametrize("bad", [
