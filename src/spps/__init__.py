@@ -28,10 +28,8 @@ from .expressions import (
 )
 from .factorization import (
     OperatorSpec,
-    PolyaFactorization,
     SolutionSystem,
     build_seed_system,
-    check_nonvanishing,
     operator_residual,
     polya_factors,
     wronskians,
@@ -52,13 +50,11 @@ from .mesh import (
     zeros,
 )
 from .powers import (
-    DerivativeCoeffs,
     FormalPowerTable,
     compute_A,
     evaluate_derivatives,
     evaluate_solution,
     formal_powers,
-    initial_matrix,
     series_coefficients_at_node,
     tail_ratio,
 )
@@ -90,12 +86,10 @@ __all__ = [
     "FD_ACCURACY", "QUADRATURE_DEGREE", "Mesh", "SampledFunction",
     "constant", "cumulative_integral", "differentiate",
     "format_csv", "format_json", "ones", "reciprocal", "tabulate", "zeros",
-    "OperatorSpec", "PolyaFactorization", "SolutionSystem",
-    "build_seed_system", "check_nonvanishing", "operator_residual",
-    "polya_factors", "wronskians",
-    "DerivativeCoeffs", "FormalPowerTable", "compute_A",
-    "evaluate_derivatives", "evaluate_solution", "formal_powers",
-    "initial_matrix", "series_coefficients_at_node",
+    "OperatorSpec", "SolutionSystem", "build_seed_system",
+    "operator_residual", "polya_factors", "wronskians",
+    "FormalPowerTable", "compute_A", "evaluate_derivatives",
+    "evaluate_solution", "formal_powers", "series_coefficients_at_node",
     "tail_ratio",
     "Expression", "evaluate_constant", "parse_expression",
     "tabulate_expression",

@@ -8,9 +8,10 @@ Subcommands::
     spps solve     --config problem.ini        solve the [initial] problem
     spps eig       --config problem.ini        search the [eig] region
 
-Exit codes: 0 success; 1 configuration or expression errors; 2 numerical
-validation failures (and argparse usage errors); 3 the requested spectral
-region is out of reach for the configured series truncation.
+Exit codes: 0 success; 1 configuration or expression errors, or output that
+cannot be written; 2 numerical validation failures (and argparse usage
+errors); 3 the requested spectral region is out of reach for the configured
+series truncation.
 """
 
 from __future__ import annotations
@@ -87,11 +88,14 @@ def _emit(obj) -> None:
 
 
 def _write_function(args, name: str, f: SampledFunction) -> str:
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{name}.{args.format}")
     text = format_csv(f) if args.format == "csv" else format_json(f)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:  # exits 1, as an unreadable config does
+        os.makedirs(args.out, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -121,7 +125,7 @@ def _cmd_factorize(args) -> int:
     if args.out:
         report["files"] = [
             _write_function(args, f"factor{j}", bj)
-            for j, bj in enumerate(ws.fac.b)]
+            for j, bj in enumerate(ws.b)]
     _emit(report)
     return 0
 

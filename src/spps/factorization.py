@@ -124,46 +124,16 @@ class SolutionSystem:
         return _accepted(op, derivs, wronskian_floor, residual_tol)
 
 
-# -- nonvanishing reports -----------------------------------------------------
+# -- nonvanishing checks ------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonvanishingEntry:
-    min_modulus: float
-    max_modulus: float
-    relative: float
-    node: int
-    x: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class NonvanishingReport:
-    entries: tuple[NonvanishingEntry, ...]
-    floor: float
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    @property
-    def worst(self) -> int:
-        return min(range(len(self.entries)), key=lambda i: self.entries[i].relative)
-
-    @property
-    def min_relative(self) -> float:
-        return self.entries[self.worst].relative
-
-
-def check_nonvanishing(fs: Sequence[SampledFunction],
-                       floor: float = WRONSKIAN_FLOOR) -> NonvanishingReport:
-    """Report min/max moduli of each function against a relative floor.
+def _relative_minima(fs: Sequence[SampledFunction]) -> list[tuple[float, int]]:
+    """Each function's minimum modulus relative to its maximum, and the node
+    nearer that minimum.
 
     The minimum runs over the chords between neighbouring nodes, so a sign
-    change between two nodes counts. A function passes when its minimum
-    modulus exceeds ``floor`` times its maximum; the report names the node
-    nearer the minimum.
+    change between two nodes counts.
     """
-    entries = []
+    out = []
     for f in fs:
         a, d = f.values[:-1], np.diff(f.values)
         mags, step = np.abs(f.values), np.abs(d)
@@ -172,26 +142,24 @@ def check_nonvanishing(fs: Sequence[SampledFunction],
         s = np.clip(-(a.conj() * u).real, 0.0, step)
         low = np.where(s < step, np.abs(a + s * u), mags[1:])
         k = int(np.argmin(low))
-        i = k + int(s[k] > step[k] / 2)
         lo, hi = float(low[k]), float(np.max(mags))
-        rel = lo / hi if hi > 0 else 0.0
-        entries.append(NonvanishingEntry(
-            lo, hi, rel, i, float(f.mesh.nodes[i]), rel > floor))
-    return NonvanishingReport(tuple(entries), floor)
+        out.append((lo / hi if hi > 0 else 0.0, k + int(s[k] > step[k] / 2)))
+    return out
 
 
-def _floor_report(W: Sequence[SampledFunction], floor: float) -> NonvanishingReport:
-    """The report on W_1..W_n; WronskianFloorError naming the worst
-    Wronskian and its node when one fails."""
-    report = check_nonvanishing(W[1:], floor)
-    if not report.passed:
-        j = report.worst
-        e = report.entries[j]
+def _floor_report(W: Sequence[SampledFunction], floor: float) -> float:
+    """The least relative minimum of W_1..W_n; WronskianFloorError naming
+    the worst Wronskian and its node unless it exceeds ``floor``."""
+    minima = _relative_minima(W[1:])
+    j = min(range(len(minima)), key=lambda i: minima[i][0])
+    rel, node = minima[j]
+    if not rel > floor:
+        x = float(W[1].mesh.nodes[node])
         raise WronskianFloorError(
-            f"W_{j + 1} has relative min modulus {e.relative:.3e} below the "
-            f"{report.floor:.1e} floor at node {e.node} (x={e.x:.6g})",
-            index=j + 1, node=e.node, x=e.x)
-    return report
+            f"W_{j + 1} has relative min modulus {rel:.3e} below the "
+            f"{floor:.1e} floor at node {node} (x={x:.6g})",
+            index=j + 1, node=node, x=x)
+    return rel
 
 
 # -- Wronskians and factors ---------------------------------------------------
@@ -215,24 +183,9 @@ def wronskians(sys: SolutionSystem) -> list[SampledFunction]:
     return _nested_wronskians(sys.op.mesh, sys.derivs)
 
 
-@dataclass(frozen=True)
-class PolyaFactorization:
-    """Factor functions b_0..b_n of the operator."""
-
-    b: tuple[SampledFunction, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.b) - 1
-
-    @property
-    def mesh(self) -> Mesh:
-        return self.b[0].mesh
-
-
 def polya_factors(W: Sequence[SampledFunction],
-                  floor: float = WRONSKIAN_FLOOR) -> PolyaFactorization:
-    """Factor functions from nested Wronskians [W_0..W_n].
+                  floor: float = WRONSKIAN_FLOOR) -> tuple[SampledFunction, ...]:
+    """Factor functions (b_0, ..., b_n) from nested Wronskians [W_0..W_n].
 
     Raises
     ------
@@ -248,7 +201,7 @@ def polya_factors(W: Sequence[SampledFunction],
     for j in range(1, n):
         b.append(W[j - 1] * W[j + 1] / W[j] / W[j])
     b.append(W[n - 1] / W[n])
-    return PolyaFactorization(tuple(b))
+    return tuple(b)
 
 
 # -- residual measurement -----------------------------------------------------
@@ -330,10 +283,11 @@ def _recombine_until_nonvanishing(mesh: Mesh, rows: np.ndarray,
     best = -math.inf
     for attempt in range(max_retries + 1):
         trial = _recombine(rows, _combination_matrix(rng, m, attempt))
-        report = check_nonvanishing(_nested_wronskians(mesh, trial)[1:], floor)
-        if report.passed:
+        worst = min(rel for rel, _ in _relative_minima(
+            _nested_wronskians(mesh, trial)[1:]))
+        if worst > floor:
             return trial, attempt
-        best = max(best, report.min_relative)
+        best = max(best, worst)
     raise SeedConstructionError(
         f"order-{m} recombination exhausted {max_retries} retries",
         best_wronskian_min=best)
@@ -348,9 +302,8 @@ def _accepted(op: OperatorSpec, derivs: np.ndarray, floor: float, tol: float,
     if not res <= tol:
         raise ResidualVerificationError(
             f"seed residual {res:.3e} exceeds {tol:.1e}", residual=res)
-    report = _floor_report(_nested_wronskians(op.mesh, derivs), floor)
-    return SolutionSystem(op, derivs, wronskian_min=report.min_relative,
-                          residual_max=res, **fields)
+    wmin = _floor_report(_nested_wronskians(op.mesh, derivs), floor)
+    return SolutionSystem(op, derivs, wronskian_min=wmin, residual_max=res, **fields)
 
 
 def build_seed_system(op: OperatorSpec,
@@ -420,15 +373,15 @@ def build_seed_system(op: OperatorSpec,
         # stage A: one identity-plus-lower draw mixes the rows and leaves
         # every W_j as it is; only order 2's W_2 = z_1 is new and can fail
         rows = _recombine(family, _combination_matrix(rng, m, 0))
-        fac = polya_factors(_nested_wronskians(mesh, rows), wronskian_floor)
-        table = formal_powers(fac, op.phi[m - 1], min(8, truncation))
+        b = polya_factors(_nested_wronskians(mesh, rows), wronskian_floor)
+        table = formal_powers(b, op.phi[m - 1], min(8, truncation))
         coeffs = compute_A(rows, table)
         while True:  # the sums at -1 that pass the stop test are kept
             sums = [_solution_sum(table, k, -1.0) for k in range(1, m + 1)]
             if table.truncation >= truncation or max(
                     ratio for _, ratio in sums) <= STOP_TOL:
                 break
-            table = _grow_powers(fac, table.weight, table.x, table.norms,
+            table = _grow_powers(b, table.weight, table.x, table.norms,
                                  min(table.truncation + 8, truncation))
         truncations.append(table.truncation)
 

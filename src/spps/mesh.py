@@ -110,9 +110,8 @@ class Mesh:
 
     def decimate(self, stride: int) -> "Mesh":
         """Coarsened copy keeping every ``stride``-th node (basepoint preserved)."""
-        stride = int(stride)
-        if stride < 1 or (self.n - 1) % stride != 0:
-            raise ValueError(f"stride {stride} does not divide {self.n - 1} segments")
+        if not _is_int(stride) or stride < 1 or (self.n - 1) % stride != 0:
+            raise ValueError(f"stride {stride!r} does not divide {self.n - 1} segments")
         if self.i0 % stride != 0:
             raise ValueError(f"stride {stride} drops the basepoint node {self.i0}")
         return replace(self, n=(self.n - 1) // stride + 1, i0=self.i0 // stride)
@@ -347,9 +346,8 @@ def differentiate(f: SampledFunction, order: int = 1) -> SampledFunction:
     StencilError
         If the mesh has fewer nodes than the stencil window.
     """
-    order = int(order)
-    if order < 1:
-        raise ValueError(f"derivative order must be >= 1, got {order}")
+    if not (_is_int(order) and order >= 1):
+        raise ValueError(f"derivative order must be an integer >= 1, got {order!r}")
     mesh = f.mesh
     n, v = mesh.n, f.values
     w = _diff_window(order)

@@ -8,8 +8,8 @@ solutions of L y = lambda r y split, for each k in 1..n, into series
 whose coefficients, the formal powers, are built by recursive integration.
 This module tabulates them (in the secondary indexing X_k^(j), which walks
 one integration at a time), evaluates truncated series and their derivatives
-through order n-1, and extracts the lambda-independent initial data at the
-basepoint.
+through order n-1, and gathers their coefficients in lambda at given
+nodes.
 
 For the operator D^n with unit weight and basepoint 0, the formal powers are
 literally the monomials: X_k^(j) = x^j, so u_k is the truncated expansion of
@@ -25,16 +25,13 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Sequence
 
 import numpy as np
 
 from .errors import RegionTruncationError, TruncationWarning
 from .mesh import (Mesh, SampledFunction, _antiderivative, _check_finite,
-                   _reduce, ones)
-
-if TYPE_CHECKING:  # import only for annotations, the dependency is one-way
-    from .factorization import PolyaFactorization
+                   _is_int, _reduce, ones)
 
 _PACKAGE = os.path.dirname(__file__)  # warnings name the first caller outside
 
@@ -47,31 +44,15 @@ TAIL_ERROR = 1e-6
 STOP_TOL = 1e-17
 
 
-@dataclass(frozen=True)
-class DerivativeCoeffs:
-    """Triangle A[ell, alpha] of derivative coefficients on a mesh.
+def compute_A(derivs: np.ndarray, table: "FormalPowerTable") -> np.ndarray:
+    """Triangle A[ell, alpha] of derivative coefficients, filled exactly.
 
     Row ell expresses the ell-th derivative of b_0 times an iterated integral
     as a combination of shallower iterated integrals; the triangle is the
-    same for every solution index, so one serves all of u_1..u_n. ``table``
-    is one read-only complex array of shape (n, n, mesh.n), zero above the
-    diagonal: ``table[ell, alpha]`` is A[ell, alpha].
-
-    The diagonal A[ell, ell] is the product b_0 b_1 ... b_ell, nonvanishing
-    whenever the factorization exists.
-    """
-
-    mesh: Mesh
-    table: np.ndarray
-
-    def __post_init__(self):
-        self.table.setflags(write=False)
-
-    __reduce__ = _reduce
-
-
-def compute_A(derivs: np.ndarray, table: "FormalPowerTable") -> DerivativeCoeffs:
-    """Fill the derivative-coefficient triangle for rows 0..n-1 exactly.
+    same for every solution index, so one serves all of u_1..u_n. It is one
+    read-only complex array of shape (n, n, mesh.n), zero above the
+    diagonal: ``A[ell, alpha]``. The diagonal A[ell, ell] is the product
+    b_0 b_1 ... b_ell, nonvanishing whenever the factorization exists.
 
     ``derivs[k, ell]`` is the ell-th derivative of y_{k+1}, the seed whose
     Wronskians gave the factors of ``table`` (an (n, n, nodes) array, as
@@ -91,7 +72,8 @@ def compute_A(derivs: np.ndarray, table: "FormalPowerTable") -> DerivativeCoeffs
         a[k:, k] = derivs[k, k:]
         for j in range(k):  # u_{k+1}^(ell) less the shallower columns
             a[k:, k] -= c[j] * derivs[j, k:] + a[k:, j] * xs[k - j]
-    return DerivativeCoeffs(table.mesh, a)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -128,22 +110,25 @@ class FormalPowerTable:
         return self.secondary(k, m * self.n + k - 1)
 
 
-def formal_powers(fac: "PolyaFactorization", r: SampledFunction,
+def formal_powers(b: Sequence[SampledFunction], r: SampledFunction,
                   truncation: int) -> FormalPowerTable:
     """Tabulate the secondary formal powers by recursive integration.
 
-    X_k^(0) = 1; each X_k^(j) is j times the cumulative integral of a factor
-    times X_k^(j-1). The factor cycles through the b's by the offset of j
-    from k modulo n, and at the wrap (j congruent to k mod n) it is
-    b_n b_0 r, which is where the weight enters. Each power must be finite.
+    ``b`` is the factor tuple (b_0, ..., b_n) that
+    :func:`~spps.factorization.polya_factors` returns. X_k^(0) = 1; each
+    X_k^(j) is j times the cumulative integral of a factor times X_k^(j-1).
+    The factor cycles through the b's by the offset of j from k modulo n,
+    and at the wrap (j congruent to k mod n) it is b_n b_0 r, which is where
+    the weight enters. Each power must be finite.
     """
-    if r.mesh != fac.mesh:
+    if r.mesh != b[0].mesh:
         raise ValueError("weight and factorization live on different meshes")
-    return _grow_powers(fac, r, [(ones(fac.mesh).values,)] * fac.n,
-                        [(1.0,)] * fac.n, truncation)
+    n = len(b) - 1
+    return _grow_powers(b, r, [(ones(r.mesh).values,)] * n, [(1.0,)] * n,
+                        truncation)
 
 
-def _grow_powers(fac: "PolyaFactorization", r: SampledFunction, rows, norms,
+def _grow_powers(b: Sequence[SampledFunction], r: SampledFunction, rows, norms,
                  truncation: int) -> FormalPowerTable:
     """Table at ``truncation`` whose row k starts with ``rows[k - 1]``.
 
@@ -152,11 +137,12 @@ def _grow_powers(fac: "PolyaFactorization", r: SampledFunction, rows, norms,
     The table at a lower truncation is an exact prefix of the table at a
     higher one, so a continued table equals a rebuilt one.
     """
-    n, mesh = fac.n, fac.mesh
-    if truncation < 0:
-        raise ValueError("truncation order must be nonnegative")
+    n, mesh = len(b) - 1, r.mesh
+    if not (_is_int(truncation) and truncation >= 0):
+        raise ValueError(f"truncation order must be a nonnegative integer, "
+                         f"got {truncation!r}")
     # the factor at offset (k - j) mod n: b_n b_0 r at the wrap, else b_offset
-    mults = [(fac.b[n] * fac.b[0] * r).values] + [b.values for b in fac.b[1:n]]
+    mults = [(b[n] * b[0] * r).values] + [f.values for f in b[1:n]]
     ks, ns = [], []
     for k, (row, row_norms) in enumerate(zip(rows, norms), start=1):
         stop = truncation * n + k
@@ -252,12 +238,12 @@ def _solution_sum(table: FormalPowerTable, k: int, lam: complex,
     return s, ratio
 
 
-def _rows(coeffs: DerivativeCoeffs, sums: list[np.ndarray]) -> np.ndarray:
+def _rows(coeffs: np.ndarray, sums: list[np.ndarray]) -> np.ndarray:
     """u_k^(ell) = sum_{alpha <= ell} A[ell, alpha] S_{k,alpha} for every
     ell < len(sums), from ``sums[alpha]`` = S_{k,alpha}, ascending alpha."""
-    out = coeffs.table[:len(sums), 0] * sums[0]
+    out = coeffs[:len(sums), 0] * sums[0]
     for alpha in range(1, len(sums)):
-        out[alpha:] += coeffs.table[alpha:len(sums), alpha] * sums[alpha]
+        out[alpha:] += coeffs[alpha:len(sums), alpha] * sums[alpha]
     return out
 
 
@@ -280,7 +266,7 @@ def evaluate_solution(table: FormalPowerTable, b0: SampledFunction, k: int,
     return SampledFunction(b0.mesh, b0.values * _gated_sum(table, k, lam))
 
 
-def evaluate_derivatives(table: FormalPowerTable, coeffs: DerivativeCoeffs,
+def evaluate_derivatives(table: FormalPowerTable, coeffs: np.ndarray,
                          k: int, lam: complex, ell: int) -> SampledFunction:
     """The ell-th derivative of u_k(.; lambda) for 1 <= ell <= n-1.
 
@@ -299,19 +285,7 @@ def evaluate_derivatives(table: FormalPowerTable, coeffs: DerivativeCoeffs,
     return SampledFunction(table.mesh, _rows(coeffs, sums)[ell])
 
 
-def initial_matrix(coeffs: DerivativeCoeffs) -> np.ndarray:
-    """Lower-triangular matrix T[ell, k-1] = u_k^(ell)(x0), the same for
-    every lambda.
-
-    Every formal power but X^(0) = 1 vanishes at the basepoint, so only the
-    term alpha = k - 1, m = 0 of u_k^(ell) is left: T[ell, k-1] is
-    A[ell, k-1](x0) from order k-1 on, and derivatives below it vanish. The
-    diagonal is the running product (b_0 ... b_ell)(x0). A read-only view.
-    """
-    return coeffs.table[:, :, coeffs.mesh.i0]
-
-
-def series_coefficients_at_node(table: FormalPowerTable, coeffs: DerivativeCoeffs,
+def series_coefficients_at_node(table: FormalPowerTable, coeffs: np.ndarray,
                                 nodes: list[int]) -> np.ndarray:
     """Coefficients in lambda of every u_k^(ell) frozen at a list of nodes.
 
@@ -326,7 +300,7 @@ def series_coefficients_at_node(table: FormalPowerTable, coeffs: DerivativeCoeff
     n, M = table.n, table.truncation
     rf = np.array(list(itertools.accumulate(range(1, M * n + n),
                                             lambda f, j: f / j, initial=1.0)))
-    a = np.moveaxis(coeffs.table[:, :, nodes], 2, 0)[..., None]
+    a = np.moveaxis(coeffs[:, :, nodes], 2, 0)[..., None]
     out = np.zeros((len(nodes), n, n, M + 1), dtype=np.complex128)
     for k in range(1, n + 1):
         xs = np.array([x[nodes] for x in table.x[k - 1]]).T

@@ -25,23 +25,21 @@ from .factorization import (
     RESIDUAL_TOL,
     WRONSKIAN_FLOOR,
     OperatorSpec,
-    PolyaFactorization,
     SolutionSystem,
+    _accepted,
     build_seed_system,
     operator_residual,
     polya_factors,
     wronskians,
 )
-from .mesh import Mesh, SampledFunction, _is_int
+from .mesh import Mesh, SampledFunction, _is_int, _reduce
 from .powers import (
-    DerivativeCoeffs,
     FormalPowerTable,
     _check_ratio,
     _gated_sum,
     _grow_powers,
     compute_A,
     formal_powers,
-    initial_matrix,
     series_coefficients_at_node,
     tail_ratio,
 )
@@ -53,15 +51,22 @@ DIAGONAL_FLOOR = 1e-12
 class Workspace:
     """Everything needed to evaluate solutions of L y = lam r y.
 
-    Bundles the operator, its factorization, the formal power table, and the
-    derivative-coefficient triangle. Build one with :func:`build_workspace`.
+    Bundles the operator, its factors ``b`` = (b_0, ..., b_n), the formal
+    power table, and the read-only derivative-coefficient triangle
+    ``coeffs[ell, alpha]`` of :func:`~spps.powers.compute_A`. Build one
+    with :func:`build_workspace`.
     """
 
     op: OperatorSpec
-    fac: PolyaFactorization
+    b: tuple[SampledFunction, ...]
     table: FormalPowerTable
-    coeffs: DerivativeCoeffs
+    coeffs: np.ndarray
     seed: SolutionSystem
+
+    def __post_init__(self):
+        self.coeffs.setflags(write=False)  # again on a copy
+
+    __reduce__ = _reduce
 
     @property
     def mesh(self) -> Mesh:
@@ -70,10 +75,6 @@ class Workspace:
     @property
     def n(self) -> int:
         return self.op.n
-
-    @property
-    def b0(self) -> SampledFunction:
-        return self.fac.b[0]
 
     @property
     def truncation(self) -> int:
@@ -105,8 +106,9 @@ def build_workspace(
     rng_seed, max_retries :
         Passed through to the seed builder when ``seed`` is omitted.
     wronskian_floor, residual_tol :
-        Checks of the seed builder; the Wronskian floor also applies to the
-        factorization of an explicit ``seed``.
+        Checks of the seed builder, and of a ``seed`` constructed directly
+        (its ``residual_max`` is NaN), which is measured here; the Wronskian
+        floor also applies to the factorization of any explicit ``seed``.
     """
     if seed is None:
         seed = build_seed_system(
@@ -116,10 +118,12 @@ def build_workspace(
     elif (seed.op.n, seed.op.mesh) != (op.n, op.mesh) or not all(
             np.array_equal(p.values, q.values) for p, q in zip(seed.op.phi, op.phi)):
         raise ValueError("the seed solves another order, mesh or coefficients")
-    fac = polya_factors(wronskians(seed), wronskian_floor)
-    table = formal_powers(fac, op.r, truncation)
-    coeffs = compute_A(seed.derivs, table)
-    return Workspace(op, fac, table, coeffs, seed)
+    elif np.isnan(seed.residual_max):  # constructed directly, never measured
+        seed = _accepted(seed.op, seed.derivs, wronskian_floor, residual_tol,
+                         retries=seed.retries, truncations=seed.truncations)
+    b = polya_factors(wronskians(seed), wronskian_floor)
+    table = formal_powers(b, op.r, truncation)
+    return Workspace(op, b, table, compute_A(seed.derivs, table), seed)
 
 
 def with_truncation(ws: Workspace, truncation: int) -> Workspace:
@@ -131,7 +135,7 @@ def with_truncation(ws: Workspace, truncation: int) -> Workspace:
     """
     if truncation == ws.truncation:
         return ws
-    table = _grow_powers(ws.fac, ws.table.weight, ws.table.x, ws.table.norms,
+    table = _grow_powers(ws.b, ws.table.weight, ws.table.x, ws.table.norms,
                          truncation)
     return replace(ws, table=table)
 
@@ -159,7 +163,9 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
     if vals.shape != (n,) or not (np.all(np.isfinite(vals)) and np.isfinite(lam)):
         raise ValueError(f"expected {n} finite initial values and a finite "
                          f"lambda, got {vals} and {lam}")
-    mat = initial_matrix(ws.coeffs)
+    # every formal power but X^(0) = 1 vanishes at x0, so u_k^(ell)(x0) is
+    # A[ell, k-1](x0) from ell = k-1 on and 0 below, whatever lam is
+    mat = ws.coeffs[:, :, ws.mesh.i0]
     c = np.zeros(n, dtype=complex)
     for ell in range(n):
         diag = mat[ell, ell]
@@ -176,7 +182,7 @@ def _combination(ws: Workspace, c: np.ndarray, lam: complex) -> np.ndarray:
     acc = np.zeros(ws.mesh.n, dtype=complex)
     for k, ck in enumerate(c, start=1):
         if ck != 0:
-            acc += ws.b0.values * _gated_sum(ws.table, k, complex(lam)) * ck
+            acc += ws.b[0].values * _gated_sum(ws.table, k, complex(lam)) * ck
     return acc
 
 
@@ -226,11 +232,11 @@ class BoundaryConditions:
         """
         left_orders, right_orders = list(left_orders), list(right_orders)
         orders = left_orders + right_orders
-        if len(orders) != n:
-            raise ValueError(
-                f"need {n} conditions, got {len(orders)}")
-        if any(d < 0 or d >= n for d in orders):
-            raise ValueError(f"derivative orders must lie in 0..{n - 1}")
+        if not (_is_int(n) and len(orders) == n):
+            raise ValueError(f"need {n!r} conditions (an integer), got {len(orders)}")
+        if not all(_is_int(d) and 0 <= d < n for d in orders):
+            raise ValueError(f"derivative orders must be integers in 0..{n - 1}, "
+                             f"got {orders}")
         left = np.zeros((n, n))
         right = np.zeros((n, n))
         for i, d in enumerate(left_orders):

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from spps.errors import StencilError
-from spps.factorization import OperatorSpec, PolyaFactorization
+from spps.factorization import OperatorSpec
 from spps.mesh import (
     SampledFunction,
     _diff_weights,
@@ -113,24 +113,25 @@ def apply_coefficients(op: OperatorSpec, y: SampledFunction) -> SampledFunction:
     return out + op.phi[op.n - 1] * y
 
 
-def apply_factorized(fac: PolyaFactorization, y: SampledFunction) -> SampledFunction:
-    """L y via the nested first-order factors (divide, differentiate, repeat)."""
-    u = SampledFunction(y.mesh, y.values / fac.b[0].values)
-    for j in range(1, fac.n + 1):
+def apply_factorized(fac, y: SampledFunction) -> SampledFunction:
+    """L y via the nested first-order factors (b_0, ..., b_n): divide,
+    differentiate, repeat."""
+    u = SampledFunction(y.mesh, y.values / fac[0].values)
+    for j in range(1, len(fac)):
         u = differentiate(u, 1)
-        u = SampledFunction(u.mesh, u.values / fac.b[j].values)
+        u = SampledFunction(u.mesh, u.values / fac[j].values)
     return u
 
 
-def polya_system(fac: PolyaFactorization) -> list[SampledFunction]:
+def polya_system(fac) -> list[SampledFunction]:
     """The n solutions b_0, b_0*I(b_1), b_0*I(b_1 I(b_2)), ... of L y = 0,
     where I g denotes the cumulative integral of g from the basepoint."""
-    out = [fac.b[0]]
-    for k in range(1, fac.n):
-        g = ones(fac.mesh)
+    out = [fac[0]]
+    for k in range(1, len(fac) - 1):
+        g = ones(fac[0].mesh)
         for j in range(k, 0, -1):
-            g = cumulative_integral(fac.b[j] * g)
-        out.append(fac.b[0] * g)
+            g = cumulative_integral(fac[j] * g)
+        out.append(fac[0] * g)
     return out
 
 
@@ -218,7 +219,7 @@ def full_derivative_sum(table, coeffs, k, lam, ell):
     s = np.zeros(table.mesh.n, dtype=np.complex128)
     comp = np.zeros_like(s)
     for alpha in range(ell + 1):
-        a = coeffs.table[ell, alpha]
+        a = coeffs[ell, alpha]
         m0 = 1 if k - alpha - 1 < 0 else 0
         c = complex(lam ** m0 / math.factorial(m0 * n + k - alpha - 1))
         for m in range(m0, M + 1):
@@ -240,7 +241,7 @@ def node_coefficients(table, coeffs, k, ell, node):
     for j in range(1, len(rf)):
         rf[j] = rf[j - 1] / j
     for alpha in range(ell + 1):
-        a = coeffs.table[ell, alpha, node]
+        a = coeffs[ell, alpha, node]
         for m in range(M + 1):
             j = m * n + k - alpha - 1
             if j >= 0:

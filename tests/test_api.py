@@ -19,30 +19,27 @@ UNREAD = {
 }
 
 PUBLIC = [
-    "BoundaryConditions", "CharacteristicFunction", "ConfigError",
-    "DerivativeCoeffs", "Disk", "EigenOptions", "EigenResult", "Eigenvalue",
-    "Expression", "ExpressionError", "FD_ACCURACY", "FormalPowerTable",
-    "Interval", "Mesh", "MeshMismatchError", "OperatorSpec",
-    "PolyaFactorization", "ProblemConfig", "QUADRATURE_DEGREE",
+    "BoundaryConditions", "CharacteristicFunction", "ConfigError", "Disk",
+    "EigenOptions", "EigenResult", "Eigenvalue", "Expression",
+    "ExpressionError", "FD_ACCURACY", "FormalPowerTable", "Interval", "Mesh",
+    "MeshMismatchError", "OperatorSpec", "ProblemConfig", "QUADRATURE_DEGREE",
     "RegionTruncationError", "ResidualVerificationError", "SampledFunction",
     "SeedConstructionError", "SolutionSystem", "SppsError", "StencilError",
     "TriangularDefectError", "TruncationWarning", "VanishingValueError",
-    "Workspace", "WronskianFloorError", "__version__",
-    "build_seed_system", "build_workspace", "characteristic_polynomials",
-    "check_nonvanishing", "compute_A", "constant", "cumulative_integral",
-    "differentiate", "eigenfunction", "evaluate_constant",
-    "evaluate_derivatives", "evaluate_solution", "find_eigenvalues",
-    "formal_powers", "format_csv", "format_json", "initial_matrix",
-    "load_config", "ones", "operator_residual",
-    "parse_expression", "polya_factors", "reciprocal",
-    "series_coefficients_at_node", "solve_initial_value", "tabulate",
-    "tabulate_expression", "tail_ratio", "with_truncation", "wronskians",
-    "zeros",
+    "Workspace", "WronskianFloorError", "__version__", "build_seed_system",
+    "build_workspace", "characteristic_polynomials", "compute_A", "constant",
+    "cumulative_integral", "differentiate", "eigenfunction",
+    "evaluate_constant", "evaluate_derivatives", "evaluate_solution",
+    "find_eigenvalues", "formal_powers", "format_csv", "format_json",
+    "load_config", "ones", "operator_residual", "parse_expression",
+    "polya_factors", "reciprocal", "series_coefficients_at_node",
+    "solve_initial_value", "tabulate", "tabulate_expression", "tail_ratio",
+    "with_truncation", "wronskians", "zeros",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 63
+    assert len(PUBLIC) == 59
     assert sorted(spps.__all__) == PUBLIC
 
 

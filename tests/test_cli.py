@@ -212,6 +212,18 @@ def test_missing_config_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["factorize", "powers", "solve"])
+def test_unwritable_output_exit_code(config, capsys, tmp_path, command):
+    # an existing file as --out used to end in a FileExistsError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code, out, err = run_main(capsys, command, "--config", config,
+                              "--out", str(taken))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {taken}")
+
+
 def test_bad_expression_exit_code(tmp_path, capsys):
     path = tmp_path / "p.ini"
     path.write_text("[problem]\norder = 2\ninterval = 0 1\n"

@@ -31,8 +31,8 @@ from spps.factorization import (
     SolutionSystem,
     _combination_matrix,
     _recombine,
+    _relative_minima,
     build_seed_system,
-    check_nonvanishing,
     operator_residual,
     polya_factors,
     wronskians,
@@ -75,47 +75,45 @@ def canonical_system(op):
     return SolutionSystem.from_functions(op, funcs)
 
 
-# -- check_nonvanishing ---------------------------------------------------------
+# -- relative minima -------------------------------------------------------------
 
 def test_nonvanishing_constant_passes():
     m = Mesh(0.0, 1.0, 101)
-    rep = check_nonvanishing([ones(m)], 1e-6)
-    assert rep.passed
-    assert rep.entries[0].min_modulus == 1.0
+    [(rel, _)] = _relative_minima([ones(m)])
+    assert rel == 1.0
 
 
 def test_nonvanishing_exponential_passes_min_at_left():
     m = Mesh(0.0, 1.0, 101)
-    rep = check_nonvanishing([tabulate(m, np.exp)], 1e-6)
-    assert rep.passed
-    assert rep.entries[0].node == 0
-    assert rep.entries[0].min_modulus == pytest.approx(1.0)
+    [(rel, node)] = _relative_minima([tabulate(m, np.exp)])
+    assert rel > 1e-6
+    assert node == 0
+    assert rel == pytest.approx(np.exp(-1.0))
 
 
 def test_nonvanishing_fails_at_zero_crossing():
     m = Mesh(-1.0, 1.0, 101)
-    rep = check_nonvanishing([tabulate(m, lambda x: x)], 1e-6)
-    assert not rep.passed
-    assert rep.entries[0].node == 50  # the node nearest x = 0
+    [(rel, node)] = _relative_minima([tabulate(m, lambda x: x)])
+    assert not rel > 1e-6
+    assert node == 50  # the node nearest x = 0
 
 
 def test_nonvanishing_sees_a_sign_change_between_nodes():
     m = Mesh(0.0, 3.0, 401)  # cos vanishes at pi/2, between nodes 209 and 210
-    rep = check_nonvanishing([tabulate(m, np.cos)], 1e-6)
-    assert not rep.passed
-    assert rep.entries[0].relative < 1e-15
-    assert rep.entries[0].node == 209
+    [(rel, node)] = _relative_minima([tabulate(m, np.cos)])
+    assert rel < 1e-15
+    assert node == 209
 
 
 def test_nonvanishing_measures_the_chord_between_nodes():
     # x - 0.1 + 0.001i passes 0.001 from zero at x = 0.1, between the nodes
     # 0 and 0.25; the nearer one is reported
     m = Mesh(-1.0, 1.0, 9)
-    rep = check_nonvanishing([tabulate(m, lambda x: x) - 0.1 + 0.001j], 1e-6)
-    e = rep.entries[0]
-    assert rep.passed
-    assert e.min_modulus == pytest.approx(0.001, rel=1e-12)
-    assert (e.node, e.x) == (4, 0.0)
+    f = tabulate(m, lambda x: x) - 0.1 + 0.001j
+    [(rel, node)] = _relative_minima([f])
+    assert rel > 1e-6
+    assert rel * f.max_abs() == pytest.approx(0.001, rel=1e-12)
+    assert (node, m.nodes[node]) == (4, 0.0)
 
 
 # -- wronskians -----------------------------------------------------------------
@@ -147,15 +145,15 @@ def test_factors_for_exponential_pair():
         op, [tabulate(m, np.exp), tabulate(m, lambda t: np.exp(2 * t))])
     fac = polya_factors(wronskians(sys))
     x = m.nodes
-    np.testing.assert_allclose(fac.b[0].values, np.exp(x), rtol=1e-9)
-    np.testing.assert_allclose(fac.b[1].values, np.exp(x), rtol=1e-9)
-    np.testing.assert_allclose(fac.b[2].values, np.exp(-2 * x), rtol=1e-9)
+    np.testing.assert_allclose(fac[0].values, np.exp(x), rtol=1e-9)
+    np.testing.assert_allclose(fac[1].values, np.exp(x), rtol=1e-9)
+    np.testing.assert_allclose(fac[2].values, np.exp(-2 * x), rtol=1e-9)
 
 
 def test_factors_for_monomial_seed_are_one():
     m = Mesh(0.0, 1.0, 401, 0)
     fac = polya_factors(wronskians(canonical_system(d_power_op(m, 4))))
-    for bj in fac.b:
+    for bj in fac:
         # third derivatives come from finite differences, so roundoff
         # amplification ~eps/h^3 bounds the achievable accuracy here
         np.testing.assert_allclose(bj.values, 1.0, atol=1e-6)
@@ -202,7 +200,7 @@ def test_factorized_annihilates_seed():
     sys = SolutionSystem.from_functions(
         op, [tabulate(m, np.exp), tabulate(m, lambda t: np.exp(2 * t))])
     fac = polya_factors(wronskians(sys))
-    res = apply_factorized(fac, fac.b[0])  # L b_0 = 0
+    res = apply_factorized(fac, fac[0])  # L b_0 = 0
     assert np.max(np.abs(res.values[3:-3])) < 1e-6
 
 
@@ -514,8 +512,8 @@ def test_build_seed_wronskian_min_is_final_report(phis):
     m = Mesh(0.0, 1.0, 401)
     op = make_op(m, phis(m))
     sys = build_seed_system(op, rng_seed=2)
-    report = check_nonvanishing(wronskians(sys)[1:])
-    assert sys.wronskian_min == report.min_relative
+    assert sys.wronskian_min == min(
+        rel for rel, _ in _relative_minima(wronskians(sys)[1:]))
 
 
 # -- seed truncation ---------------------------------------------------------------
@@ -614,7 +612,7 @@ def test_built_seed_triangle_takes_the_seed_rows(monkeypatch):
     ws = build_workspace(op, rng_seed=1)
     assert calls == []  # neither the seed builder nor the triangle differentiates
     for ell in range(4):
-        assert np.array_equal(ws.coeffs.table[ell, 0], ws.seed.derivs[0, ell])
+        assert np.array_equal(ws.coeffs[ell, 0], ws.seed.derivs[0, ell])
 
 
 # -- derivative rows as one array -----------------------------------------------------
@@ -632,8 +630,8 @@ def test_row_arrays_match_per_entry_loops(n):
         assert np.array_equal(w.values, want)
     table = formal_powers(polya_factors(W), sys.op.r, 4)
     A = compute_A(rows, table)
-    assert np.array_equal(A.table, loop_triangle(rows, table))
-    assert not A.table.flags.writeable
+    assert np.array_equal(A, loop_triangle(rows, table))
+    assert not A.flags.writeable
 
 
 def test_solution_system_checks_its_rows():

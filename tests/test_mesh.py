@@ -96,6 +96,15 @@ def test_decimate_refuses_dropping_basepoint():
         m.decimate(4)
 
 
+@pytest.mark.parametrize("stride", [2.5, 2.0, True])
+def test_decimate_refuses_strides_that_are_not_integers(stride):
+    # decimate(2.5) and decimate(2.0) used to keep every second node, and
+    # decimate(True) every node
+    with pytest.raises(ValueError, match=f"stride {stride!r}"):
+        Mesh(0.0, 1.0, 17).decimate(stride)
+    assert Mesh(0.0, 1.0, 17).decimate(np.int64(2)).n == 9
+
+
 @pytest.mark.parametrize("x1, x2, x0", [
     (0.0, 0.0, 0.0), (0.0, 1.0, np.inf), (0.0, 1.0, -np.inf), (0.0, 1.0, np.nan)])
 def test_with_basepoint_refuses_degenerate_input(x1, x2, x0):
@@ -287,6 +296,16 @@ def test_derivative_convergence_order():
         d = differentiate(tabulate(m, lambda t: np.exp(2 * t)), 2)
         errs.append(np.max(np.abs(d.values - 4 * np.exp(2 * m.nodes))))
     assert errs[1] < errs[0] / 10
+
+
+@pytest.mark.parametrize("order", [1.5, 1.0, True])
+def test_differentiate_refuses_orders_that_are_not_integers(order):
+    # each of these used to give the first derivative
+    f = tabulate(Mesh(0.0, 1.0, 17), np.sin)
+    with pytest.raises(ValueError, match=f"must be an integer >= 1, got {order!r}"):
+        differentiate(f, order)
+    assert np.array_equal(differentiate(f, np.int64(1)).values,
+                          differentiate(f, 1).values)
 
 
 def test_stencil_error_on_tiny_mesh():

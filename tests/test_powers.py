@@ -20,13 +20,11 @@ from spps.factorization import (
     wronskians,
 )
 from spps.powers import (
-    DerivativeCoeffs,
     _rows,
     compute_A,
     evaluate_derivatives,
     evaluate_solution,
     formal_powers,
-    initial_matrix,
     series_coefficients_at_node,
     tail_ratio,
 )
@@ -79,18 +77,18 @@ def triangle_parts(op, sys, truncation=0):
 def test_A_all_ones_factors():
     m = Mesh(0.0, 1.0, 401, 0)
     _, _, A = triangle_parts(*trivial_system(m, 4))
-    assert A.table.shape == (4, 4, m.n)
+    assert A.shape == (4, 4, m.n)
     for ell in range(4):
         for alpha in range(ell + 1):
             want = 1.0 if alpha == ell else 0.0
             # the seed rows are finite differences of the monomials
-            assert np.max(np.abs(A.table[ell, alpha] - want)) < 1e-6
+            assert np.max(np.abs(A[ell, alpha] - want)) < 1e-6
 
 
 def test_A_top_entry_is_first_factor():
     m = Mesh(0.0, 1.0, 101)
     _, _, A = triangle_parts(*exponential_system(m))
-    np.testing.assert_allclose(A.table[0, 0], np.exp(m.nodes), rtol=1e-9)
+    np.testing.assert_allclose(A[0, 0], np.exp(m.nodes), rtol=1e-9)
 
 
 def test_A_second_row_closed_form():
@@ -112,10 +110,10 @@ def test_A_second_row_closed_form():
     np.testing.assert_allclose(W[2].values, np.exp(2 * x), rtol=1e-12)
     np.testing.assert_allclose(W[3].values, 4 * np.exp(5 * x), rtol=1e-12)
     _, _, A = triangle_parts(op, sys)
-    np.testing.assert_allclose(A.table[1, 0], np.exp(x), rtol=1e-12)
-    np.testing.assert_allclose(A.table[1, 1], np.exp(x), rtol=1e-12)
-    np.testing.assert_allclose(A.table[2, 1], 2 * np.exp(x), rtol=1e-12)
-    np.testing.assert_allclose(A.table[2, 2], 4 * np.exp(3 * x), rtol=1e-12)
+    np.testing.assert_allclose(A[1, 0], np.exp(x), rtol=1e-12)
+    np.testing.assert_allclose(A[1, 1], np.exp(x), rtol=1e-12)
+    np.testing.assert_allclose(A[2, 1], 2 * np.exp(x), rtol=1e-12)
+    np.testing.assert_allclose(A[2, 2], 4 * np.exp(3 * x), rtol=1e-12)
 
 
 # -- formal powers ----------------------------------------------------------------
@@ -207,11 +205,11 @@ def test_solution_at_lambda_zero_is_iterated_integral():
     table = formal_powers(fac, op.r, truncation=8)
     # at lambda = 0 only the m = 0 term survives: u_k = b0 X^(k-1)/(k-1)!
     for k in (1, 2):
-        u = evaluate_solution(table, fac.b[0], k, 0.0)
+        u = evaluate_solution(table, fac[0], k, 0.0)
         fact = 1.0
         for i in range(1, k):
             fact *= i
-        want = fac.b[0].values * table.secondary(k, k - 1).values / fact
+        want = fac[0].values * table.secondary(k, k - 1).values / fact
         np.testing.assert_allclose(u.values, want, rtol=1e-12)
 
 
@@ -219,8 +217,8 @@ def test_pure_second_derivative_gives_hyperbolic_pair():
     m = Mesh(0.0, 1.0, 401, 0)
     op, fac = trivial_factorization(m, 2)
     table = formal_powers(fac, op.r, truncation=30)
-    u1 = evaluate_solution(table, fac.b[0], 1, 1.0)
-    u2 = evaluate_solution(table, fac.b[0], 2, 1.0)
+    u1 = evaluate_solution(table, fac[0], 1, 1.0)
+    u2 = evaluate_solution(table, fac[0], 2, 1.0)
     np.testing.assert_allclose(u1.values, np.cosh(m.nodes), rtol=1e-13)
     np.testing.assert_allclose(u2.values, np.sinh(m.nodes), atol=1e-14)
 
@@ -229,7 +227,7 @@ def test_pure_second_derivative_oscillatory():
     m = Mesh(0.0, np.pi, 401, 0)
     op, fac = trivial_factorization(m, 2)
     table = formal_powers(fac, op.r, truncation=40)
-    u1 = evaluate_solution(table, fac.b[0], 1, -4.0)  # cos(2x)
+    u1 = evaluate_solution(table, fac[0], 1, -4.0)  # cos(2x)
     np.testing.assert_allclose(u1.values, np.cos(2 * m.nodes), atol=1e-11)
 
 
@@ -240,7 +238,7 @@ def test_solution_solves_equation_at_complex_lambda():
     lam = 1.5 + 2.0j
     from spps.factorization import operator_residual
     for k in (1, 2):
-        u = evaluate_solution(table, fac.b[0], k, lam)
+        u = evaluate_solution(table, fac[0], k, lam)
         assert operator_residual(op, u, lam=lam) < 1e-8
 
 
@@ -250,7 +248,7 @@ def test_truncation_warning_raised_when_tail_measurable():
     table = formal_powers(fac, op.r, truncation=3)
     assert 1e-12 < tail_ratio(table, 1, 0.01) <= 1e-6
     with pytest.warns(TruncationWarning):
-        evaluate_solution(table, fac.b[0], 1, 0.01)
+        evaluate_solution(table, fac[0], 1, 0.01)
 
 
 def test_truncation_error_raised_when_tail_large():
@@ -259,7 +257,7 @@ def test_truncation_error_raised_when_tail_large():
     table = formal_powers(fac, op.r, truncation=3)
     assert tail_ratio(table, 1, 400.0) > 1e-6
     with pytest.raises(RegionTruncationError, match="raise the truncation"):
-        evaluate_solution(table, fac.b[0], 1, 400.0)
+        evaluate_solution(table, fac[0], 1, 400.0)
 
 
 def kahan_partial_sums(table, k, lam):
@@ -299,8 +297,8 @@ def test_tail_ratio_and_solution_from_kahan_sum():
             early.add(stop < M)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TruncationWarning)
-                u = evaluate_solution(table, fac.b[0], k, lam)
-            assert np.array_equal(u.values, fac.b[0].values * sums[stop])
+                u = evaluate_solution(table, fac[0], k, lam)
+            assert np.array_equal(u.values, fac[0].values * sums[stop])
             top = np.max(np.abs(sums[stop]))
             assert sum(bounds[stop + 1:]) <= 1e-17 * top
             assert np.max(np.abs(sums[stop] - sums[M])) <= 4 * np.spacing(top)
@@ -318,11 +316,11 @@ def test_cancelling_sum_stops_later_than_a_largest_term_rule(monkeypatch):
     original = spps.powers._kahan_add
     monkeypatch.setattr(spps.powers, "_kahan_add",
                         lambda *args: adds.append(original(*args)))
-    u = evaluate_solution(table, fac.b[0], 1, -400.0)
+    u = evaluate_solution(table, fac[0], 1, -400.0)
     largest_term_stop = next(mm for mm in range(81) if sum(
         bounds[mm + 1:]) <= 1e-17 * max(bounds))
     assert largest_term_stop + 1 < len(adds) < 81
-    full = fac.b[0].values * sums[-1]
+    full = fac[0].values * sums[-1]
     assert np.max(np.abs(u.values - full)) <= 1e-15 * np.max(np.abs(full))
 
 
@@ -333,7 +331,7 @@ def test_no_warning_when_series_converged():
     table = formal_powers(fac, op.r, truncation=30)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        evaluate_solution(table, fac.b[0], 1, 1.0)
+        evaluate_solution(table, fac[0], 1, 1.0)
 
 
 # -- derivative evaluation -----------------------------------------------------------
@@ -344,7 +342,7 @@ def test_derivative_matches_finite_difference():
     fac, table, A = triangle_parts(op, sys, truncation=30)
     from spps import differentiate
     for k in (1, 2):
-        u = evaluate_solution(table, fac.b[0], k, 2.0)
+        u = evaluate_solution(table, fac[0], k, 2.0)
         du = evaluate_derivatives(table, A, k, 2.0, 1)
         fd = differentiate(u, 1)
         err = np.max(np.abs(du.values[2:-2] - fd.values[2:-2]))
@@ -356,8 +354,8 @@ def test_derivative_ladder_for_pure_operator():
     m = Mesh(0.0, 1.0, 401, 0)
     fac, table, A = triangle_parts(*trivial_system(m, 2), truncation=30)
     lam = -2.5
-    u1 = evaluate_solution(table, fac.b[0], 1, lam)
-    u2 = evaluate_solution(table, fac.b[0], 2, lam)
+    u1 = evaluate_solution(table, fac[0], 1, lam)
+    u2 = evaluate_solution(table, fac[0], 2, lam)
     d1 = evaluate_derivatives(table, A, 1, lam, 1)
     d2 = evaluate_derivatives(table, A, 2, lam, 1)
     np.testing.assert_allclose(d2.values, u1.values, atol=1e-12)
@@ -372,7 +370,7 @@ def test_third_order_derivative_consistency():
     sys = build_seed_system(op, rng_seed=5)
     fac, table, A = triangle_parts(op, sys, truncation=25)
     from spps import differentiate
-    u = evaluate_solution(table, fac.b[0], 2, 1.0)
+    u = evaluate_solution(table, fac[0], 2, 1.0)
     for ell in (1, 2):
         du = evaluate_derivatives(table, A, 2, 1.0, ell)
         fd = differentiate(u, ell)
@@ -386,7 +384,7 @@ def test_third_order_derivative_consistency():
 def test_initial_values_structure():
     m = Mesh(0.0, 1.0, 401, 0)
     _, _, A = triangle_parts(*exponential_system(m))
-    v1, v2 = initial_matrix(A).T
+    v1, v2 = A[:, :, m.i0].T
     assert v1[0] == pytest.approx(1.0)  # b0(0) = e^0
     assert v2[0] == 0.0
     assert abs(v2[1]) > 1e-12  # nonzero diagonal
@@ -398,7 +396,7 @@ def test_initial_matrix_lower_triangular():
         3, (tabulate(m, lambda x: x), ones(m), tabulate(m, np.sin)), ones(m))
     from spps.factorization import build_seed_system
     _, _, A = triangle_parts(op, build_seed_system(op, rng_seed=5))
-    mat = initial_matrix(A)
+    mat = A[:, :, m.i0]
     assert mat.shape == (3, 3)
     for ell in range(3):
         for k in range(ell + 2, 4):
@@ -410,11 +408,11 @@ def test_initial_matrix_matches_evaluated_solutions():
     m = Mesh(0.0, 1.0, 401)
     op, sys = exponential_system(m)
     fac, table, A = triangle_parts(op, sys, truncation=30)
-    mat = initial_matrix(A)
+    mat = A[:, :, m.i0]
     i0 = m.i0
     for lam in (0.0, 1.0, -2.0, 3.0j):
         for k in (1, 2):
-            u = evaluate_solution(table, fac.b[0], k, lam)
+            u = evaluate_solution(table, fac[0], k, lam)
             assert u.values[i0] == pytest.approx(mat[0, k - 1], abs=1e-12)
             du = evaluate_derivatives(table, A, k, lam, 1)
             assert du.values[i0] == pytest.approx(mat[1, k - 1], abs=1e-12)
@@ -457,11 +455,10 @@ def test_rows_match_per_row_loop():
     for n in range(1, 7):
         a = (rng.normal(size=(n, n, 57)) + 1j * rng.normal(size=(n, n, 57))) \
             * np.tri(n)[:, :, None]  # zero above the diagonal, as A is
-        coeffs = DerivativeCoeffs(Mesh(0.0, 1.0, 57), a)
         sums = list(rng.normal(size=(n, 57)) + 1j * rng.normal(size=(n, 57)))
         for count in range(1, n + 1):
-            assert np.array_equal(_rows(coeffs, sums[:count]),
-                                  loop_rows(coeffs.table, sums[:count]))
+            assert np.array_equal(_rows(a, sums[:count]),
+                                  loop_rows(a, sums[:count]))
 
 
 # -- per-node series coefficients ------------------------------------------------
@@ -480,7 +477,7 @@ def test_gathered_coefficients_match_per_entry_sums():
                     got[p, ell, k - 1], node_coefficients(table, A, k, ell, node),
                     rtol=1e-15, atol=0.0)
     # at the basepoint only lam^0 is left, the closed-form initial data
-    assert np.array_equal(got[1, :, :, 0], initial_matrix(A))
+    assert np.array_equal(got[1, :, :, 0], A[:, :, m.i0])
     assert not np.any(got[1, :, :, 1:])
 
 
@@ -496,7 +493,7 @@ def test_series_coefficients_reproduce_evaluation():
         horner = 0.0 + 0.0j
         for c in reversed(coeffs):
             horner = horner * lam + c
-        u = evaluate_solution(table, fac.b[0], k, lam)
+        u = evaluate_solution(table, fac[0], k, lam)
         assert horner == pytest.approx(u.values[node], rel=1e-12)
         coeffs1 = coeffs_at[1, k - 1]
         horner1 = 0.0 + 0.0j

@@ -10,10 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spps.factorization
 import spps.powers
 import spps.spectral
 from spps import Mesh, constant, ones, tabulate, zeros
-from spps.errors import RegionTruncationError, TruncationWarning
+from spps.errors import (
+    RegionTruncationError,
+    ResidualVerificationError,
+    TruncationWarning,
+)
 from spps.factorization import (
     OperatorSpec,
     SolutionSystem,
@@ -243,6 +248,57 @@ def test_build_workspace_refuses_a_seed_of_another_operator():
     assert np.max(np.abs(y.values - np.sin(2 * x) / 2)) < 1e-10
 
 
+def test_a_seed_constructed_directly_is_measured():
+    # cosh/sinh rows solve y'' = y, not y'' = 0: used as given, they missed
+    # the IVP at lam = -4 by 0.236 and nothing raised
+    mesh = Mesh(0.0, np.pi, 401)
+    op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    x = mesh.nodes - mesh.x0
+    wrong = SolutionSystem(op, [[np.cosh(x), np.sinh(x)], [np.sinh(x), np.cosh(x)]])
+    with pytest.raises(ResidualVerificationError, match="seed residual"):
+        build_workspace(op, seed=wrong)
+    # exact rows pass the same check and keep their retries and truncations
+    right = SolutionSystem(op, [[np.ones_like(x), 0 * x], [x, np.ones_like(x)]],
+                           retries=3, truncations=(8,))
+    ws = build_workspace(op, seed=right)
+    assert ws.seed.residual_max <= 1e-12 and ws.seed.wronskian_min == 1.0
+    assert (ws.seed.retries, ws.seed.truncations) == (3, (8,))
+    y = solve_initial_value(ws, [0.0, 1.0], -4.0)
+    assert np.max(np.abs(y.values - np.sin(2 * x) / 2)) < 1e-10
+
+
+def test_measured_seeds_are_not_measured_again(monkeypatch):
+    mesh = Mesh(0.0, np.pi, 201)
+    op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    seeds = [build_seed_system(op), monomial_seed(op)]
+    calls = []
+    original = spps.factorization.operator_residual
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spps.factorization, "operator_residual", counting)
+    for seed in seeds:
+        assert build_workspace(op, seed=seed).seed is seed
+    assert calls == []
+
+
+@pytest.mark.parametrize("truncation", [2.5, 8.0, True])
+def test_truncation_must_be_an_integer(truncation):
+    # 2.5 and 8.0 used to raise a raw TypeError ("slice indices must be
+    # integers"), and True was kept as the workspace's truncation
+    ws = dirichlet_workspace(nmesh=201, truncation=6)
+    message = "truncation order must be a nonnegative integer"
+    for call in (lambda: build_workspace(ws.op, truncation=truncation),
+                 lambda: build_workspace(ws.op, seed=ws.seed, truncation=truncation),
+                 lambda: formal_powers(ws.b, ws.op.r, truncation),
+                 lambda: with_truncation(ws, truncation)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert build_workspace(ws.op, seed=ws.seed, truncation=np.int64(6)).truncation == 6
+
+
 def test_workspace_copies_solve_bitwise_equal():
     ws = dirichlet_workspace()
     want = solve_initial_value(ws, [0.0, 1.0], -4.0).values
@@ -251,7 +307,7 @@ def test_workspace_copies_solve_bitwise_equal():
                               want)
         assert not copy_.mesh.nodes.flags.writeable
         assert not copy_.op.r.values.flags.writeable
-        assert not copy_.b0.values.flags.writeable
+        assert not copy_.b[0].values.flags.writeable
 
 
 def arrays(obj):
@@ -288,7 +344,7 @@ def test_truncation_warning_points_at_the_caller():
                              tabulate(unit, np.sin), constant(unit, 0.5)),
                          ones(unit))
     for call in (lambda: solve_initial_value(ws, [1.0, 0.0], -10.0),
-                 lambda: evaluate_solution(ws.table, ws.b0, 1, -10.0),
+                 lambda: evaluate_solution(ws.table, ws.b[0], 1, -10.0),
                  lambda: eigenfunction(ws, bc, -10.0),
                  lambda: build_seed_system(third, truncation=5)):
         with warnings.catch_warnings(record=True) as caught:
@@ -351,6 +407,18 @@ def test_separated_validates_orders():
         BoundaryConditions.separated(2, [0], [0, 1])
 
 
+@pytest.mark.parametrize("left", [[0.5], [0.0], [True]])
+def test_separated_orders_must_be_integers(left):
+    # 0.5 and 0.0 used to raise a raw IndexError, and True to build the
+    # condition y(x1) + y'(x1) = 0
+    with pytest.raises(ValueError, match="derivative orders must be integers"):
+        BoundaryConditions.separated(2, left, [0])
+    with pytest.raises(ValueError, match="an integer"):  # was a raw TypeError
+        BoundaryConditions.separated(2.0, [0], [0])
+    bc = BoundaryConditions.separated(2, [np.int64(1)], [0])
+    assert np.array_equal(bc.left, [[0, 1], [0, 0]])
+
+
 # -- characteristic function ---------------------------------------------------------
 
 def direct_boundary_matrix(ws, bc, lam):
@@ -361,7 +429,7 @@ def direct_boundary_matrix(ws, bc, lam):
     for k in range(1, n + 1):
         for ell in range(n):
             if ell == 0:
-                y = evaluate_solution(ws.table, ws.b0, k, lam)
+                y = evaluate_solution(ws.table, ws.b[0], k, lam)
             else:
                 y = evaluate_derivatives(ws.table, ws.coeffs, k, lam, ell)
             left[ell, k - 1] = y.values[0]
@@ -571,9 +639,9 @@ GATED = {
     "evaluate_derivatives": lambda ws, bc: evaluate_derivatives(
         ws.table, ws.coeffs, 1, -1e4, 1),
     "evaluate_solution": lambda ws, bc: evaluate_solution(
-        ws.table, ws.b0, 1, -1e4),
+        ws.table, ws.b[0], 1, -1e4),
     "evaluate_solution_nan": lambda ws, bc: evaluate_solution(
-        ws.table, ws.b0, 1, -1e30),
+        ws.table, ws.b[0], 1, -1e30),
     "huge_disk": lambda ws, bc: find_eigenvalues(ws, bc, Disk(0, 1e200)),
     "huge_interval": lambda ws, bc: find_eigenvalues(
         ws, bc, Interval(-1e300, -1e299)),
@@ -759,9 +827,9 @@ def test_with_truncation_extends_table():
     ws = dirichlet_workspace(truncation=10)
     ws2 = with_truncation(ws, 15)
     assert ws2.truncation == 15
-    assert ws2.fac is ws.fac
+    assert ws2.b is ws.b
     assert with_truncation(ws, 10) is ws
-    rebuilt = formal_powers(ws.fac, ws.op.r, 15)
+    rebuilt = formal_powers(ws.b, ws.op.r, 15)
     for k in (1, 2):
         row, old = ws2.table.x[k - 1], ws.table.x[k - 1]
         assert len(row) == len(rebuilt.x[k - 1]) == 15 * 2 + k
@@ -805,7 +873,7 @@ def test_with_truncation_norms_match_rebuild_and_share_prefix():
         float(np.max(np.abs(x))) for x in row) for row in ws.table.x)
     for t in (15, 6):
         norms = with_truncation(ws, t).table.norms
-        assert norms == formal_powers(ws.fac, ws.op.r, t).norms
+        assert norms == formal_powers(ws.b, ws.op.r, t).norms
         for row, old in zip(norms, ws.table.norms):
             assert all(a is b for a, b in zip(row, old))
 
