@@ -339,6 +339,8 @@ def build_seed_system(op: OperatorSpec,
 
     Raises
     ------
+    ValueError
+        When ``max_retries`` is not a nonnegative integer.
     WronskianFloorError
         When W_2 = exp(-int phi_1) dips below the floor, which no
         recombination can lift (W_m scales by det c).
@@ -354,6 +356,9 @@ def build_seed_system(op: OperatorSpec,
     from .powers import (STOP_TOL, _check_ratio, _grow_powers, _rows,
                          _solution_sum, compute_A, formal_powers)
 
+    if not (_is_int(max_retries) and max_retries >= 0):
+        raise ValueError(f"max_retries must be a nonnegative integer, "
+                         f"got {max_retries!r}")
     mesh, n = op.mesh, op.n
     rng = np.random.default_rng(rng_seed)
     retries = 0

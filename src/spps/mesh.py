@@ -311,11 +311,15 @@ def _antiderivative(v: np.ndarray, h: float, i0: int) -> np.ndarray:
     n = len(v)
     seg = np.zeros(n, dtype=np.complex128)
     w = _QUAD_WINDOW
-    # interior segments: window centered, offset 4 inside it
+    # interior segments i in [5, n-4]: window centred, offset 4 inside it.
+    # One real correlate per part adds the taps in the order of a loop of
+    # `seg += row[k] * v[k:]`, so the sums are that loop's to the bit
+    # (tests/oracles.py loop_antiderivative, pinned there with ==).
+    # np.correlate would swap its arguments were the weights longer than
+    # the samples; a Mesh has at least 9 nodes, so they never are.
     row = _segment_weights(4)
-    m = n - w + 1  # number of interior segments, i in [5, n-4]
-    for k in range(w):
-        seg[5:5 + m] += row[k] * v[k:k + m]
+    seg.real[5:n - 3] = np.correlate(v.real, row)
+    seg.imag[5:n - 3] = np.correlate(v.imag, row)
     # clamped boundary windows
     for i in range(1, 5):
         seg[i] = np.dot(_segment_weights(i - 1), v[:w])
@@ -369,9 +373,15 @@ def _centred_sums(v: np.ndarray, order: int, start: int, stop: int) -> np.ndarra
     start..stop-1, before the division by h**order."""
     half = centered_margin(order)
     row = _diff_weights(2 * half + 1, order, half)
-    out = np.zeros(stop - start, dtype=np.complex128)
-    for k, weight in enumerate(row):
-        out += weight * v[start - half + k:stop - half + k]
+    # one real correlate per part, as in _antiderivative: the taps add in
+    # the order of tests/oracles.py loop_derivative's, pinned there with ==.
+    # The window holds stop - start + 2 half >= 2 half + 1 samples (callers
+    # refuse meshes smaller than the stencil), so np.correlate never swaps
+    # its arguments
+    window = v[start - half:stop + half]
+    out = np.empty(stop - start, dtype=np.complex128)
+    out.real = np.correlate(window.real, row)
+    out.imag = np.correlate(window.imag, row)
     return out
 
 

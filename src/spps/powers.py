@@ -25,6 +25,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -174,8 +175,14 @@ def _kahan_add(s: np.ndarray, comp: np.ndarray, term: np.ndarray,
     s[:] = term
 
 
+def _check_index(table: FormalPowerTable, k: int) -> None:
+    if not (_is_int(k) and 1 <= k <= table.n):
+        raise ValueError(f"solution index k={k!r} outside 1..{table.n}")
+
+
 def tail_ratio(table: FormalPowerTable, k: int, lam: complex) -> float:
     """Last term's bound |c_M| ||X_M|| over the partial sum's max modulus."""
+    _check_index(table, k)
     _, ratio = _solution_sum(table, k, lam)
     return ratio
 
@@ -197,11 +204,20 @@ def _check_ratio(ratio: float, k: int, lam: complex) -> None:
 
 def _gated_sum(table: FormalPowerTable, k: int, lam: complex) -> np.ndarray:
     """S_{k,0} at lam once its tail ratio has passed :func:`_check_ratio`."""
-    if not 1 <= k <= table.n:
-        raise ValueError(f"solution index k={k} outside 1..{table.n}")
+    _check_index(table, k)
     s, ratio = _solution_sum(table, k, lam)
     _check_ratio(ratio, k, lam)
     return s
+
+
+@lru_cache(maxsize=1024)  # a workspace reads n * n keys
+def _divisors(n: int, k: int, alpha: int, count: int) -> tuple:
+    """The divisors of the first ``count`` coefficients of S_{k,alpha}:
+    j0! for the first, then (j+1) ... (j+n) from each to the next."""
+    m0 = int(alpha >= k)
+    return (math.factorial(m0 * n + k - alpha - 1),) + tuple(
+        math.prod(range(m * n + k - alpha, m * n + n + k - alpha), start=1.0)
+        for m in range(m0, m0 + count - 1))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the ratio reports overflow
@@ -216,10 +232,10 @@ def _solution_sum(table: FormalPowerTable, k: int, lam: complex,
     m0 = int(alpha >= k)  # j < 0 at m = 0: that term is absent
     j0 = m0 * n + k - alpha - 1
     row, sups = table.x[k - 1][j0::n], table.norms[k - 1][j0::n]
-    cs = [(lam if m0 else 1.0) / math.factorial(j0)][:len(row)]  # [] if no term
-    for m in range(m0, m0 + len(row) - 1):  # divide by (j+1) ... (j+n)
-        cs.append(cs[-1] * lam / math.prod(
-            range(m * n + k - alpha, m * n + n + k - alpha), start=1.0))
+    first, *steps = _divisors(n, k, alpha, len(row))
+    cs = [(lam if m0 else 1.0) / first][:len(row)]  # [] if no term
+    for d in steps:
+        cs.append(cs[-1] * lam / d)
     bounds = [abs(c) * sup for c, sup in zip(cs, sups)]
     tails = list(itertools.accumulate(reversed(bounds), initial=0.0))[::-1]
     s, comp, term, y = np.zeros((4, table.mesh.n), dtype=np.complex128)
@@ -278,8 +294,8 @@ def evaluate_derivatives(table: FormalPowerTable, coeffs: np.ndarray,
     Each S_{k,alpha} stops as :func:`evaluate_solution` describes, and the
     tail of u_k itself (S_{k,0}) is gated as there.
     """
-    if not 1 <= ell <= table.n - 1:
-        raise ValueError(f"derivative order {ell} outside 1..{table.n - 1}")
+    if not (_is_int(ell) and 1 <= ell <= table.n - 1):
+        raise ValueError(f"derivative order {ell!r} outside 1..{table.n - 1}")
     sums = [_gated_sum(table, k, lam)] + [
         _solution_sum(table, k, lam, alpha)[0] for alpha in range(1, ell + 1)]
     return SampledFunction(table.mesh, _rows(coeffs, sums)[ell])

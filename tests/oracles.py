@@ -6,11 +6,12 @@ package under test. ``apply_coefficients``, ``apply_factorized`` and
 ``polya_system`` are references for the factorization: L y by finite
 differences against the coefficients and through the nested first-order
 factors, and the Polya solution system rebuilt from the factors by
-cumulative integrals. ``decimated_ladder_residual``, ``loop_derivative``,
-``loop_recombine``, ``loop_wronskians`` and ``loop_triangle`` are the
-package's earlier residual ladder, finite-difference loop, per-entry
-recombination, nested-Wronskian assembly and row-by-row derivative
-triangle, kept as references that its array versions must match exactly.
+cumulative integrals. ``decimated_ladder_residual``, ``loop_antiderivative``,
+``loop_derivative``, ``loop_recombine``, ``loop_wronskians`` and
+``loop_triangle`` are the package's earlier residual ladder, quadrature and
+finite-difference tap loops, per-entry recombination, nested-Wronskian
+assembly and row-by-row derivative triangle, kept as references that its
+array versions must match exactly.
 ``full_derivative_sum`` and ``node_coefficients`` are the package's
 earlier series for u_k^(ell) over all M + 1 terms and its per-entry
 coefficients at one node, which its stopped sums and gathered
@@ -25,9 +26,11 @@ from scipy.integrate import solve_ivp
 from spps.errors import StencilError
 from spps.factorization import OperatorSpec
 from spps.mesh import (
+    _QUAD_WINDOW,
     SampledFunction,
     _diff_weights,
     _diff_window,
+    _segment_weights,
     centered_margin,
     cumulative_integral,
     differentiate,
@@ -133,6 +136,29 @@ def polya_system(fac) -> list[SampledFunction]:
             g = cumulative_integral(fac[j] * g)
         out.append(fac[0] * g)
     return out
+
+
+def loop_antiderivative(v, h, i0):
+    """Cumulative integral of samples ``v`` (step h) vanishing at node i0:
+    the interior 9-tap window accumulated over a slice one tap at a time,
+    clamped windows as dot products at the boundary."""
+    n = len(v)
+    seg = np.zeros(n, dtype=np.complex128)
+    w = _QUAD_WINDOW
+    # interior segments: window centered, offset 4 inside it
+    row = _segment_weights(4)
+    m = n - w + 1  # number of interior segments, i in [5, n-4]
+    for k in range(w):
+        seg[5:5 + m] += row[k] * v[k:k + m]
+    # clamped boundary windows
+    for i in range(1, 5):
+        seg[i] = np.dot(_segment_weights(i - 1), v[:w])
+    for i in range(n - 3, n):
+        seg[i] = np.dot(_segment_weights(i - n + w - 1), v[n - w:])
+    prefix = np.cumsum(seg) * h
+    prefix -= prefix[i0]
+    prefix[i0] = 0.0
+    return prefix
 
 
 def loop_derivative(v, h, order):

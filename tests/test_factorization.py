@@ -27,8 +27,11 @@ from spps.errors import (
     WronskianFloorError,
 )
 from spps.factorization import (
+    RESIDUAL_TOL,
+    WRONSKIAN_FLOOR,
     OperatorSpec,
     SolutionSystem,
+    _accepted,
     _combination_matrix,
     _recombine,
     _relative_minima,
@@ -38,6 +41,7 @@ from spps.factorization import (
     wronskians,
 )
 
+from spps.mesh import ladder_strides
 from spps.powers import compute_A, formal_powers
 
 from oracles import (
@@ -460,6 +464,35 @@ def test_build_seed_exhausted_budget_names_order():
                        match="order-2 recombination exhausted 2 retries") as exc:
         build_seed_system(op, max_retries=2, wronskian_floor=0.999)
     assert exc.value.best_wronskian_min <= 0.999
+
+
+@pytest.mark.parametrize("retries", [2.5, 2.0, True, -1])
+def test_build_seed_refuses_a_retry_budget_that_is_not_a_count(retries):
+    # 2.5 and 2.0 raised a raw TypeError from range, True allowed one
+    # redraw and -1 ended in a SeedConstructionError
+    m = Mesh(0.0, 1.0, 101)
+    with pytest.raises(ValueError, match=f"nonnegative integer, got {retries!r}"):
+        build_seed_system(make_op(m, [zeros(m), zeros(m)]), max_retries=retries)
+
+
+def test_residual_of_an_infinite_imaginary_part_is_not_finite():
+    # the stencil sums keep it out of the real part, yet every stride reads
+    # node 0, so the residual is not finite, as with the tap loop, and the
+    # seed check refuses such rows
+    m = Mesh(0.0, 1.0, 401)
+    op = make_op(m, [zeros(m), zeros(m)])
+    values = 1.0 + m.nodes.astype(np.complex128)
+    values[0] = complex(1.0, np.inf)
+    y = ones(m)
+    object.__setattr__(y, "values", values)  # past the constructor's check
+    assert len(ladder_strides(m)) > 1
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(operator_residual(op, y))
+        assert not np.isfinite(operator_residual(op, y, lam=2.0))
+        derivs = np.array([[values, np.ones(m.n)], [np.ones(m.n), np.zeros(m.n)]])
+        with pytest.raises(VanishingValueError) as exc:
+            _accepted(op, derivs, WRONSKIAN_FLOOR, RESIDUAL_TOL)
+    assert exc.value.node == 0
 
 
 def test_build_seed_refuses_a_steep_first_coefficient_on_the_first_draw(monkeypatch):

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from spps import (
     reciprocal,
     tabulate,
 )
-from spps.mesh import QUADRATURE_DEGREE, centered_margin, ladder_strides
+from spps.mesh import (
+    QUADRATURE_DEGREE,
+    _antiderivative,
+    _centred_sums,
+    centered_margin,
+    ladder_strides,
+)
+
+from oracles import loop_antiderivative, loop_derivative
 
 
 # -- mesh construction -------------------------------------------------------
@@ -318,6 +327,69 @@ def test_centered_margin():
     assert centered_margin(1) == 2
     assert centered_margin(2) == 3
     assert centered_margin(4) == 4
+
+
+# -- kernels against the tap loops ---------------------------------------------
+# The kernels must add their taps in the loops' order: these compare with ==,
+# so a numpy or BLAS build that sums in another order fails here instead of
+# moving every result in its last bits.
+
+KERNEL_NODES = [9, 13, 401, 1601]
+
+
+def kernel_samples(n, seed):
+    """Random complex samples at magnitudes 1e-5, 1 and 1e5, magnitudes
+    mixed from 1e-5 to 1e5 node by node, and real samples."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return [z * 1e-5, z, z * 1e5, z * 10.0 ** rng.uniform(-5, 5, n),
+            z.real * 1e3, z.imag * 1e-4]
+
+
+@pytest.mark.parametrize("n", KERNEL_NODES)
+def test_quadrature_matches_tap_loop(n):
+    m = Mesh(-1.0, 2.0, n)
+    for v in kernel_samples(n, n):
+        for i0 in sorted({0, 1, n // 3, m.i0, n - 2, n - 1}):
+            want = loop_antiderivative(v, m.h, i0)
+            assert np.all(_antiderivative(v, m.h, i0) == want)
+            f = SampledFunction(replace(m, i0=i0), v)  # complex values
+            want = loop_antiderivative(f.values, m.h, i0)
+            assert np.all(cumulative_integral(f).values == want)
+
+
+@pytest.mark.parametrize("n", KERNEL_NODES)
+def test_stencil_sums_match_tap_loop(n):
+    m = Mesh(-1.0, 2.0, n)
+    for v in kernel_samples(n, n + 1):
+        f = SampledFunction(m, v)
+        for order in range(1, 7):
+            half = centered_margin(order)
+            if n <= 2 * half:
+                with pytest.raises(StencilError):
+                    differentiate(f, order)
+                continue
+            want = loop_derivative(f.values, m.h, order)
+            assert np.all(differentiate(f, order).values == want)
+            # the residual ladder's windows start at the margins of orders
+            # up to 6, and a window of one node is the smallest
+            want = loop_derivative(v, m.h, order)
+            for start in range(half, min(centered_margin(6), n // 2) + 1):
+                for stop in (n - start, start + 1):
+                    got = _centred_sums(v, order, start, stop) / m.h ** order
+                    assert np.all(got == want[start:stop])
+
+
+def test_quadrature_of_an_infinite_imaginary_part_names_its_first_window():
+    # the first segment whose window holds node 20, as with the tap loop
+    m = Mesh(0.0, 1.0, 41, 0)
+    v = np.ones(m.n, dtype=np.complex128)
+    v[20] = complex(1.0, np.inf)
+    f = ones(m)
+    object.__setattr__(f, "values", v)  # past the constructor's check
+    with np.errstate(invalid="ignore"), pytest.raises(VanishingValueError) as exc:
+        cumulative_integral(f)
+    assert exc.value.node == 17
 
 
 # -- emission -----------------------------------------------------------------

@@ -20,6 +20,7 @@ from spps.factorization import (
     wronskians,
 )
 from spps.powers import (
+    _divisors,
     _rows,
     compute_A,
     evaluate_derivatives,
@@ -197,6 +198,20 @@ def test_overflowing_power_names_the_first_node():
     assert (exc.value.node, exc.value.x) == (0, 0.0)
 
 
+def test_an_infinite_imaginary_part_in_a_factor_names_the_same_node():
+    # the kernel sums real and imaginary parts apart; the tap loop before it
+    # named the same node
+    m = Mesh(0.0, 1.0, 101, 0)
+    op, fac = trivial_factorization(m, 3)
+    values = fac[1].values.copy()
+    values[40] = complex(values[40].real, np.inf)
+    bad = SampledFunction(m, fac[1].values)
+    object.__setattr__(bad, "values", values)  # past the constructor's check
+    with np.errstate(all="ignore"), pytest.raises(VanishingValueError) as exc:
+        formal_powers((fac[0], bad, fac[2], fac[3]), op.r, 4)
+    assert (exc.value.node, exc.value.x) == (37, m.nodes[37])
+
+
 # -- series evaluation -------------------------------------------------------------
 
 def test_solution_at_lambda_zero_is_iterated_integral():
@@ -332,6 +347,60 @@ def test_no_warning_when_series_converged():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         evaluate_solution(table, fac[0], 1, 1.0)
+
+
+def test_cached_divisors_match_the_inline_recurrence():
+    # the coefficients of S_{k,alpha} advanced as _solution_sum did before
+    # its divisors were cached: j0! first, then (j+1) ... (j+n) by math.prod
+    for n in range(2, 6):
+        for k in range(1, n + 1):
+            for alpha in range(n):
+                m0 = int(alpha >= k)
+                j0 = m0 * n + k - alpha - 1
+                for count in (0, 1, 2, 41):
+                    for lam in (1.0, -40.0 + 5.0j):
+                        cs = [(lam if m0 else 1.0) / math.factorial(j0)][:count]
+                        for m in range(m0, m0 + count - 1):
+                            cs.append(cs[-1] * lam / math.prod(range(
+                                m * n + k - alpha, m * n + n + k - alpha),
+                                start=1.0))
+                        first, *steps = _divisors(n, k, alpha, count)
+                        got = [(lam if m0 else 1.0) / first][:count]
+                        for d in steps:
+                            got.append(got[-1] * lam / d)
+                        assert got == cs
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 1.5])
+def test_evaluate_solution_refuses_an_index_that_is_not_an_integer(k):
+    # True returned u_1, 1.0 and 1.5 raised a raw TypeError
+    m = Mesh(0.0, 1.0, 101)
+    op, fac = trivial_factorization(m, 2)
+    table = formal_powers(fac, op.r, 10)
+    with pytest.raises(ValueError, match=f"solution index k={k!r}"):
+        evaluate_solution(table, fac[0], k, -1.0)
+    assert np.array_equal(evaluate_solution(table, fac[0], np.int64(1), -1.0).values,
+                          evaluate_solution(table, fac[0], 1, -1.0).values)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 1.5, 0, 3])
+def test_tail_ratio_refuses_an_index_that_is_not_a_solution_index(k):
+    # True gave u_1's ratio, 1.0 and 1.5 raised a raw TypeError, 0 gave
+    # u_2's ratio and 3 an IndexError
+    m = Mesh(0.0, 1.0, 101)
+    op, fac = trivial_factorization(m, 2)
+    table = formal_powers(fac, op.r, 10)
+    with pytest.raises(ValueError, match=f"solution index k={k!r} outside 1..2"):
+        tail_ratio(table, k, -1.0)
+
+
+@pytest.mark.parametrize("ell", [True, 1.0, 1.5])
+def test_evaluate_derivatives_refuses_an_order_that_is_not_an_integer(ell):
+    # True gave the first derivative, 1.0 and 1.5 raised a raw TypeError
+    m = Mesh(0.0, 1.0, 101)
+    fac, table, A = triangle_parts(*trivial_system(m, 3), truncation=10)
+    with pytest.raises(ValueError, match=f"derivative order {ell!r} outside"):
+        evaluate_derivatives(table, A, 1, -1.0, ell)
 
 
 # -- derivative evaluation -----------------------------------------------------------
