@@ -287,6 +287,18 @@ def _diff_weights(window: int, order: int, at: int) -> np.ndarray:
 
 # -- quadrature --------------------------------------------------------------
 
+#: Weights of the segments [a, a+1] of a 9-node window, whatever the node
+#: count: the interior row (a = 4) and the clamped rows at the start
+#: (a = 0..3) and end (a = 5..7), keyed by whether the samples are complex.
+#: np.dot casts a float row to complex for complex samples; complex copies
+#: give the same sums without the cast. Real samples keep float rows, as a
+#: complex row would make their dot a complex one, which sums otherwise.
+_INTERIOR_ROW = _segment_weights(4)
+_CLAMPED_ROWS = {
+    is_complex: tuple(_segment_weights(a).astype(dtype) for a in (0, 1, 2, 3, 5, 6, 7))
+    for is_complex, dtype in ((False, np.float64), (True, np.complex128))}
+
+
 def cumulative_integral(f: SampledFunction) -> SampledFunction:
     """Antiderivative of ``f`` anchored at the basepoint.
 
@@ -309,26 +321,26 @@ def cumulative_integral(f: SampledFunction) -> SampledFunction:
 def _antiderivative(v: np.ndarray, h: float, i0: int) -> np.ndarray:
     """:func:`cumulative_integral` of samples ``v`` (step h, basepoint i0)."""
     n = len(v)
-    seg = np.zeros(n, dtype=np.complex128)
-    w = _QUAD_WINDOW
+    seg = np.empty(n, dtype=np.complex128)
+    seg[0] = 0.0
     # interior segments i in [5, n-4]: window centred, offset 4 inside it.
     # One real correlate per part adds the taps in the order of a loop of
     # `seg += row[k] * v[k:]`, so the sums are that loop's to the bit
     # (tests/oracles.py loop_antiderivative, pinned there with ==).
     # np.correlate would swap its arguments were the weights longer than
     # the samples; a Mesh has at least 9 nodes, so they never are.
-    row = _segment_weights(4)
-    seg.real[5:n - 3] = np.correlate(v.real, row)
-    seg.imag[5:n - 3] = np.correlate(v.imag, row)
+    seg.real[5:n - 3] = np.correlate(v.real, _INTERIOR_ROW)
+    seg.imag[5:n - 3] = np.correlate(v.imag, _INTERIOR_ROW)
     # clamped boundary windows
-    for i in range(1, 5):
-        seg[i] = np.dot(_segment_weights(i - 1), v[:w])
-    for i in range(n - 3, n):
-        seg[i] = np.dot(_segment_weights(i - n + w - 1), v[n - w:])
-    prefix = np.cumsum(seg) * h
-    prefix -= prefix[i0]
-    prefix[i0] = 0.0
-    return prefix
+    head, tail = v[:_QUAD_WINDOW], v[n - _QUAD_WINDOW:]
+    rows = _CLAMPED_ROWS[v.dtype.kind == "c"]
+    seg[1], seg[2], seg[3], seg[4] = [row.dot(head) for row in rows[:4]]
+    seg[n - 3], seg[n - 2], seg[n - 1] = [row.dot(tail) for row in rows[4:]]
+    seg.cumsum(out=seg)
+    seg *= h
+    seg -= seg[i0]
+    seg[i0] = 0.0
+    return seg
 
 
 # -- differentiation ----------------------------------------------------------
@@ -414,10 +426,10 @@ def format_json(f: SampledFunction) -> str:
 _LADDER_NODES = range(65, 162)
 
 
-def ladder_strides(mesh: Mesh) -> list[int]:
+def ladder_strides(mesh: Mesh) -> tuple[int, ...]:
     """Strides for residual measurement: 1 plus coarsenings with node counts
     in ``_LADDER_NODES``, basepoint preserved, panel structure intact."""
     segs = mesh.n - 1
-    return [1] + [s for s in range(2, segs + 1)
-                  if not segs % s and segs // s + 1 in _LADDER_NODES
-                  and not (segs // s) % 4 and not mesh.i0 % s]
+    return (1,) + tuple(s for s in range(2, segs + 1)
+                        if not segs % s and segs // s + 1 in _LADDER_NODES
+                        and not (segs // s) % 4 and not mesh.i0 % s)

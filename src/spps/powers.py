@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RegionTruncationError, TruncationWarning
+from .errors import MeshMismatchError, RegionTruncationError, TruncationWarning
 from .mesh import (Mesh, SampledFunction, _antiderivative, _check_finite,
                    _is_int, _reduce, ones)
 
@@ -144,15 +144,17 @@ def _grow_powers(b: Sequence[SampledFunction], r: SampledFunction, rows, norms,
                          f"got {truncation!r}")
     # the factor at offset (k - j) mod n: b_n b_0 r at the wrap, else b_offset
     mults = [(b[n] * b[0] * r).values] + [f.values for f in b[1:n]]
+    h, i0 = mesh.h, mesh.i0
+    integrand, mags = np.empty(mesh.n, dtype=np.complex128), np.empty(mesh.n)
     ks, ns = [], []
     for k, (row, row_norms) in enumerate(zip(rows, norms), start=1):
         stop = truncation * n + k
         xs, sups = list(row[:stop]), list(row_norms[:stop])
         for j in range(len(xs), stop):
-            power = _antiderivative(mults[(k - j) % n] * xs[j - 1], mesh.h,
-                                    mesh.i0)
+            np.multiply(mults[(k - j) % n], xs[j - 1], out=integrand)
+            power = _antiderivative(integrand, h, i0)
             power *= float(j)
-            sup = float(np.max(np.abs(power)))
+            sup = float(np.abs(power, out=mags).max())
             if not math.isfinite(sup):  # name the node, as the check does
                 _check_finite(mesh, power)
             xs.append(power)
@@ -278,7 +280,11 @@ def evaluate_solution(table: FormalPowerTable, b0: SampledFunction, k: int,
 
     Raises RegionTruncationError when the :func:`tail_ratio` is above
     TAIL_ERROR or NaN, and warns with TruncationWarning above TAIL_WARN.
+    Raises MeshMismatchError when ``b0`` lives on another mesh than the
+    table.
     """
+    if b0.mesh != table.mesh:
+        raise MeshMismatchError(f"b_0 on {b0.mesh}, table on {table.mesh}")
     return SampledFunction(b0.mesh, b0.values * _gated_sum(table, k, lam))
 
 

@@ -7,11 +7,12 @@ package under test. ``apply_coefficients``, ``apply_factorized`` and
 differences against the coefficients and through the nested first-order
 factors, and the Polya solution system rebuilt from the factors by
 cumulative integrals. ``decimated_ladder_residual``, ``loop_antiderivative``,
-``loop_derivative``, ``loop_recombine``, ``loop_wronskians`` and
-``loop_triangle`` are the package's earlier residual ladder, quadrature and
-finite-difference tap loops, per-entry recombination, nested-Wronskian
-assembly and row-by-row derivative triangle, kept as references that its
-array versions must match exactly.
+``loop_derivative``, ``loop_formal_powers``, ``loop_recombine``,
+``loop_wronskians`` and ``loop_triangle`` are the package's earlier residual
+ladder, quadrature and finite-difference tap loops, formal-power recursion,
+per-entry recombination, nested-Wronskian assembly and row-by-row
+derivative triangle, kept as references that its array versions must match
+exactly.
 ``full_derivative_sum`` and ``node_coefficients`` are the package's
 earlier series for u_k^(ell) over all M + 1 terms and its per-entry
 coefficients at one node, which its stopped sums and gathered
@@ -177,6 +178,28 @@ def loop_derivative(v, h, order):
     for i in range(n - half, n):
         out[i] = np.dot(_diff_weights(w, order, i - n + w), v[n - w:])
     return out / h ** order
+
+
+def loop_formal_powers(b, r, M):
+    """Secondary formal powers X_k^(j) of factors ``b`` = (b_0, ..., b_n)
+    and weight ``r`` for j <= M n + k - 1, and their sup norms, as lists
+    per k: X_k^(0) = 1, and X_k^(j) is ``loop_antiderivative`` of a factor
+    times X_k^(j-1), scaled by j afterwards. The factor is b_n b_0 r where
+    j - k is a multiple of n, else b_{(k - j) mod n}."""
+    n, mesh = len(b) - 1, r.mesh
+    wrap = b[n].values * b[0].values * r.values
+    xs, norms = [], []
+    for k in range(1, n + 1):
+        row, sups = [np.ones(mesh.n, dtype=np.complex128)], [1.0]
+        for j in range(1, M * n + k):
+            offset = (k - j) % n
+            factor = wrap if offset == 0 else b[offset].values
+            power = loop_antiderivative(factor * row[-1], mesh.h, mesh.i0) * j
+            row.append(power)
+            sups.append(float(np.max(np.abs(power))))
+        xs.append(row)
+        norms.append(sups)
+    return xs, norms
 
 
 def loop_recombine(rows, c):

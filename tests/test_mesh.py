@@ -423,3 +423,18 @@ def test_ladder_strides_for_standard_meshes():
     for s in strides[1:]:
         sub = m.decimate(s)
         assert 65 <= sub.n <= 161
+
+
+@pytest.mark.parametrize("n, i0", [(401, 200), (801, 400), (801, 0), (1201, 600),
+                                   (1601, 800), (1601, 13), (9, 4)])
+def test_ladder_strides_are_every_stride_a_decimation_allows(n, i0):
+    m = Mesh(0.0, 1.0, n, i0)
+    want = [1]
+    for s in range(2, n):
+        try:
+            sub = m.decimate(s)
+        except ValueError:  # breaks the panels or drops the basepoint
+            continue
+        if 65 <= sub.n <= 161:
+            want.append(s)
+    assert ladder_strides(m) == tuple(want)

@@ -9,6 +9,7 @@ import pytest
 import spps.powers
 from spps import Mesh, SampledFunction, constant, ones, tabulate, zeros
 from spps.errors import (
+    MeshMismatchError,
     RegionTruncationError,
     TruncationWarning,
     VanishingValueError,
@@ -16,6 +17,7 @@ from spps.errors import (
 from spps.factorization import (
     OperatorSpec,
     SolutionSystem,
+    build_seed_system,
     polya_factors,
     wronskians,
 )
@@ -29,8 +31,14 @@ from spps.powers import (
     series_coefficients_at_node,
     tail_ratio,
 )
+from spps.spectral import build_workspace, with_truncation
 
-from oracles import full_derivative_sum, loop_rows, node_coefficients
+from oracles import (
+    full_derivative_sum,
+    loop_formal_powers,
+    loop_rows,
+    node_coefficients,
+)
 
 
 def trivial_system(mesh, n):
@@ -138,6 +146,25 @@ def test_powers_third_order_monomials_from_interior_basepoint():
         for j in range(3 * 3 + k):
             np.testing.assert_allclose(
                 table.secondary(k, j).values, m.nodes**j, atol=1e-11)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_powers_match_the_recursion_loop(n):
+    # complex factors from a built seed; the table built at once and the
+    # one grown from a lower truncation must both be the loop's to the bit
+    m = Mesh(0.0, 1.0, 201)
+    phi = tuple(tabulate(m, lambda x, j=j: np.cos((j + 1) * x) + 0.5j * x)
+                for j in range(n))
+    r = tabulate(m, lambda x: 1.0 + 0.25j * np.sin(3 * x))
+    op = OperatorSpec(n, phi, r)
+    ws = build_workspace(op, build_seed_system(op, rng_seed=1), truncation=3)
+    assert any(np.any(f.values.imag != 0) for f in ws.b)
+    want, want_norms = loop_formal_powers(ws.b, r, 7)
+    for table in (formal_powers(ws.b, r, 7), with_truncation(ws, 7).table):
+        assert table.norms == tuple(map(tuple, want_norms))
+        for got_row, want_row in zip(table.x, want, strict=True):
+            assert len(got_row) == len(want_row)
+            assert all(np.all(g == w) for g, w in zip(got_row, want_row))
 
 
 def test_main_power_indexing():
@@ -381,6 +408,17 @@ def test_evaluate_solution_refuses_an_index_that_is_not_an_integer(k):
         evaluate_solution(table, fac[0], k, -1.0)
     assert np.array_equal(evaluate_solution(table, fac[0], np.int64(1), -1.0).values,
                           evaluate_solution(table, fac[0], 1, -1.0).values)
+
+
+def test_evaluate_solution_refuses_b0_on_another_mesh():
+    # a b_0 with the table's node count on another interval was multiplied
+    # in, and the samples came back labelled with its mesh
+    m = Mesh(0.0, 1.0, 101)
+    op, fac = trivial_factorization(m, 2)
+    table = formal_powers(fac, op.r, 10)
+    with pytest.raises(MeshMismatchError):
+        evaluate_solution(table, ones(Mesh(0.0, 2.0, 101)), 1, -1.0)
+    assert evaluate_solution(table, ones(Mesh(0.0, 1.0, 101)), 1, -1.0).mesh == m
 
 
 @pytest.mark.parametrize("k", [True, 1.0, 1.5, 0, 3])

@@ -24,6 +24,8 @@ from spps.factorization import (
     SolutionSystem,
     build_seed_system,
     operator_residual,
+    polya_factors,
+    wronskians,
 )
 from spps.powers import evaluate_derivatives, evaluate_solution, formal_powers
 from spps.spectral import (
@@ -308,6 +310,25 @@ def test_workspace_copies_solve_bitwise_equal():
         assert not copy_.mesh.nodes.flags.writeable
         assert not copy_.op.r.values.flags.writeable
         assert not copy_.b[0].values.flags.writeable
+
+
+def test_factors_are_those_of_the_seed_rows():
+    # a built, a from_functions and a directly constructed seed, and a pickle
+    # and a deepcopy of each, factorize to the factors of fresh nested
+    # Wronskians of their rows
+    mesh = Mesh(0.0, 1.0, 201)
+    op = OperatorSpec(4, tuple(tabulate(mesh, lambda x, j=j: np.cos(j * x) + 0.5j)
+                               for j in range(4)), ones(mesh))
+    built = build_workspace(op, truncation=10, rng_seed=1).seed
+    pure = OperatorSpec(3, (zeros(mesh),) * 3, ones(mesh))
+    seeds = [(op, built), (pure, monomial_seed(pure)),
+             (op, SolutionSystem(op, built.derivs))]
+    for seed_op, seed in seeds:
+        fresh = polya_factors(wronskians(seed))
+        for s in (seed, pickle.loads(pickle.dumps(seed)), copy.deepcopy(seed)):
+            ws = build_workspace(seed_op, seed=s, truncation=6)
+            for got, w in zip(ws.b, fresh, strict=True):
+                assert np.array_equal(got.values, w.values)
 
 
 def arrays(obj):
