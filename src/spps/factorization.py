@@ -44,6 +44,9 @@ from .mesh import (
 #: Default relative floor below which a Wronskian counts as vanishing.
 WRONSKIAN_FLOOR = 1e-6
 
+#: Recombinations drawn per seed order beyond the first before giving up.
+MAX_RETRIES = 25
+
 #: Default relative operator-residual tolerance for verified solution systems.
 RESIDUAL_TOL = 1e-6
 
@@ -275,13 +278,12 @@ def _recombine(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _recombine_until_nonvanishing(mesh: Mesh, rows: np.ndarray,
-                                  rng: np.random.Generator, floor: float,
-                                  max_retries: int):
+                                  rng: np.random.Generator, floor: float):
     """Draw recombinations of ``rows`` until all nested Wronskians clear
     ``floor``; the accepted rows and the number of draws beyond the first."""
     m = len(rows)
     best = -math.inf
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         trial = _recombine(rows, _combination_matrix(rng, m, attempt))
         worst = min(rel for rel, _ in _relative_minima(
             _nested_wronskians(mesh, trial)[1:]))
@@ -289,7 +291,7 @@ def _recombine_until_nonvanishing(mesh: Mesh, rows: np.ndarray,
             return trial, attempt
         best = max(best, worst)
     raise SeedConstructionError(
-        f"order-{m} recombination exhausted {max_retries} retries",
+        f"order-{m} recombination exhausted {MAX_RETRIES} retries",
         best_wronskian_min=best)
 
 
@@ -308,7 +310,6 @@ def _accepted(op: OperatorSpec, derivs: np.ndarray, floor: float, tol: float,
 
 def build_seed_system(op: OperatorSpec,
                       rng_seed: int = 0,
-                      max_retries: int = 25,
                       truncation: int = 30,
                       wronskian_floor: float = WRONSKIAN_FLOOR,
                       residual_tol: float = RESIDUAL_TOL) -> SolutionSystem:
@@ -334,18 +335,16 @@ def build_seed_system(op: OperatorSpec,
     of that last test are the solutions. The result passes the residual and
     floor check of :meth:`SolutionSystem.from_functions`.
 
-    ``retries`` counts the draws beyond the first, at most ``max_retries``
-    per order. Deterministic for a fixed ``rng_seed``.
+    ``retries`` counts the draws beyond the first, at most ``MAX_RETRIES``
+    (25) per order. Deterministic for a fixed ``rng_seed``.
 
     Raises
     ------
-    ValueError
-        When ``max_retries`` is not a nonnegative integer.
     WronskianFloorError
         When W_2 = exp(-int phi_1) dips below the floor, which no
         recombination can lift (W_m scales by det c).
     SeedConstructionError
-        When an order's draws exhaust ``max_retries`` (reports the best
+        When an order's draws exhaust ``MAX_RETRIES`` (reports the best
         relative Wronskian minimum achieved).
     RegionTruncationError
         When a series tail at -1 is still above ``spps.powers``' TAIL_ERROR
@@ -356,9 +355,6 @@ def build_seed_system(op: OperatorSpec,
     from .powers import (STOP_TOL, _check_ratio, _grow_powers, _rows,
                          _solution_sum, compute_A, formal_powers)
 
-    if not (_is_int(max_retries) and max_retries >= 0):
-        raise ValueError(f"max_retries must be a nonnegative integer, "
-                         f"got {max_retries!r}")
     mesh, n = op.mesh, op.n
     rng = np.random.default_rng(rng_seed)
     retries = 0
@@ -402,7 +398,7 @@ def build_seed_system(op: OperatorSpec,
 
         # stage B: recombine the new solutions until their Wronskians pass
         level, attempt = _recombine_until_nonvanishing(
-            mesh, sols, rng, wronskian_floor, max_retries)
+            mesh, sols, rng, wronskian_floor)
         retries += attempt
 
     return _accepted(op, level, wronskian_floor, residual_tol,

@@ -289,14 +289,11 @@ def _diff_weights(window: int, order: int, at: int) -> np.ndarray:
 
 #: Weights of the segments [a, a+1] of a 9-node window, whatever the node
 #: count: the interior row (a = 4) and the clamped rows at the start
-#: (a = 0..3) and end (a = 5..7), keyed by whether the samples are complex.
-#: np.dot casts a float row to complex for complex samples; complex copies
-#: give the same sums without the cast. Real samples keep float rows, as a
-#: complex row would make their dot a complex one, which sums otherwise.
+#: (a = 0..3) and end (a = 5..7). The clamped rows are complex, like the
+#: samples, so np.dot does not cast them on every call.
 _INTERIOR_ROW = _segment_weights(4)
-_CLAMPED_ROWS = {
-    is_complex: tuple(_segment_weights(a).astype(dtype) for a in (0, 1, 2, 3, 5, 6, 7))
-    for is_complex, dtype in ((False, np.float64), (True, np.complex128))}
+_CLAMPED_ROWS = tuple(_segment_weights(a).astype(np.complex128)
+                      for a in (0, 1, 2, 3, 5, 6, 7))
 
 
 def cumulative_integral(f: SampledFunction) -> SampledFunction:
@@ -319,7 +316,7 @@ def cumulative_integral(f: SampledFunction) -> SampledFunction:
 
 
 def _antiderivative(v: np.ndarray, h: float, i0: int) -> np.ndarray:
-    """:func:`cumulative_integral` of samples ``v`` (step h, basepoint i0)."""
+    """:func:`cumulative_integral` of complex samples ``v`` (step h, basepoint i0)."""
     n = len(v)
     seg = np.empty(n, dtype=np.complex128)
     seg[0] = 0.0
@@ -333,9 +330,8 @@ def _antiderivative(v: np.ndarray, h: float, i0: int) -> np.ndarray:
     seg.imag[5:n - 3] = np.correlate(v.imag, _INTERIOR_ROW)
     # clamped boundary windows
     head, tail = v[:_QUAD_WINDOW], v[n - _QUAD_WINDOW:]
-    rows = _CLAMPED_ROWS[v.dtype.kind == "c"]
-    seg[1], seg[2], seg[3], seg[4] = [row.dot(head) for row in rows[:4]]
-    seg[n - 3], seg[n - 2], seg[n - 1] = [row.dot(tail) for row in rows[4:]]
+    seg[1], seg[2], seg[3], seg[4] = [row.dot(head) for row in _CLAMPED_ROWS[:4]]
+    seg[n - 3], seg[n - 2], seg[n - 1] = [row.dot(tail) for row in _CLAMPED_ROWS[4:]]
     seg.cumsum(out=seg)
     seg *= h
     seg -= seg[i0]

@@ -19,7 +19,6 @@ A problem file is an INI document. The only required section is
 
     [random]
     seed = 0
-    max_retries = 25
 
     [tolerances]
     residual = 1e-6
@@ -46,9 +45,9 @@ Coefficients, seeds, and scalar values are expressions in ``x`` (see
 :mod:`spps.expressions`); lists are comma- or whitespace-separated.
 Interval endpoints must be finite and increase, and a basepoint lies in
 the interval. ``phi``, ``y`` and ``row`` are numbered 1..order. Also
-``truncation`` and ``residual`` must be positive, ``seed``, ``max_retries``
-and ``wronskian_floor`` nonnegative, ``samples`` in 2..16384 and
-``max_count`` at least 1.
+``truncation`` and ``residual`` must be positive, ``seed`` and
+``wronskian_floor`` nonnegative, ``samples`` in 2..16384 and ``max_count``
+at least 1.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ _SETTINGS = (
     _Setting("mesh", "nodes", int),
     _Setting("series", "truncation", int, "positive"),
     _Setting("random", "seed", int, "nonnegative", "rng_seed"),
-    _Setting("random", "max_retries", int, "nonnegative"),
     _Setting("tolerances", "residual", float, "positive", "residual_tol"),
     _Setting("tolerances", "wronskian_floor", float, "nonnegative"),
     _Setting("eig", "samples", int),
@@ -127,7 +125,6 @@ class ProblemConfig:
     nodes: int = 401
     truncation: int = 30
     rng_seed: int = 0
-    max_retries: int = 25
     residual_tol: float = 1e-6
     wronskian_floor: float = 1e-6
     seeds: tuple[str, ...] | None = None
@@ -181,8 +178,7 @@ class ProblemConfig:
         seed = self.make_seed(op)
         return build_workspace(
             op, seed=seed, truncation=self.truncation, rng_seed=self.rng_seed,
-            max_retries=self.max_retries, wronskian_floor=self.wronskian_floor,
-            residual_tol=self.residual_tol)
+            wronskian_floor=self.wronskian_floor, residual_tol=self.residual_tol)
 
     def make_boundary(self) -> BoundaryConditions | None:
         if self.boundary_rows is None:

@@ -86,7 +86,6 @@ def build_workspace(
     seed: SolutionSystem | None = None,
     truncation: int = 30,
     rng_seed: int = 0,
-    max_retries: int = 25,
     wronskian_floor: float = WRONSKIAN_FLOOR,
     residual_tol: float = RESIDUAL_TOL,
 ) -> Workspace:
@@ -103,7 +102,7 @@ def build_workspace(
         recombination of iterated integrals.
     truncation : int
         Number of series terms in the spectral parameter.
-    rng_seed, max_retries :
+    rng_seed : int
         Passed through to the seed builder when ``seed`` is omitted.
     wronskian_floor, residual_tol :
         Checks of the seed builder, and of a ``seed`` constructed directly
@@ -112,9 +111,8 @@ def build_workspace(
     """
     if seed is None:
         seed = build_seed_system(
-            op, rng_seed=rng_seed, max_retries=max_retries,
-            truncation=truncation, wronskian_floor=wronskian_floor,
-            residual_tol=residual_tol)
+            op, rng_seed=rng_seed, truncation=truncation,
+            wronskian_floor=wronskian_floor, residual_tol=residual_tol)
     elif (seed.op.n, seed.op.mesh) != (op.n, op.mesh) or not all(
             np.array_equal(p.values, q.values) for p, q in zip(seed.op.phi, op.phi)):
         raise ValueError("the seed solves another order, mesh or coefficients")
@@ -382,7 +380,8 @@ def _check_order(ws: Workspace, bc: BoundaryConditions) -> None:
 
 @dataclass(frozen=True)
 class Interval:
-    """Search region: a real interval [lo, hi]."""
+    """Search region: the real interval [lo, hi], and every root within its
+    persistence window of it (see :func:`find_eigenvalues`)."""
 
     lo: float
     hi: float
@@ -399,7 +398,8 @@ class Interval:
 
 @dataclass(frozen=True)
 class Disk:
-    """Search region: a disk in the complex plane."""
+    """Search region: a closed disk in the complex plane, and every root
+    within its persistence window of it (see :func:`find_eigenvalues`)."""
 
     center: complex
     radius: float
@@ -410,10 +410,6 @@ class Disk:
                 and np.isfinite(self.center.imag)):
             raise ValueError(f"bad disk center={self.center} "
                              f"radius={self.radius}")
-
-    @property
-    def extent(self) -> float:
-        return self.radius
 
 
 @dataclass(frozen=True)
@@ -448,8 +444,6 @@ class EigenOptions:
 PERSISTENCE_EXTRA = 5
 #: A root persists when it moves by at most this times max(1, |lam|).
 PERSISTENCE_TOL = 1e-7
-#: Roots within this times max(1, extent) of the region's edge are dropped.
-MARGIN_TOL = 1e-6
 
 
 def _window(lam):
@@ -620,9 +614,10 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     ``PERSISTENCE_EXTRA`` (the power table is extended), and (b)
     give an :func:`eigenfunction` there with equation residual below
     ``options.residual_tol``. Roots failing either, or counted in the region
-    but never located, are rejected; roots within twice their persistence
-    window are merged, as a multiple root. An interval's roots are real; one
-    whose imaginary part exceeds that window is rejected as off the axis.
+    but never located, are rejected. A root within its persistence window of
+    the region is in it, even past the edge; roots within twice that window
+    are merged, as a multiple root. An interval's roots are real; one whose
+    imaginary part exceeds that window is rejected as off the axis.
 
     Raises
     ------
@@ -632,23 +627,24 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
         trustworthy.
     """
     options = options or EigenOptions()
-    margin = MARGIN_TOL * max(1.0, region.extent)
     if isinstance(region, Interval):
         box = ((region.lo + region.hi) / 2, region.extent / 2, 0.0)
 
         def place(lam: complex) -> complex | None:
-            real = region.lo + margin <= lam.real <= region.hi - margin and \
-                abs(lam.imag) <= _window(lam)
+            w = _window(lam)
+            real = region.lo - w <= lam.real <= region.hi + w and \
+                abs(lam.imag) <= w
             return complex(lam.real) if real else None
     elif isinstance(region, Disk):
         box = (complex(region.center), region.radius, region.radius)
 
         def place(lam: complex) -> complex | None:
-            inside = abs(lam - region.center) <= region.radius - margin
+            inside = abs(lam - region.center) <= region.radius + _window(lam)
             return complex(lam) if inside else None
     else:
         raise TypeError(f"unsupported region type {type(region).__name__}")
-    radius = WIDEN * box[1]
+    # past every point within a window of the region, were the region narrow
+    radius = max(WIDEN * box[1], box[1] + 2 * _window(abs(box[0]) + box[1]))
     edge = _farthest(box[0], radius)
     _check_order(ws, bc)
     _check_tail(ws, edge)

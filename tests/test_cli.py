@@ -263,8 +263,8 @@ def test_bad_node_count_is_a_config_error(tmp_path, capsys, nodes, flags,
     ("--seed", "random", "seed", "-1", "[random]: seed must be nonnegative"),
     ("--tol", "tolerances", "residual", "-1",
      "[tolerances]: residual must be positive"),
-    (None, "random", "max_retries", "-1",
-     "[random]: max_retries must be nonnegative"),
+    # the seed-draw budget is a constant: the key is refused at any value
+    (None, "random", "max_retries", "2", "[random]: unknown keys max_retries"),
     (None, "tolerances", "wronskian_floor", "-1",
      "[tolerances]: wronskian_floor must be nonnegative")])
 def test_out_of_range_value_is_a_config_error(config, tmp_path, capsys, flag,
@@ -393,8 +393,8 @@ def test_wronskian_floor_reaches_random_seed(tmp_path, capsys):
     # W_2 = exp(-int x) cannot be redrawn
     path = tmp_path / "p.ini"
     path.write_text("[problem]\norder = 2\ninterval = 0 1\nphi1 = x\n"
-                    "phi2 = 1\n[random]\nmax_retries = 2\n"
-                    "[tolerances]\nwronskian_floor = 1\n", encoding="utf-8")
+                    "phi2 = 1\n[tolerances]\nwronskian_floor = 1\n",
+                    encoding="utf-8")
     code, out, err = run_main(capsys, "verify", "--config", str(path))
     assert code == 2
     assert out == ""

@@ -2,21 +2,28 @@
 
 import copy
 import pickle
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spps.mesh
 from spps import (
     Mesh,
     MeshMismatchError,
+    OperatorSpec,
     SampledFunction,
     StencilError,
     VanishingValueError,
+    build_workspace,
     constant,
     cumulative_integral,
     differentiate,
+    find_eigenvalues,
     format_csv,
+    load_config,
     ones,
     reciprocal,
     tabulate,
@@ -350,12 +357,36 @@ def kernel_samples(n, seed):
 def test_quadrature_matches_tap_loop(n):
     m = Mesh(-1.0, 2.0, n)
     for v in kernel_samples(n, n):
+        v = v.astype(np.complex128)  # as every caller passes them
         for i0 in sorted({0, 1, n // 3, m.i0, n - 2, n - 1}):
             want = loop_antiderivative(v, m.h, i0)
             assert np.all(_antiderivative(v, m.h, i0) == want)
-            f = SampledFunction(replace(m, i0=i0), v)  # complex values
-            want = loop_antiderivative(f.values, m.h, i0)
+            f = SampledFunction(replace(m, i0=i0), v)
             assert np.all(cumulative_integral(f).values == want)
+
+
+def test_every_quadrature_caller_passes_complex_samples(monkeypatch):
+    # the clamped rows are complex, so real samples would be summed by
+    # complex dots, unlike the tap loop; no package path may pass them
+    original = spps.mesh._antiderivative
+    dtypes = []
+
+    def recording(v, h, i0):
+        dtypes.append(v.dtype)
+        return original(v, h, i0)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spps" and \
+                getattr(module, "_antiderivative", None) is original:
+            monkeypatch.setattr(module, "_antiderivative", recording)
+    problems = Path(__file__).resolve().parents[1] / "bench" / "problems"
+    for path in sorted(problems.glob("*.ini")):
+        cfg = load_config(str(path))
+        find_eigenvalues(cfg.make_workspace(), cfg.make_boundary(), cfg.region)
+    m = Mesh(0.0, 1.0, 401)
+    op = OperatorSpec(4, tuple(tabulate(m, lambda x, a=a: 0.5 * np.cos(a * x))
+                               for a in range(4)), ones(m))
+    build_workspace(op, truncation=20)
+    assert len(dtypes) > 1000 and set(dtypes) == {np.dtype(np.complex128)}
 
 
 @pytest.mark.parametrize("n", KERNEL_NODES)
