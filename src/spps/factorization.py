@@ -41,7 +41,7 @@ from .mesh import (
     ones,
 )
 
-#: Default relative floor below which a Wronskian counts as vanishing.
+#: Relative floor below which a Wronskian counts as vanishing.
 WRONSKIAN_FLOOR = 1e-6
 
 #: Recombinations drawn per seed order beyond the first before giving up.
@@ -109,7 +109,6 @@ class SolutionSystem:
 
     @classmethod
     def from_functions(cls, op: OperatorSpec, funcs: Sequence[SampledFunction],
-                       wronskian_floor: float = WRONSKIAN_FLOOR,
                        residual_tol: float = RESIDUAL_TOL) -> "SolutionSystem":
         """Wrap explicitly given solutions, tabulating derivatives by finite
         differences, and verify their residuals and Wronskian floors.
@@ -124,7 +123,8 @@ class SolutionSystem:
                              f"{len(funcs)} on {[f.mesh for f in funcs]}")
         derivs = np.array([[f.values] + [differentiate(f, ell).values
                                          for ell in range(1, op.n)] for f in funcs])
-        return _accepted(op, derivs, wronskian_floor, residual_tol)
+        return _accepted(op, derivs, _nested_wronskians(op.mesh, derivs),
+                         residual_tol)
 
 
 # -- nonvanishing checks ------------------------------------------------------
@@ -150,17 +150,17 @@ def _relative_minima(fs: Sequence[SampledFunction]) -> list[tuple[float, int]]:
     return out
 
 
-def _floor_report(W: Sequence[SampledFunction], floor: float) -> float:
+def _floor_report(W: Sequence[SampledFunction]) -> float:
     """The least relative minimum of W_1..W_n; WronskianFloorError naming
-    the worst Wronskian and its node unless it exceeds ``floor``."""
+    the worst Wronskian and its node unless it exceeds WRONSKIAN_FLOOR."""
     minima = _relative_minima(W[1:])
     j = min(range(len(minima)), key=lambda i: minima[i][0])
     rel, node = minima[j]
-    if not rel > floor:
+    if not rel > WRONSKIAN_FLOOR:
         x = float(W[1].mesh.nodes[node])
         raise WronskianFloorError(
             f"W_{j + 1} has relative min modulus {rel:.3e} below the "
-            f"{floor:.1e} floor at node {node} (x={x:.6g})",
+            f"{WRONSKIAN_FLOOR:.1e} floor at node {node} (x={x:.6g})",
             index=j + 1, node=node, x=x)
     return rel
 
@@ -186,20 +186,19 @@ def wronskians(sys: SolutionSystem) -> list[SampledFunction]:
     return _nested_wronskians(sys.op.mesh, sys.derivs)
 
 
-def polya_factors(W: Sequence[SampledFunction],
-                  floor: float = WRONSKIAN_FLOOR) -> tuple[SampledFunction, ...]:
+def polya_factors(W: Sequence[SampledFunction]) -> tuple[SampledFunction, ...]:
     """Factor functions (b_0, ..., b_n) from nested Wronskians [W_0..W_n].
 
     Raises
     ------
     WronskianFloorError
-        If some W_j (j >= 1) dips below ``floor`` relative to its max
-        modulus; the error names j and the offending node.
+        If some W_j (j >= 1) dips below ``WRONSKIAN_FLOOR`` relative to its
+        max modulus; the error names j and the offending node.
     """
     n = len(W) - 1
     if n < 2:
         raise ValueError("need Wronskians W_0..W_n with n >= 2")
-    _floor_report(W, floor)
+    _floor_report(W)
     b = [W[1]]
     for j in range(1, n):
         b.append(W[j - 1] * W[j + 1] / W[j] / W[j])
@@ -278,40 +277,39 @@ def _recombine(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _recombine_until_nonvanishing(mesh: Mesh, rows: np.ndarray,
-                                  rng: np.random.Generator, floor: float):
-    """Draw recombinations of ``rows`` until all nested Wronskians clear
-    ``floor``; the accepted rows and the number of draws beyond the first."""
+                                  rng: np.random.Generator):
+    """Draw recombinations of ``rows`` until all nested Wronskians clear the
+    floor; the accepted rows, their Wronskians and the draws beyond the first."""
     m = len(rows)
     best = -math.inf
     for attempt in range(MAX_RETRIES + 1):
         trial = _recombine(rows, _combination_matrix(rng, m, attempt))
-        worst = min(rel for rel, _ in _relative_minima(
-            _nested_wronskians(mesh, trial)[1:]))
-        if worst > floor:
-            return trial, attempt
+        W = _nested_wronskians(mesh, trial)
+        worst = min(rel for rel, _ in _relative_minima(W[1:]))
+        if worst > WRONSKIAN_FLOOR:
+            return trial, W, attempt
         best = max(best, worst)
     raise SeedConstructionError(
         f"order-{m} recombination exhausted {MAX_RETRIES} retries",
         best_wronskian_min=best)
 
 
-def _accepted(op: OperatorSpec, derivs: np.ndarray, floor: float, tol: float,
-              **fields) -> SolutionSystem:
-    """The solution system of the rows ``derivs``, once the ladder residual
-    of each solution is at most ``tol`` and its nested Wronskians clear
-    ``floor``; explicit and generated seeds both end here."""
+def _accepted(op: OperatorSpec, derivs: np.ndarray, W: Sequence[SampledFunction],
+              tol: float, **fields) -> SolutionSystem:
+    """The solution system of the rows ``derivs`` with nested Wronskians
+    ``W``, once each solution's ladder residual is at most ``tol`` and ``W``
+    clears the floor; explicit and generated seeds both end here."""
     res = max(operator_residual(op, SampledFunction(op.mesh, y)) for y in derivs[:, 0])
     if not res <= tol:
         raise ResidualVerificationError(
             f"seed residual {res:.3e} exceeds {tol:.1e}", residual=res)
-    wmin = _floor_report(_nested_wronskians(op.mesh, derivs), floor)
+    wmin = _floor_report(W)
     return SolutionSystem(op, derivs, wronskian_min=wmin, residual_max=res, **fields)
 
 
 def build_seed_system(op: OperatorSpec,
                       rng_seed: int = 0,
                       truncation: int = 30,
-                      wronskian_floor: float = WRONSKIAN_FLOOR,
                       residual_tol: float = RESIDUAL_TOL) -> SolutionSystem:
     """Construct a verified solution system of L y = 0 for arbitrary smooth
     coefficients by induction on the order.
@@ -320,12 +318,13 @@ def build_seed_system(op: OperatorSpec,
     coefficient). Given solutions z_1..z_{m-1} of the order-(m-1) problem
     built from phi_1..phi_{m-1}, the family {1, int z_1, ..., int z_{m-1}}
     solves the order-m operator with no zeroth-order term. Its nested
-    Wronskians are those of the z's, which cleared the floor one order
-    below, so it is factorized as it stands. The power-series machinery
-    with weight phi_m at spectral parameter -1 then gives solutions of the
-    full order-m equation, and random complex recombinations of them
-    (coefficients from the annulus 0.5 <= |c| <= 1) are drawn until all
-    their nested Wronskians clear the floor. The derivative triangle of
+    Wronskians are 1 and those of the z's, which cleared the floor one order
+    below: it is factorized from these, with no determinant formed. The
+    power-series machinery with weight phi_m at spectral parameter -1 then
+    gives solutions of the full order-m equation, and random complex
+    recombinations of them (coefficients from the annulus 0.5 <= |c| <= 1)
+    are drawn until all their nested Wronskians clear WRONSKIAN_FLOOR. Each
+    accepted draw's Wronskians are formed once. The derivative triangle of
     each factorization comes from the family's rows
     (:func:`~spps.powers.compute_A`), so derivative tables propagate
     analytically through every level, with no finite difference anywhere.
@@ -360,9 +359,10 @@ def build_seed_system(op: OperatorSpec,
     retries = 0
     truncations = []
 
-    # order-1 base: z' + phi_1 z = 0
+    # order-1 base: z' + phi_1 z = 0, with nested Wronskians [1, z_1]
     level = np.exp(-cumulative_integral(op.phi[0]).values)[None, None]
     _check_finite(mesh, level)
+    W = [ones(mesh), SampledFunction(mesh, level[0, 0])]
 
     for m in range(2, n + 1):
         # family {1, int z_j}: derivative ell >= 1 of int z_j is z_j^(ell-1)
@@ -371,10 +371,11 @@ def build_seed_system(op: OperatorSpec,
         family[1:, 0] = [_antiderivative(z, mesh.h, mesh.i0) for z in level[:, 0]]
         family[1:, 1:] = level
 
-        # stage A: one identity-plus-lower draw mixes the rows and leaves
-        # every W_j as it is; only order 2's W_2 = z_1 is new and can fail
+        # stage A: the family's Wronskians are [1] + the order below's, so
+        # only order 2's W_2 = z_1 is new; the identity-plus-lower draw
+        # leaves them as they are and only changes the rows' rounding
         rows = _recombine(family, _combination_matrix(rng, m, 0))
-        b = polya_factors(_nested_wronskians(mesh, rows), wronskian_floor)
+        b = polya_factors([ones(mesh)] + W)
         table = formal_powers(b, op.phi[m - 1], min(8, truncation))
         coeffs = compute_A(rows, table)
         while True:  # the sums at -1 that pass the stop test are kept
@@ -397,9 +398,8 @@ def build_seed_system(op: OperatorSpec,
             _check_finite(mesh, sols[k - 1])
 
         # stage B: recombine the new solutions until their Wronskians pass
-        level, attempt = _recombine_until_nonvanishing(
-            mesh, sols, rng, wronskian_floor)
+        level, W, attempt = _recombine_until_nonvanishing(mesh, sols, rng)
         retries += attempt
 
-    return _accepted(op, level, wronskian_floor, residual_tol,
+    return _accepted(op, level, W, residual_tol,
                      retries=retries, truncations=tuple(truncations))

@@ -424,8 +424,8 @@ _LADDER_NODES = range(65, 162)
 
 def ladder_strides(mesh: Mesh) -> tuple[int, ...]:
     """Strides for residual measurement: 1 plus coarsenings with node counts
-    in ``_LADDER_NODES``, basepoint preserved, panel structure intact."""
+    in ``_LADDER_NODES``, panel structure intact; the basepoint is unread."""
     segs = mesh.n - 1
     return (1,) + tuple(s for s in range(2, segs + 1)
                         if not segs % s and segs // s + 1 in _LADDER_NODES
-                        and not (segs // s) % 4 and not mesh.i0 % s)
+                        and not (segs // s) % 4)

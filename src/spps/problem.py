@@ -22,7 +22,6 @@ A problem file is an INI document. The only required section is
 
     [tolerances]
     residual = 1e-6
-    wronskian_floor = 1e-6
 
     [seed_system]        ; optional: explicit solutions of L y = 0
     y1 = cosh(x)
@@ -45,9 +44,9 @@ Coefficients, seeds, and scalar values are expressions in ``x`` (see
 :mod:`spps.expressions`); lists are comma- or whitespace-separated.
 Interval endpoints must be finite and increase, and a basepoint lies in
 the interval. ``phi``, ``y`` and ``row`` are numbered 1..order. Also
-``truncation`` and ``residual`` must be positive, ``seed`` and
-``wronskian_floor`` nonnegative, ``samples`` in 2..16384 and ``max_count``
-at least 1.
+``truncation`` and ``residual`` must be positive, ``seed`` nonnegative,
+``samples`` in 2..16384 and ``max_count`` at least 1. The Wronskian floor
+is no setting: it is the constant ``spps.factorization.WRONSKIAN_FLOOR``.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ _SETTINGS = (
     _Setting("series", "truncation", int, "positive"),
     _Setting("random", "seed", int, "nonnegative", "rng_seed"),
     _Setting("tolerances", "residual", float, "positive", "residual_tol"),
-    _Setting("tolerances", "wronskian_floor", float, "nonnegative"),
     _Setting("eig", "samples", int),
     _Setting("eig", "max_count", int),
 )
@@ -126,7 +124,6 @@ class ProblemConfig:
     truncation: int = 30
     rng_seed: int = 0
     residual_tol: float = 1e-6
-    wronskian_floor: float = 1e-6
     seeds: tuple[str, ...] | None = None
     boundary_rows: tuple[tuple[tuple[complex, ...], tuple[complex, ...]], ...] | None = None
     initial_values: tuple[complex, ...] | None = None
@@ -169,16 +166,15 @@ class ProblemConfig:
         if self.seeds is None:
             return None
         funcs = [tabulate_expression(op.mesh, s) for s in self.seeds]
-        return SolutionSystem.from_functions(
-            op, funcs, wronskian_floor=self.wronskian_floor,
-            residual_tol=self.residual_tol)
+        return SolutionSystem.from_functions(op, funcs,
+                                             residual_tol=self.residual_tol)
 
     def make_workspace(self) -> Workspace:
         op = self.make_operator()
         seed = self.make_seed(op)
         return build_workspace(
             op, seed=seed, truncation=self.truncation, rng_seed=self.rng_seed,
-            wronskian_floor=self.wronskian_floor, residual_tol=self.residual_tol)
+            residual_tol=self.residual_tol)
 
     def make_boundary(self) -> BoundaryConditions | None:
         if self.boundary_rows is None:

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import TriangularDefectError
 from .factorization import (
     RESIDUAL_TOL,
-    WRONSKIAN_FLOOR,
     OperatorSpec,
     SolutionSystem,
     _accepted,
@@ -86,7 +85,6 @@ def build_workspace(
     seed: SolutionSystem | None = None,
     truncation: int = 30,
     rng_seed: int = 0,
-    wronskian_floor: float = WRONSKIAN_FLOOR,
     residual_tol: float = RESIDUAL_TOL,
 ) -> Workspace:
     """Factorize the operator and precompute its formal power table.
@@ -104,22 +102,22 @@ def build_workspace(
         Number of series terms in the spectral parameter.
     rng_seed : int
         Passed through to the seed builder when ``seed`` is omitted.
-    wronskian_floor, residual_tol :
-        Checks of the seed builder, and of a ``seed`` constructed directly
-        (its ``residual_max`` is NaN), which is measured here; the Wronskian
-        floor also applies to the factorization of any explicit ``seed``.
+    residual_tol : float
+        Residual check of the seed builder, and of a ``seed`` constructed
+        directly (its ``residual_max`` is NaN), measured here; its floor
+        check reads the Wronskians the factors are formed from.
     """
     if seed is None:
-        seed = build_seed_system(
-            op, rng_seed=rng_seed, truncation=truncation,
-            wronskian_floor=wronskian_floor, residual_tol=residual_tol)
+        seed = build_seed_system(op, rng_seed=rng_seed, truncation=truncation,
+                                 residual_tol=residual_tol)
     elif (seed.op.n, seed.op.mesh) != (op.n, op.mesh) or not all(
             np.array_equal(p.values, q.values) for p, q in zip(seed.op.phi, op.phi)):
         raise ValueError("the seed solves another order, mesh or coefficients")
-    elif np.isnan(seed.residual_max):  # constructed directly, never measured
-        seed = _accepted(seed.op, seed.derivs, wronskian_floor, residual_tol,
+    W = wronskians(seed)
+    if np.isnan(seed.residual_max):  # constructed directly, never measured
+        seed = _accepted(seed.op, seed.derivs, W, residual_tol,
                          retries=seed.retries, truncations=seed.truncations)
-    b = polya_factors(wronskians(seed), wronskian_floor)
+    b = polya_factors(W)
     table = formal_powers(b, op.r, truncation)
     return Workspace(op, b, table, compute_A(seed.derivs, table), seed)
 

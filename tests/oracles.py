@@ -28,6 +28,7 @@ from spps.errors import StencilError
 from spps.factorization import OperatorSpec
 from spps.mesh import (
     _QUAD_WINDOW,
+    Mesh,
     SampledFunction,
     _diff_weights,
     _diff_window,
@@ -299,7 +300,11 @@ def node_coefficients(table, coeffs, k, ell, node):
 
 
 def _decimate(f, stride):
-    return SampledFunction(f.mesh.decimate(stride), f.values[::stride])
+    """Every ``stride``-th node from node 0; the ladder reads no basepoint,
+    so the coarse mesh need not keep it."""
+    m = f.mesh
+    return SampledFunction(Mesh(m.x1, m.x2, (m.n - 1) // stride + 1, 0),
+                           f.values[::stride])
 
 
 def decimated_ladder_residual(op, y, lam=0.0):

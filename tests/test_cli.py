@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import spps.factorization
 from spps.cli import main
 
 
@@ -263,10 +264,11 @@ def test_bad_node_count_is_a_config_error(tmp_path, capsys, nodes, flags,
     ("--seed", "random", "seed", "-1", "[random]: seed must be nonnegative"),
     ("--tol", "tolerances", "residual", "-1",
      "[tolerances]: residual must be positive"),
-    # the seed-draw budget is a constant: the key is refused at any value
+    # the seed-draw budget and the Wronskian floor are constants: the keys
+    # are refused at any value
     (None, "random", "max_retries", "2", "[random]: unknown keys max_retries"),
-    (None, "tolerances", "wronskian_floor", "-1",
-     "[tolerances]: wronskian_floor must be nonnegative")])
+    (None, "tolerances", "wronskian_floor", "1e-7",
+     "[tolerances]: unknown keys wronskian_floor")])
 def test_out_of_range_value_is_a_config_error(config, tmp_path, capsys, flag,
                                               section, key, value, message):
     # a flag and the INI key it overrides fail alike, before any numerics
@@ -320,29 +322,29 @@ def test_wrong_seed_solutions_exit_code(tmp_path, capsys):
     assert "residual" in err
 
 
-def test_wronskian_floor_reaches_factorization(tmp_path, capsys):
-    # W_1 = y1 dips to 5e-7 of its maximum at x = 1: below the default floor
-    # of 1e-6, above the configured 1e-7
+def test_wronskian_floor_reaches_factorization(tmp_path, capsys, monkeypatch):
+    # W_1 = y1 dips to 5e-7 of its maximum at x = 1: below the floor of
+    # 1e-6, above 1e-7, which the run reads at call time
+    monkeypatch.setattr(spps.factorization, "WRONSKIAN_FLOOR", 1e-7)
     path = tmp_path / "p.ini"
     path.write_text("[problem]\norder = 2\ninterval = 0 1\n"
                     "phi1 = 0\nphi2 = 0\n"
-                    "[seed_system]\ny1 = 1.0000005 - x\ny2 = 1\n"
-                    "[tolerances]\nwronskian_floor = 1e-7\n",
+                    "[seed_system]\ny1 = 1.0000005 - x\ny2 = 1\n",
                     encoding="utf-8")
     code, out, err = run_main(capsys, "verify", "--config", str(path))
     assert code == 0, err
     assert json.loads(out)["wronskian_min"] == pytest.approx(5e-7, rel=1e-6)
 
 
-def test_small_wronskian_floor_is_honoured(tmp_path, capsys):
-    # W_1 = y1 dips to 1e-8 of its maximum at x = 1, above the configured
-    # floor of 1e-9; the factor W_0 W_2 / W_1^2 divides by W_1 twice, so the
-    # 1e-16 of W_1^2 must not meet a reciprocal floor of its own
+def test_small_wronskian_floor_is_honoured(tmp_path, capsys, monkeypatch):
+    # W_1 = y1 dips to 1e-8 of its maximum at x = 1, above a floor of 1e-9;
+    # the factor W_0 W_2 / W_1^2 divides by W_1 twice, so the 1e-16 of
+    # W_1^2 must not meet a reciprocal floor of its own
+    monkeypatch.setattr(spps.factorization, "WRONSKIAN_FLOOR", 1e-9)
     path = tmp_path / "p.ini"
     path.write_text("[problem]\norder = 2\ninterval = 0 1\n"
                     "phi1 = 0\nphi2 = 0\n"
-                    "[seed_system]\ny1 = 1.00000001 - x\ny2 = 1\n"
-                    "[tolerances]\nwronskian_floor = 1e-9\n",
+                    "[seed_system]\ny1 = 1.00000001 - x\ny2 = 1\n",
                     encoding="utf-8")
     code, out, err = run_main(capsys, "verify", "--config", str(path))
     assert code == 0, err
@@ -389,16 +391,28 @@ def test_verify_reports_seed_truncations(config, tmp_path, capsys):
     assert json.loads(out)["truncations"] == [8, 8]
 
 def test_wronskian_floor_reaches_random_seed(tmp_path, capsys):
-    # no relative Wronskian minimum exceeds 1, so the first draw fails, and
-    # W_2 = exp(-int x) cannot be redrawn
+    # W_2 = exp(-40 x) spans e^-40 on [0, 1], below the floor at x = 1, and
+    # no redraw can lift it
     path = tmp_path / "p.ini"
-    path.write_text("[problem]\norder = 2\ninterval = 0 1\nphi1 = x\n"
-                    "phi2 = 1\n[tolerances]\nwronskian_floor = 1\n",
-                    encoding="utf-8")
+    path.write_text("[problem]\norder = 2\ninterval = 0 1\nphi1 = 40\n"
+                    "phi2 = 1\n", encoding="utf-8")
     code, out, err = run_main(capsys, "verify", "--config", str(path))
     assert code == 2
     assert out == ""
     assert "W_2" in err and "node 400 (x=1)" in err
+
+
+def test_basepoint_off_the_coarse_strides_verifies(tmp_path, capsys):
+    # i0 = 1016 divides none of the ladder's coarse strides 10, 16, 20, 25;
+    # the full mesh alone measured a residual of 2.9e-2 and exit 2
+    path = tmp_path / "p.ini"
+    path.write_text("[problem]\norder = 4\ninterval = 0 1\n"
+                    "phi1 = 0.3*cos(x)\nphi2 = 0.2\nphi3 = -0.1*sin(x)\n"
+                    "phi4 = 0.4\nbasepoint = 0.635\n[mesh]\nnodes = 1601\n",
+                    encoding="utf-8")
+    code, out, err = run_main(capsys, "verify", "--config", str(path))
+    assert code == 0, err
+    assert json.loads(out)["residual_max"] <= 1e-6
 
 
 def test_large_disk_eig_exit_code(tmp_path, capsys):

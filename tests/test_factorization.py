@@ -1,5 +1,7 @@
 """Wronskians, Polya factors, operator application, seed construction."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -28,11 +30,11 @@ from spps.errors import (
 )
 from spps.factorization import (
     RESIDUAL_TOL,
-    WRONSKIAN_FLOOR,
     OperatorSpec,
     SolutionSystem,
     _accepted,
     _combination_matrix,
+    _nested_wronskians,
     _recombine,
     _relative_minima,
     build_seed_system,
@@ -43,6 +45,7 @@ from spps.factorization import (
 
 from spps.mesh import ladder_strides
 from spps.powers import compute_A, formal_powers
+from spps.spectral import build_workspace
 
 from oracles import (
     apply_coefficients,
@@ -455,15 +458,18 @@ def test_build_seed_derivative_tables_match_fd():
         assert err < 1e-7 * max(1.0, y.max_abs())
 
 
-def test_build_seed_exhausted_budget_names_order():
+def test_build_seed_exhausted_budget_names_order(monkeypatch):
     m = Mesh(0.0, 1.0, 101)
     op = make_op(m, [zeros(m), ones(m)])  # y'' + y
     # the family {1, x - x0} has W_1 = W_2 = 1 and passes; no combination
     # of cos and sin keeps its modulus within 0.1% of its maximum
+    monkeypatch.setattr(spps.factorization, "WRONSKIAN_FLOOR", 0.999)
+    callers = _stacked_determinants(monkeypatch)
     with pytest.raises(SeedConstructionError,
                        match="order-2 recombination exhausted 25 retries") as exc:
-        build_seed_system(op, wronskian_floor=0.999)
+        build_seed_system(op)
     assert exc.value.best_wronskian_min <= 0.999
+    assert callers == ["_nested_wronskians"] * 26  # one W_2 per draw
 
 
 def test_residual_of_an_infinite_imaginary_part_is_not_finite():
@@ -482,7 +488,8 @@ def test_residual_of_an_infinite_imaginary_part_is_not_finite():
         assert not np.isfinite(operator_residual(op, y, lam=2.0))
         derivs = np.array([[values, np.ones(m.n)], [np.ones(m.n), np.zeros(m.n)]])
         with pytest.raises(VanishingValueError) as exc:
-            _accepted(op, derivs, WRONSKIAN_FLOOR, RESIDUAL_TOL)
+            # the residual refuses the rows before their Wronskians are read
+            _accepted(op, derivs, [ones(m)] * 3, RESIDUAL_TOL)
     assert exc.value.node == 0
 
 
@@ -547,12 +554,87 @@ SEED_COEFFS = {  # phi_1..phi_n as callables, smooth on [0, 1]
     3: [lambda x: 0.2 * x, lambda x: np.sin(x), lambda x: 0.5 + 0.0 * x],
     4: [lambda x: 0.1 * np.cos(2 * x), lambda x: 0.3 * x, lambda x: -0.4 + 0.0 * x,
         lambda x: 0.2 * np.sin(x)],
+    5: [lambda x: 0.1 * np.sin(x), lambda x: 0.2 + 0.0 * x, lambda x: -0.3 * x,
+        lambda x: 0.1 * np.cos(x), lambda x: 0.5 + 0.0 * x],
 }
 
 
 def seed_op(n, nodes=201):
     m = Mesh(0.0, 1.0, nodes)
     return make_op(m, [tabulate(m, f) for f in SEED_COEFFS[n]])
+
+
+# -- Wronskians climb from the order below ------------------------------------------
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_family_factors_from_the_order_below_match_those_of_its_rows(order,
+                                                                     monkeypatch):
+    # each family is factorized from [1] + the order below's Wronskians; the
+    # determinants of its recombined rows give the same factors to rounding
+    rows_seen, factors_seen = [], []
+    original_A, original_factors = spps.powers.compute_A, polya_factors
+
+    def recording_A(rows, table):
+        rows_seen.append(rows)
+        return original_A(rows, table)
+
+    def recording_factors(W):
+        factors_seen.append(original_factors(W))
+        return factors_seen[-1]
+
+    monkeypatch.setattr(spps.powers, "compute_A", recording_A)
+    monkeypatch.setattr(spps.factorization, "polya_factors", recording_factors)
+    op = seed_op(order, nodes=401)
+    # order 5's finite-difference residual floor lies above the default
+    build_seed_system(op, rng_seed=1, residual_tol=1e-4)
+    assert [len(b) for b in factors_seen] == list(range(3, order + 2))
+    for rows, b in zip(rows_seen, factors_seen, strict=True):
+        want = original_factors(_nested_wronskians(op.mesh, rows))
+        for got, w in zip(b, want, strict=True):
+            np.testing.assert_allclose(got.values, w.values, rtol=1e-12, atol=0)
+
+
+def _stacked_determinants(monkeypatch):
+    """The caller of each stacked np.linalg.det call, recorded while patched."""
+    callers = []
+    original = np.linalg.det
+
+    def counting(a):
+        if np.ndim(a) == 3:  # matrices [node, ell, k]
+            callers.append(inspect.currentframe().f_back.f_code.co_name)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    return callers
+
+
+def test_no_wronskian_is_formed_twice(monkeypatch):
+    # the builder forms each stage-B draw's Wronskians once (orders 2, 3, 4:
+    # 1 + 2 + 3 determinants) and climbs on them; build_workspace forms a
+    # given seed's once, measured or not, and a built one's once more
+    callers = _stacked_determinants(monkeypatch)
+    op = seed_op(4, nodes=401)
+    seed = build_seed_system(op, rng_seed=1)
+    assert seed.retries == 0
+    assert callers == ["_nested_wronskians"] * 6
+    for given in (seed, SolutionSystem(op, seed.derivs)):
+        callers.clear()
+        build_workspace(op, seed=given)
+        assert callers == ["_nested_wronskians"] * 3
+    callers.clear()
+    build_workspace(op, rng_seed=1)
+    assert callers == ["_nested_wronskians"] * 9
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("i0", [1, 3, 11, 1017, 1599])
+def test_seed_builds_wherever_the_basepoint_sits(n, i0):
+    # the residual ladder reads no basepoint; it used to keep only the
+    # strides dividing i0, and a full-mesh stride alone sat on its roundoff
+    # floor and refused the seed
+    m = Mesh(0.0, 1.0, 1601, i0)
+    sys = build_seed_system(d_power_op(m, n))
+    assert sys.residual_max <= RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

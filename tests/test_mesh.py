@@ -456,15 +456,24 @@ def test_ladder_strides_for_standard_meshes():
         assert 65 <= sub.n <= 161
 
 
+@pytest.mark.parametrize("n, want", [(401, (1, 4, 5)), (801, (1, 5, 8, 10)),
+                                     (1201, (1, 10, 12, 15)),
+                                     (1601, (1, 10, 16, 20, 25))])
+def test_ladders_of_the_benchmark_meshes(n, want):
+    assert ladder_strides(Mesh(0.0, 1.0, n)) == want
+
+
 @pytest.mark.parametrize("n, i0", [(401, 200), (801, 400), (801, 0), (1201, 600),
-                                   (1601, 800), (1601, 13), (9, 4)])
+                                   (1601, 800), (1601, 13), (1601, 1017), (9, 4)])
 def test_ladder_strides_are_every_stride_a_decimation_allows(n, i0):
+    # the ladder reads no basepoint: a stride may drop it, so the strides
+    # are those a mesh with its basepoint at node 0 can be decimated by
     m = Mesh(0.0, 1.0, n, i0)
     want = [1]
     for s in range(2, n):
         try:
-            sub = m.decimate(s)
-        except ValueError:  # breaks the panels or drops the basepoint
+            sub = Mesh(0.0, 1.0, n, 0).decimate(s)
+        except ValueError:  # breaks the panels
             continue
         if 65 <= sub.n <= 161:
             want.append(s)

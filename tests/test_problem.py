@@ -72,7 +72,6 @@ phi2 = x
     assert cfg.truncation == 30
     assert cfg.rng_seed == 0
     assert cfg.residual_tol == 1e-6
-    assert cfg.wronskian_floor == 1e-6
     assert cfg.seeds is None
     assert cfg.boundary_rows is None
     assert cfg.region is None
@@ -133,7 +132,6 @@ seed = 3
 
 [tolerances]
 residual = 2.5e-07
-wronskian_floor = 7.5e-09
 
 [initial]
 values = 0.5, -6
@@ -147,7 +145,7 @@ max_count = 5
     defaults = ProblemConfig(order=2, interval=(-1.0, 2.0), phi=("x", "-3"))
     got = {"weight": "2 + x", "basepoint": 0.25, "nodes": 205,
            "truncation": 17, "rng_seed": 3,
-           "residual_tol": 2.5e-7, "wronskian_floor": 7.5e-9,
+           "residual_tol": 2.5e-7,
            "initial_values": (0.5, -6.0), "initial_lambda": 8 - 9j,
            "samples": 777, "max_count": 5}
     assert {field: getattr(cfg, field) for field in got} == got
@@ -201,7 +199,7 @@ def test_rejects_bad_config(mutation, fragment):
     ("truncation", 0, "truncation"), ("truncation", -1, "truncation"),
     ("rng_seed", -1, "seed"),
     ("residual_tol", -1.0, "residual"), ("residual_tol", float("nan"), "residual"),
-    ("wronskian_floor", -1.0, "wronskian_floor"), ("samples", 1, "samples"),
+    ("samples", 1, "samples"),
     ("max_count", 0, "max_count")])
 def test_replaced_fields_are_checked(field, value, fragment):
     cfg = parse_text(DIRICHLET)

@@ -182,24 +182,28 @@ unit = st.floats(-1.0, 1.0)
 @given(n=st.integers(2, 4),
        phi=st.lists(st.tuples(unit, unit, unit), min_size=4, max_size=4),
        lam=st.tuples(unit, unit), y0=st.lists(st.tuples(unit, unit),
-                                             min_size=4, max_size=4))
-def test_ivp_matches_the_integrator_for_random_coefficients(n, phi, lam, y0):
+                                             min_size=4, max_size=4),
+       i0=st.integers(0, 1600))
+def test_ivp_matches_the_integrator_for_random_coefficients(n, phi, lam, y0, i0):
     # degree-1 trigonometric phi_1..phi_n with coefficients in [-0.5, 0.5],
-    # a built seed, lam in the box [-60, 60]^2, from the middle of [0, 1]
+    # a built seed, lam in the box [-60, 60]^2, from any node of [0, 1]
     phi = [trig(*(0.5 * c for c in p)) for p in phi[:n]]
     lam = 60.0 * complex(*lam)
     y0 = np.array([complex(*v) for v in y0[:n]])
     assume(np.any(y0))
     y0 /= np.max(np.abs(y0))  # of order one: the integrator has atol 1e-12
-    mesh = Mesh(0.0, 1.0, 1601)
+    mesh = Mesh(0.0, 1.0, 1601, i0)
     op = OperatorSpec(n, tuple(tabulate(mesh, f) for f in phi), ones(mesh))
     y = solve_initial_value(build_workspace(op, truncation=40), y0, lam).values
-    x, i0 = mesh.nodes, mesh.i0
-    ref = np.concatenate([  # out to each end
-        integrate_ivp(n, phi, lambda t: 1.0, x[i0], x[0], y0, lam,
-                      t_eval=x[i0::-1])[0][:0:-1],
-        integrate_ivp(n, phi, lambda t: 1.0, x[i0], x[-1], y0, lam,
-                      t_eval=x[i0:])[0]])
+    x = mesh.nodes
+
+    def toward(t):  # the integrator along the nodes t, from t[0] = x[i0]
+        if len(t) == 1:
+            return y0[:1]
+        return integrate_ivp(n, phi, lambda s: 1.0, t[0], t[-1], y0, lam,
+                             t_eval=t)[0]
+
+    ref = np.concatenate([toward(x[i0::-1])[:0:-1], toward(x[i0:])])
     assert np.max(np.abs(y - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
