@@ -128,6 +128,8 @@ def with_truncation(ws: Workspace, truncation: int) -> Workspace:
     A larger truncation extends the existing table from its last column, so
     only the new formal powers are integrated; a smaller one keeps a prefix
     of it. Either way the table equals the one :func:`formal_powers` builds.
+    :func:`find_eigenvalues` calls it when its search read the table to
+    within ``PERSISTENCE_EXTRA`` terms of its end.
     """
     if truncation == ws.truncation:
         return ws
@@ -438,7 +440,9 @@ class EigenOptions:
                                  f"got {getattr(self, name)!r}")
 
 
-#: Terms the truncation is raised by to confirm that a root persists.
+#: Persistence reads at least this many terms past the most the search
+#: kept; the table is extended by this many when a kept term lies within
+#: this many of its end.
 PERSISTENCE_EXTRA = 5
 #: A root persists when it moves by at most this times max(1, |lam|).
 PERSISTENCE_TOL = 1e-7
@@ -566,17 +570,18 @@ def _roots_in(charfn: CharacteristicFunction, box, options: EigenOptions,
     """Roots of det T in a box (center, half width, half height) grown by
     their windows (in a flat box's span, whatever their imaginary part),
     from a circle about it (by default through its corners, widened); the
-    estimates in the box counted but not confirmed; and the point of
-    largest modulus on the circles. While the confirmed roots miss the
-    count, the box is halved and searched, ``splits`` times over."""
+    estimates in the box counted but not confirmed; the point of largest
+    modulus on the circles; and the most terms of T that any circle's
+    trimmed polynomial kept. While the confirmed roots miss the count, the
+    box is halved and searched, ``splits`` times over."""
     center, hx, hy = box
     radius = radius or WIDEN * abs(complex(hx, hy))
     # out to where the circle may widen (twice) and its roots are polished
     near = _trimmed(charfn, abs(center) + WIDEN ** 2 * radius)
     radius, sums = _moments(near, center, radius, options.samples)
-    far = _farthest(center, radius)
+    far, kept = _farthest(center, radius), near.degree + 1
     if len(sums) < 2:
-        return [], [], far
+        return [], [], far, kept
     # first estimates: the eigenvalues of the Hankel pencil of the sums, as
     # the roots of its characteristic polynomial prod (w - w_k) by Newton's
     # identities, which unlike the pencil stay regular at a multiple root
@@ -591,14 +596,17 @@ def _roots_in(charfn: CharacteristicFunction, box, options: EigenOptions,
     if np.count_nonzero(ok) != len(z) and splits > 0:
         shift, half = (hx / 2, (hx / 2, hy)) if hx >= hy else \
             (0.5j * hy, (hx, hy / 2))
+        # a half of a square box can reach further out than the box
         found = [_roots_in(charfn, (center + sign * shift, *half), options,
                            splits=splits - 1) for sign in (-1, 1)]
         return (found[0][0] + found[1][0], found[0][1] + found[1][1],
-                max(far, found[0][2], found[1][2], key=abs))
+                max(far, found[0][2], found[1][2], key=abs),
+                max(kept, found[0][3], found[1][3]))
     d, tol = z - center, _window(z)
     span = abs(d.real) <= hx + tol
     inside = span & (abs(d.imag) <= hy + tol)
-    return list(z[ok & (inside if hy else span)]), list(z[~ok & inside]), far
+    return (list(z[ok & (inside if hy else span)]), list(z[~ok & inside]),
+            far, kept)
 
 
 def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
@@ -608,9 +616,11 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     The roots of the characteristic determinant are counted and located by
     contour integrals on a circle 5% wider than the region (around an
     :class:`Interval`, a :class:`Disk`'s own). Each root in the region must
-    (a) persist, by Newton's method, when the truncation is raised by
-    ``PERSISTENCE_EXTRA`` (the power table is extended), and (b)
-    give an :func:`eigenfunction` there with equation residual below
+    (a) persist, by Newton's method, on at least ``PERSISTENCE_EXTRA`` more
+    terms of the series than the search kept after trimming (the power
+    table is extended by that many when a kept term lies within that many
+    of its end),
+    and (b) give an :func:`eigenfunction` there with equation residual below
     ``options.residual_tol``. Roots failing either, or counted in the region
     but never located, are rejected. A root within its persistence window of
     the region is in it, even past the edge; roots within twice that window
@@ -646,10 +656,8 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     edge = _farthest(box[0], radius)
     _check_order(ws, bc)
     _check_tail(ws, edge)
-    fine = with_truncation(ws, ws.truncation + PERSISTENCE_EXTRA)
-    charfn_fine = characteristic_polynomials(fine, bc)
-    charfn = CharacteristicFunction(charfn_fine.poly[:, :, :ws.truncation + 1])
-    roots, unconfirmed, far = _roots_in(charfn, box, options, radius)
+    charfn = characteristic_polynomials(ws, bc)
+    roots, unconfirmed, far, kept = _roots_in(charfn, box, options, radius)
     if abs(far) > abs(edge):  # a widened or split circle reached past it
         _check_tail(ws, far)
     rejected = [(lam, "counted but not confirmed as a root")
@@ -661,8 +669,15 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     # from the real part of a root near the real axis, Newton's method stays
     # on it exactly when T is real there (real data and seed system)
     starts = np.where(abs(roots.imag) <= _window(roots), roots.real, roots)
+    # persistence reads PERSISTENCE_EXTRA terms past the most the search
+    # kept: from the table as stored, unless a kept term is that close to
+    # its end
+    fine = ws
+    if kept + PERSISTENCE_EXTRA > ws.truncation:
+        fine = with_truncation(ws, ws.truncation + PERSISTENCE_EXTRA)
+        charfn = characteristic_polynomials(fine, bc)
     refined = []
-    near = _trimmed(charfn_fine, abs(edge))  # the region is inside
+    near = _trimmed(charfn, abs(edge))  # the region is inside
     for lam, lam2 in zip(roots, _newton(near, starts, 2, deflate=False)[0]):
         if not abs(lam2 - lam) <= _window(lam):
             rejected.append((lam, "no root nearby at refined truncation"))
@@ -680,7 +695,7 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
             clusters.append([lam])
     accepted: list[Eigenvalue] = []
     lams = [complex(np.mean(c)) for c in clusters]
-    mats = charfn_fine._matrices(np.array(lams)) if lams else []
+    mats = charfn._matrices(np.array(lams)) if lams else []
     for lam, mat in zip(lams, mats):  # T at all of them in one Horner pass
         y = _null_combination(fine, mat, lam)
         res = operator_residual(ws.op, y, lam=lam)

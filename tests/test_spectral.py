@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import spps.factorization
 import spps.powers
 import spps.spectral
-from spps import Mesh, constant, ones, tabulate, zeros
+from spps import Mesh, constant, load_config, ones, tabulate, zeros
 from spps.errors import (
     RegionTruncationError,
     ResidualVerificationError,
@@ -605,10 +606,63 @@ def test_accepted_residuals_are_those_of_eigenfunction():
     bc = BoundaryConditions.separated(2, [0], [0])
     result = find_eigenvalues(ws, bc, Interval(-10.0, -0.5))
     assert [round(v.real) for v in result.values] == [-9, -4, -1]
-    fine = with_truncation(ws, ws.truncation + spps.spectral.PERSISTENCE_EXTRA)
+    # the search kept fewer than 30 - PERSISTENCE_EXTRA terms, so the
+    # eigenfunctions are summed from the stored table
     for e in result.eigenvalues:
-        y = eigenfunction(fine, bc, e.lam)
+        y = eigenfunction(ws, bc, e.lam)
         assert e.residual == operator_residual(op, y, lam=e.lam)
+
+
+def _counting_truncations(monkeypatch):
+    calls = []
+    original = spps.spectral.with_truncation
+
+    def counting(ws, truncation):
+        calls.append((ws.truncation, truncation))
+        return original(ws, truncation)
+    monkeypatch.setattr(spps.spectral, "with_truncation", counting)
+    return calls
+
+
+def test_persistence_reads_the_stored_table_when_it_reaches(monkeypatch):
+    calls = _counting_truncations(monkeypatch)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    result = find_eigenvalues(dirichlet_workspace(), bc, Interval(-10.0, -0.5))
+    np.testing.assert_allclose(result.values, [-9.0, -4.0, -1.0], atol=1e-8)
+    problem = Path(__file__).resolve().parents[1] / "bench" / "problems"
+    cfg = load_config(str(problem / "double_well.ini"))
+    result = find_eigenvalues(cfg.make_workspace(), cfg.make_boundary(),
+                              cfg.region, EigenOptions(samples=cfg.samples))
+    assert len(result.values) == 8
+    assert calls == []
+
+
+def test_persistence_extends_a_table_the_search_read_to_its_end(monkeypatch):
+    # at |lam| = 20 the trim keeps all 17 terms of M = 16, so persistence
+    # needs the table extended by PERSISTENCE_EXTRA
+    calls = _counting_truncations(monkeypatch)
+    mesh = Mesh(0.0, np.pi, 401)
+    op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    ws = build_workspace(op, truncation=16, rng_seed=0)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    with pytest.warns(TruncationWarning, match="lam=-20.4875"):
+        result = find_eigenvalues(ws, bc, Interval(-20.0, -0.5))
+    np.testing.assert_allclose(result.values, [-16.0, -9.0, -4.0, -1.0],
+                               atol=1e-8)
+    assert calls == [(16, 16 + spps.spectral.PERSISTENCE_EXTRA)]
+
+
+@pytest.mark.parametrize("case", ["dirichlet", "double_well", "disk"])
+def test_terms_past_what_persistence_reads_do_not_matter(case):
+    region = {"dirichlet": Interval(-10.0, -0.5),
+              "double_well": Interval(-20.0, -0.1),
+              "disk": Disk(-10.0, 10.0)}[case]
+    ws = dirichlet_workspace() if case == "dirichlet" else double_well_workspace()
+    bc = BoundaryConditions.separated(2, [0], [0])
+    got = [find_eigenvalues(w, bc, region)
+           for w in (ws, with_truncation(ws, ws.truncation + 10))]
+    assert got[0].values
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("case", ["dirichlet", "double_well"])
@@ -630,8 +684,8 @@ def test_interval_search_batches_matrix_evaluations(case, monkeypatch):
         monkeypatch.setattr(CharacteristicFunction, name, None)
     result = find_eigenvalues(ws, bc, region)
     assert len(result.eigenvalues) == least
-    # the contour levels, the joint polish steps and the Newton steps at the
-    # raised truncation, each one batch however many roots there are
+    # the contour levels, the joint polish steps and the Newton steps of the
+    # persistence check, each one batch however many roots there are
     contour = [size for size in batches if size >= 1001]
     assert 1 <= len(contour) <= 3 and len(batches) <= 10
     assert all(size == least for size in batches if size < 1001)
@@ -883,14 +937,14 @@ def test_tail_checked_first_and_where_circles_reached(monkeypatch):
     original = spps.spectral._roots_in
 
     def far_roots(*args, **kwargs):
-        roots, _, far = original(*args, **kwargs)
-        return roots, [-2.5 + 0j, -2.5 + 1j, -40.0 + 0j], far
+        roots, _, far, kept = original(*args, **kwargs)
+        return roots, [-2.5 + 0j, -2.5 + 1j, -40.0 + 0j], far, kept
     monkeypatch.setattr(spps.spectral, "_roots_in", far_roots)
     result = find_eigenvalues(ws, bc, Interval(-10.0, -0.5))
     np.testing.assert_allclose(result.values, [-9.0, -4.0, -1.0], atol=1e-8)
     assert result.rejected == ((-2.5, "counted but not confirmed as a root"),)
     monkeypatch.setattr(spps.spectral, "_roots_in",
-                        lambda *args: ([], [], -300.0 + 0j))
+                        lambda *args: ([], [], -300.0 + 0j, 0))
     with pytest.raises(RegionTruncationError, match="lam=\\(-300"):
         find_eigenvalues(ws, bc, Interval(-10.0, -0.5))
 
@@ -1125,13 +1179,14 @@ def test_contour_finds_roots_of_polynomial_matrices(grid, double, coupling):
     poly[0, 0, :len(p1)] = p1
     poly[1, 1, :len(p2)] = p2
     poly[0, 1, 0] = coupling
-    found, unconfirmed, far = _roots_in(
+    found, unconfirmed, far, kept = _roots_in(
         CharacteristicFunction(poly), (0j, 1.0, 1.0), EigenOptions(),
         radius=1.05)
     # each to within its persistence window (1e-7 here); a root on the line
     # between two halves of a split box is found in both, and
     # find_eigenvalues merges such copies, as it does those of a double root
     assert unconfirmed == [] and abs(far) >= 1.05
+    assert kept == max(len(p1), len(p2))  # the zero padding is trimmed
     for want in roots:
         assert min(abs(np.asarray(found) - want)) < 1e-7
     for got in found:
