@@ -43,6 +43,7 @@ from .powers import (
     tail_ratio,
 )
 
+#: A diagonal initial value at most this fraction of its row's largest is 0.
 DIAGONAL_FLOOR = 1e-12
 
 
@@ -99,7 +100,7 @@ def build_workspace(
         else ValueError. When omitted, one is constructed by random
         recombination of iterated integrals.
     truncation : int
-        Number of series terms in the spectral parameter.
+        Number of series terms in the spectral parameter (not the seed's).
     rng_seed : int
         Passed through to the seed builder when ``seed`` is omitted.
     residual_tol : float
@@ -108,8 +109,7 @@ def build_workspace(
         check reads the Wronskians the factors are formed from.
     """
     if seed is None:
-        seed = build_seed_system(op, rng_seed=rng_seed, truncation=truncation,
-                                 residual_tol=residual_tol)
+        seed = build_seed_system(op, rng_seed=rng_seed, residual_tol=residual_tol)
     elif (seed.op.n, seed.op.mesh) != (op.n, op.mesh) or not all(
             np.array_equal(p.values, q.values) for p, q in zip(seed.op.phi, op.phi)):
         raise ValueError("the seed solves another order, mesh or coefficients")
@@ -128,8 +128,8 @@ def with_truncation(ws: Workspace, truncation: int) -> Workspace:
     A larger truncation extends the existing table from its last column, so
     only the new formal powers are integrated; a smaller one keeps a prefix
     of it. Either way the table equals the one :func:`formal_powers` builds.
-    :func:`find_eigenvalues` calls it when its search read the table to
-    within ``PERSISTENCE_EXTRA`` terms of its end.
+    :func:`find_eigenvalues` calls it when its search left a root and read
+    the table to within ``PERSISTENCE_EXTRA`` terms of its end.
     """
     if truncation == ws.truncation:
         return ws
@@ -151,8 +151,8 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
     Raises
     ------
     TriangularDefectError
-        If a diagonal initial value is numerically zero, which means the
-        factorization cannot normalize that basis solution.
+        If a diagonal initial value is numerically zero against its row,
+        which means the factorization cannot normalize that basis solution.
     RegionTruncationError
         If a summed u_k's series tail ratio is above TAIL_ERROR or NaN.
     """
@@ -166,11 +166,11 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
     mat = ws.coeffs[:, :, ws.mesh.i0]
     c = np.zeros(n, dtype=complex)
     for ell in range(n):
-        diag = mat[ell, ell]
-        if abs(diag) < DIAGONAL_FLOOR:
+        diag, top = mat[ell, ell], max(map(abs, mat[ell, :ell + 1]))
+        if not abs(diag) > DIAGONAL_FLOOR * top:
             raise TriangularDefectError(
-                f"initial-value matrix diagonal {ell} is {abs(diag):.3e}; "
-                "the factorization is too close to singular at the basepoint")
+                f"initial-value matrix diagonal {ell} is {abs(diag):.3e} of its "
+                f"row's {top:.3e}; the factorization is singular at the basepoint")
         c[ell] = (vals[ell] - mat[ell, :ell] @ c[:ell]) / diag
     return SampledFunction(ws.mesh, _combination(ws, c, lam))
 
@@ -440,9 +440,8 @@ class EigenOptions:
                                  f"got {getattr(self, name)!r}")
 
 
-#: Persistence reads at least this many terms past the most the search
-#: kept; the table is extended by this many when a kept term lies within
-#: this many of its end.
+#: Persistence trims, at the region's edge, a table with at least this many
+#: terms past the most the search kept; the trim drops those negligible there.
 PERSISTENCE_EXTRA = 5
 #: A root persists when it moves by at most this times max(1, |lam|).
 PERSISTENCE_TOL = 1e-7
@@ -616,16 +615,17 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     The roots of the characteristic determinant are counted and located by
     contour integrals on a circle 5% wider than the region (around an
     :class:`Interval`, a :class:`Disk`'s own). Each root in the region must
-    (a) persist, by Newton's method, on at least ``PERSISTENCE_EXTRA`` more
-    terms of the series than the search kept after trimming (the power
-    table is extended by that many when a kept term lies within that many
-    of its end),
-    and (b) give an :func:`eigenfunction` there with equation residual below
-    ``options.residual_tol``. Roots failing either, or counted in the region
-    but never located, are rejected. A root within its persistence window of
-    the region is in it, even past the edge; roots within twice that window
-    are merged, as a multiple root. An interval's roots are real; one whose
-    imaginary part exceeds that window is rejected as off the axis.
+    (a) persist, by Newton's method, on T trimmed at the region's far edge
+    from a table of at least ``PERSISTENCE_EXTRA`` more terms than the
+    search kept (extended by that many if needed): the search's own terms
+    wherever it stopped short of the table's end, since the trim drops the
+    rest, and (b) give an :func:`eigenfunction` there with equation
+    residual below ``options.residual_tol``. Roots failing either, or
+    counted in the region but never located, are rejected. A root within
+    its persistence window of the region is in it, even past the edge;
+    roots within twice that window are merged, as a multiple root. An
+    interval's roots are real; one whose imaginary part exceeds that window
+    is rejected as off the axis.
 
     Raises
     ------
@@ -669,11 +669,10 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     # from the real part of a root near the real axis, Newton's method stays
     # on it exactly when T is real there (real data and seed system)
     starts = np.where(abs(roots.imag) <= _window(roots), roots.real, roots)
-    # persistence reads PERSISTENCE_EXTRA terms past the most the search
-    # kept: from the table as stored, unless a kept term is that close to
-    # its end
+    # persistence reads the table as stored, unless a kept term lies within
+    # PERSISTENCE_EXTRA of its end and some root is left to confirm
     fine = ws
-    if kept + PERSISTENCE_EXTRA > ws.truncation:
+    if len(roots) and kept + PERSISTENCE_EXTRA > ws.truncation:
         fine = with_truncation(ws, ws.truncation + PERSISTENCE_EXTRA)
         charfn = characteristic_polynomials(fine, bc)
     refined = []

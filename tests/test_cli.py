@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -386,9 +387,13 @@ def test_verify_reports_seed_truncations(config, tmp_path, capsys):
     path = tmp_path / "p.ini"
     path.write_text("[problem]\norder = 3\ninterval = 0 1\nphi1 = x\n"
                     "phi2 = 1\nphi3 = 2\n", encoding="utf-8")
-    code, out, _ = run_main(capsys, "verify", "--config", str(path))
-    assert code == 0
-    assert json.loads(out)["truncations"] == [8, 8]
+    # the seed's series at -1 stops by its own tail, whatever the truncation
+    for argv in ((), ("--order", "4")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_main(capsys, "verify", "--config", str(path), *argv)
+        assert code == 0
+        assert json.loads(out)["truncations"] == [8, 8]
 
 def test_wronskian_floor_reaches_random_seed(tmp_path, capsys):
     # W_2 = exp(-40 x) spans e^-40 on [0, 1], below the floor at x = 1, and

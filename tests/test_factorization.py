@@ -20,11 +20,9 @@ from spps import (
 )
 from spps.errors import (
     MeshMismatchError,
-    RegionTruncationError,
     ResidualVerificationError,
     SeedConstructionError,
     StencilError,
-    TruncationWarning,
     VanishingValueError,
     WronskianFloorError,
 )
@@ -653,9 +651,9 @@ def test_seed_truncation_stops_where_the_tail_is_negligible(n, monkeypatch):
     op = seed_op(n)
     for rng_seed in range(4):
         sums.clear()
-        capped = build_seed_system(op, rng_seed=rng_seed, truncation=40)
-        assert len(capped.truncations) == n - 1
-        for order, t in zip(range(2, n + 1), capped.truncations):
+        sys = build_seed_system(op, rng_seed=rng_seed)
+        assert len(sys.truncations) == n - 1
+        for order, t in zip(range(2, n + 1), sys.truncations):
             assert t < 40
             # each shifted series summed once, S_{k,0} by the stop test
             assert sorted(e[:2] for e in sums[order, t]) == [
@@ -663,33 +661,25 @@ def test_seed_truncation_stops_where_the_tail_is_negligible(n, monkeypatch):
                 for alpha in range(order)]
             assert max(r for _, alpha, r in sums[order, t] if alpha == 0) \
                 <= 1e-17
-        wide = build_seed_system(op, rng_seed=rng_seed, truncation=60)
-        assert wide.truncations == capped.truncations
-        np.testing.assert_array_equal(capped.derivs, wide.derivs)
 
 
-def test_seed_truncation_is_capped():
-    m = Mesh(0.0, 1.0, 201)
-    op = make_op(m, [zeros(m), constant(m, 2.0)])  # stops at 16 uncapped
-    assert build_seed_system(op, truncation=40).truncations == (16,)
-    assert build_seed_system(op, truncation=12).truncations == (12,)
-    with pytest.warns(TruncationWarning):  # as before, the cap may be short
-        assert build_seed_system(seed_op(3), truncation=5).truncations == (5, 5)
-    assert canonical_system(d_power_op(m, 2)).truncations == ()
-
-
-def test_seed_tail_past_the_cap_raises():
-    # at truncation 3 the order-3 seed's series at -1 keeps a tail ratio of
-    # 6e-6 there, above the limit of every other series sum
-    with pytest.raises(RegionTruncationError, match="lam=-1.0 exceeds"):
-        build_seed_system(seed_op(3), truncation=3)
+@pytest.mark.parametrize("k2, error", [(4000.0, ResidualVerificationError),
+                                       (20000.0, VanishingValueError)])
+def test_stiff_seed_ends_in_an_error(k2, error):
+    # y'' + k2 y on [0, 1]: the series at -1 runs until its tail stops it
+    # (4000, whose terms cancel to a wrong seed) or a formal power
+    # overflows (20000), never on
+    m = Mesh(0.0, 1.0, 801)
+    op = make_op(m, [zeros(m), constant(m, k2)])
+    with np.errstate(all="ignore"), pytest.raises(error):
+        build_seed_system(op)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_seed_rows_match_integrator(n):
     op = seed_op(n, nodes=401)
     mesh = op.mesh
-    sys = build_seed_system(op, rng_seed=1, truncation=40)
+    sys = build_seed_system(op, rng_seed=1)
     i0 = mesh.i0
     for row in sys.derivs:
         y0 = row[:, i0]

@@ -18,6 +18,7 @@ from spps import Mesh, constant, load_config, ones, tabulate, zeros
 from spps.errors import (
     RegionTruncationError,
     ResidualVerificationError,
+    TriangularDefectError,
     TruncationWarning,
 )
 from spps.factorization import (
@@ -111,6 +112,32 @@ def test_ivp_complex_initial_data_against_reference():
     ref = integrate_ivp(2, [lambda x: -3.0, lambda x: 2.0], lambda x: 1.0,
                         0.0, 1.0, y0, lam, t_eval=mesh.nodes)
     assert np.max(np.abs(y.values - ref[0])) < 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e13])
+def test_ivp_does_not_depend_on_the_scale_of_the_seed(scale):
+    # the seed scales the whole triangle, so its diagonal is measured against
+    # its rows; the scaled workspace is sound, as its eigenvalues show
+    mesh = Mesh(0.0, np.pi, 401)
+    op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    seed = monomial_seed(op)
+    want = solve_initial_value(build_workspace(op, seed=seed), [0.0, 1.0], -4.0)
+    ws = build_workspace(op, seed=SolutionSystem.from_functions(
+        op, [tabulate(mesh, lambda t, y=y: scale * y) for y in seed.derivs[:, 0].real]))
+    got = solve_initial_value(ws, [0.0, 1.0], -4.0)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-14
+    result = find_eigenvalues(ws, BoundaryConditions.separated(2, [0], [0]),
+                              Interval(-10.0, -0.5))
+    np.testing.assert_allclose(result.values, [-9.0, -4.0, -1.0], atol=1e-8)
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_ivp_refuses_a_zero_diagonal(ell):
+    ws = dirichlet_workspace(nmesh=201)
+    coeffs = ws.coeffs.copy()
+    coeffs[ell, ell] = 0.0
+    with pytest.raises(TriangularDefectError, match=f"diagonal {ell} is 0.000e"):
+        solve_initial_value(dataclasses.replace(ws, coeffs=coeffs), [1.0, 0.0], -1.0)
 
 
 def test_ivp_rejects_wrong_count():
@@ -398,14 +425,9 @@ def test_truncation_warning_points_at_the_caller():
     ws = build_workspace(OperatorSpec(2, (zeros(mesh),) * 2, ones(mesh)),
                          truncation=12)  # y'' = lam y
     bc = BoundaryConditions.separated(2, [0], [0])
-    unit = Mesh(0.0, 1.0, 201)
-    third = OperatorSpec(3, (tabulate(unit, lambda x: 0.2 * x),
-                             tabulate(unit, np.sin), constant(unit, 0.5)),
-                         ones(unit))
     for call in (lambda: solve_initial_value(ws, [1.0, 0.0], -10.0),
                  lambda: evaluate_solution(ws.table, ws.b[0], 1, -10.0),
-                 lambda: eigenfunction(ws, bc, -10.0),
-                 lambda: build_seed_system(third, truncation=5)):
+                 lambda: eigenfunction(ws, bc, -10.0)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             call()
@@ -650,6 +672,20 @@ def test_persistence_extends_a_table_the_search_read_to_its_end(monkeypatch):
     np.testing.assert_allclose(result.values, [-16.0, -9.0, -4.0, -1.0],
                                atol=1e-8)
     assert calls == [(16, 16 + spps.spectral.PERSISTENCE_EXTRA)]
+
+
+def test_persistence_leaves_the_table_alone_without_a_root(monkeypatch):
+    # at |lam| = 15.5 the trim keeps a term within PERSISTENCE_EXTRA of the
+    # end of M = 16, but no root lies in the region to confirm
+    calls = _counting_truncations(monkeypatch)
+    mesh = Mesh(0.0, np.pi, 401)
+    op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    ws = build_workspace(op, truncation=16, rng_seed=0)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    with pytest.warns(TruncationWarning, match="lam=-15.6375"):
+        result = find_eigenvalues(ws, bc, Interval(-15.5, -10.0))
+    assert result.values == [] and result.rejected == ()
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", ["dirichlet", "double_well", "disk"])
@@ -999,6 +1035,32 @@ def test_with_truncation_integrates_only_new_powers(n, monkeypatch):
     # each of the n solution indices gains 5 n formal powers, one
     # integration each; a rebuild would integrate all (M + 5) n + k - 1
     assert len(calls) == n * 5 * n
+
+
+@pytest.mark.parametrize("case", ["order3", "steep"])
+def test_seed_does_not_depend_on_the_truncation(case):
+    # the seed builder's series at -1 stops by its own tail (8 and 32 terms
+    # here), so the spectral truncation, shorter or longer, sets the table alone
+    if case == "order3":
+        mesh = Mesh(0.0, 1.0, 401)
+        phi = (tabulate(mesh, lambda t: t), ones(mesh), constant(mesh, 2.0))
+    else:
+        mesh = Mesh(0.0, 1.0, 1601)
+        phi = (zeros(mesh), constant(mesh, -800.0))
+    op = OperatorSpec(len(phi), phi, ones(mesh))
+    wide = build_workspace(op, truncation=80)
+    fields = ("retries", "wronskian_min", "residual_max", "truncations")
+    for M in (4, 12, 30, 80):
+        ws = build_workspace(op, truncation=M)
+        assert np.array_equal(ws.seed.derivs, wide.seed.derivs)
+        assert [getattr(ws.seed, f) for f in fields] == [
+            getattr(wide.seed, f) for f in fields]
+        short = with_truncation(wide, M)
+        assert short.table.norms == ws.table.norms
+        for got, want in zip(short.table.x, ws.table.x, strict=True):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert np.array_equal(short.coeffs, ws.coeffs)
 
 
 def test_with_truncation_lower_keeps_prefix():
