@@ -86,7 +86,7 @@ class Mesh:
         h = (x2 - x1) / (n - 1)
         if not np.isfinite(h):  # also where x1 or x2 is not finite
             raise ValueError(f"need finite x1, x2 and spacing, got [{x1}, {x2}]")
-        nodes = np.linspace(x1, x2, n)
+        nodes = np.linspace(x1, x2, n).copy()  # owns its memory, unlike a view
         nodes.setflags(write=False)
         for name, value in (("x1", x1), ("x2", x2), ("n", n), ("i0", int(i0)),
                             ("h", h), ("nodes", nodes)):

@@ -81,22 +81,26 @@ def compute_A(derivs: np.ndarray, table: "FormalPowerTable") -> np.ndarray:
 class FormalPowerTable:
     """All secondary formal powers X_k^(j) for k = 1..n, j = 0..M n + k - 1.
 
-    ``x[k - 1][j]`` holds X_k^(j) as a read-only array, shared with a table
-    it was extended from; :meth:`secondary` and :meth:`main` wrap it as a
-    SampledFunction. The main formal power P_k^(m) is the entry at
-    j = m n + k - 1. ``norms[k - 1][j]`` is the sup norm of X_k^(j), which
-    bounds a series term before it is formed. ``weight`` is the r used.
+    ``x[k - 1]`` is a read-only (M n + k, N) array whose row j holds
+    X_k^(j). A built table's n arrays are views of one read-only block of
+    shape (n, M n + n, N), so a series sums its strided rows in one
+    product; a lower truncation's table views the same block, and a copy
+    or an unpickled table holds each as its own contiguous array.
+    :meth:`secondary` and :meth:`main` wrap a row as a SampledFunction. The
+    main formal power P_k^(m) is the row j = m n + k - 1.
+    ``norms[k - 1][j]`` is the sup norm of X_k^(j), which bounds a series
+    term before it is formed. ``weight`` is the r used.
     """
 
     n: int
     truncation: int
     weight: SampledFunction
-    x: tuple[tuple[np.ndarray, ...], ...]
+    x: tuple[np.ndarray, ...]
     norms: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        for power in itertools.chain.from_iterable(self.x):
-            power.setflags(write=False)
+        for powers in self.x:
+            powers.setflags(write=False)
 
     __reduce__ = _reduce
 
@@ -125,57 +129,58 @@ def formal_powers(b: Sequence[SampledFunction], r: SampledFunction,
     if r.mesh != b[0].mesh:
         raise ValueError("weight and factorization live on different meshes")
     n = len(b) - 1
-    return _grow_powers(b, r, [(ones(r.mesh).values,)] * n, [(1.0,)] * n,
+    return _grow_powers(b, r, [ones(r.mesh).values[None]] * n, [(1.0,)] * n,
                         truncation)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite names the node
 def _grow_powers(b: Sequence[SampledFunction], r: SampledFunction, rows, norms,
                  truncation: int) -> FormalPowerTable:
     """Table at ``truncation`` whose row k starts with ``rows[k - 1]``.
 
-    Each row and its sup norms ``norms[k - 1]`` are cut to ``truncation``
-    and, where shorter, continued by the recursion of :func:`formal_powers`.
-    The table at a lower truncation is an exact prefix of the table at a
-    higher one, so a continued table equals a rebuilt one.
+    ``rows[k - 1]`` is an array of powers X_k^(0), X_k^(1), ... and
+    ``norms[k - 1]`` their sup norms. Where every row reaches the
+    truncation, the table views their prefixes and copies nothing. Else
+    the rows are copied into one new block and continued by the recursion
+    of :func:`formal_powers`. The table at a lower truncation is an exact
+    prefix of the table at a higher one, so a continued table equals a
+    rebuilt one.
     """
     n, mesh = len(b) - 1, r.mesh
     if not (_is_int(truncation) and truncation >= 0):
         raise ValueError(f"truncation order must be a nonnegative integer, "
                          f"got {truncation!r}")
+    stops = [truncation * n + k for k in range(1, n + 1)]
+    if all(len(row) >= stop for row, stop in zip(rows, stops)):
+        return FormalPowerTable(n, truncation, r, tuple(
+            row[:stop] for row, stop in zip(rows, stops)), tuple(
+            row_norms[:stop] for row_norms, stop in zip(norms, stops)))
     # the factor at offset (k - j) mod n: b_n b_0 r at the wrap, else b_offset
     mults = [(b[n] * b[0] * r).values] + [f.values for f in b[1:n]]
     h, i0 = mesh.h, mesh.i0
+    block = np.empty((n, stops[-1], mesh.n), dtype=np.complex128)
     integrand, mags = np.empty(mesh.n, dtype=np.complex128), np.empty(mesh.n)
-    ks, ns = [], []
-    for k, (row, row_norms) in enumerate(zip(rows, norms), start=1):
-        stop = truncation * n + k
-        xs, sups = list(row[:stop]), list(row_norms[:stop])
-        for j in range(len(xs), stop):
+    ns = []
+    for k, (row, row_norms, stop) in enumerate(zip(rows, norms, stops), start=1):
+        xs, have = block[k - 1], min(len(row), stop)
+        xs[:have] = row[:have]
+        sups = list(row_norms[:have])
+        for j in range(have, stop):
             np.multiply(mults[(k - j) % n], xs[j - 1], out=integrand)
             power = _antiderivative(integrand, h, i0)
             power *= float(j)
             sup = float(np.abs(power, out=mags).max())
             if not math.isfinite(sup):  # name the node, as the check does
                 _check_finite(mesh, power)
-            xs.append(power)
+            xs[j] = power
             sups.append(sup)
-        ks.append(tuple(xs))
         ns.append(tuple(sups))
-    return FormalPowerTable(n, truncation, r, tuple(ks), tuple(ns))
+    block.setflags(write=False)
+    return FormalPowerTable(n, truncation, r, tuple(
+        xs[:stop] for xs, stop in zip(block, stops)), tuple(ns))
 
 
 # -- series evaluation ---------------------------------------------------------
-
-# plain `s += term` costs 0.68 / 0.27 accuracy digits on eig_interval / eig_disk
-def _kahan_add(s: np.ndarray, comp: np.ndarray, term: np.ndarray,
-               y: np.ndarray) -> None:
-    """s += term, compensated in comp; y is scratch and term is overwritten."""
-    np.subtract(term, comp, out=y)
-    np.add(s, y, out=term)
-    np.subtract(term, s, out=comp)
-    comp -= y
-    s[:] = term
-
 
 def _check_index(table: FormalPowerTable, k: int) -> None:
     if not (_is_int(k) and 1 <= k <= table.n):
@@ -222,6 +227,30 @@ def _divisors(n: int, k: int, alpha: int, count: int) -> tuple:
         for m in range(m0, m0 + count - 1))
 
 
+def _stopped_sum(cs: list, rows: np.ndarray,
+                 tails: list[float]) -> tuple[np.ndarray, float, int]:
+    """sum_m cs[m] rows[m] through the stop, its max modulus, and the
+    number of terms read; ``tails[m]`` bounds the terms from m on.
+
+    The first terms go in one product, through the first m whose later
+    bounds are at most 2 STOP_TOL of the bound on the whole sum (all terms
+    when it is not finite): max|s| <= tails[0] up to rounding, so no
+    earlier m can pass the test. Single terms follow until the later bounds
+    are at most STOP_TOL of the partial sum's max modulus.
+    """
+    stop = len(cs) - 1
+    if math.isfinite(tails[0]):
+        stop = next((m for m, t in enumerate(tails[1:])
+                     if t <= 2 * STOP_TOL * tails[0]), stop)
+    s = np.asarray(cs[:stop + 1]) @ rows[:stop + 1]
+    top = float(np.max(np.abs(s)))
+    while stop + 1 < len(cs) and tails[stop + 1] > STOP_TOL * top:
+        stop += 1
+        s += cs[stop] * rows[stop]
+        top = float(np.max(np.abs(s)))
+    return s, top, stop + 1
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the ratio reports overflow
 def _solution_sum(table: FormalPowerTable, k: int, lam: complex,
                   alpha: int = 0) -> tuple[np.ndarray, float]:
@@ -233,24 +262,14 @@ def _solution_sum(table: FormalPowerTable, k: int, lam: complex,
     n = table.n
     m0 = int(alpha >= k)  # j < 0 at m = 0: that term is absent
     j0 = m0 * n + k - alpha - 1
-    row, sups = table.x[k - 1][j0::n], table.norms[k - 1][j0::n]
-    first, *steps = _divisors(n, k, alpha, len(row))
-    cs = [(lam if m0 else 1.0) / first][:len(row)]  # [] if no term
+    rows, sups = table.x[k - 1][j0::n], table.norms[k - 1][j0::n]
+    first, *steps = _divisors(n, k, alpha, len(rows))
+    cs = [(lam if m0 else 1.0) / first][:len(rows)]  # [] if no term
     for d in steps:
         cs.append(cs[-1] * lam / d)
     bounds = [abs(c) * sup for c, sup in zip(cs, sups)]
     tails = list(itertools.accumulate(reversed(bounds), initial=0.0))[::-1]
-    s, comp, term, y = np.zeros((4, table.mesh.n), dtype=np.complex128)
-    for m, (c, x) in enumerate(zip(cs, row)):
-        _kahan_add(s, comp, np.multiply(c, x, out=term), y)
-        # max|s| <= tails[0] up to rounding, so the partial sum's sup norm is
-        # taken only once the bound on the later terms could pass the test
-        if math.isfinite(tails[0]) and tails[m + 1] <= 2 * STOP_TOL * tails[0]:
-            top = float(np.max(np.abs(s)))
-            if tails[m + 1] <= STOP_TOL * top:
-                break
-    else:  # non-finite bounds: all terms
-        top = float(np.max(np.abs(s)))
+    s, top, _ = _stopped_sum(cs, rows, tails)
     last = bounds[-1] if bounds else 0.0
     ratio = math.inf if top == 0.0 and last > 0.0 else (last / top if top else 0.0)
     return s, ratio
@@ -269,12 +288,14 @@ def evaluate_solution(table: FormalPowerTable, b0: SampledFunction, k: int,
                       lam: complex) -> SampledFunction:
     """Truncated series solution u_k(.; lambda).
 
-    Terms are accumulated in ascending order with compensated summation; the
-    per-term coefficients lambda^m / (m n + k - 1)! advance by consecutive-
-    factorial ratios, so nothing overflows even when M n is large. The sum
-    stops after the first term past which the bounds |c_m| ||X_m|| of all
-    later terms add up to at most STOP_TOL of the partial sum's max modulus
-    (all M + 1 terms when a bound is not finite). At lambda = 0 the result
+    The per-term coefficients lambda^m / (m n + k - 1)! advance by
+    consecutive-factorial ratios, so nothing overflows even when M n is
+    large. The sum stops after the first term past which the bounds
+    |c_m| ||X_m|| of all later terms add up to at most STOP_TOL of the
+    partial sum's max modulus (all M + 1 terms when a bound is not
+    finite). The terms through the first m at which that can hold are
+    summed as one product of the coefficients with the table's strided
+    rows, and any later ones are added singly. At lambda = 0 the result
     reduces to b_0 times the (k-1)-fold iterated integral, the k-th element
     of the homogeneous solution family.
 
@@ -325,7 +346,7 @@ def series_coefficients_at_node(table: FormalPowerTable, coeffs: np.ndarray,
     a = np.moveaxis(coeffs[:, :, nodes], 2, 0)[..., None]
     out = np.zeros((len(nodes), n, n, M + 1), dtype=np.complex128)
     for k in range(1, n + 1):
-        xs = np.array([x[nodes] for x in table.x[k - 1]]).T
+        xs = table.x[k - 1][:, nodes].T
         for alpha in range(n):  # ascending, each term (A / j!) X_k^(j)
             m0 = int(alpha >= k)
             j = np.arange(m0, M + 1) * n + k - alpha - 1

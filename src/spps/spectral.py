@@ -125,9 +125,10 @@ def build_workspace(
 def with_truncation(ws: Workspace, truncation: int) -> Workspace:
     """Same workspace with the power table at another truncation.
 
-    A larger truncation extends the existing table from its last column, so
-    only the new formal powers are integrated; a smaller one keeps a prefix
-    of it. Either way the table equals the one :func:`formal_powers` builds.
+    A smaller truncation views a prefix of the existing table's block and
+    copies nothing. A larger one copies the table into a new block and
+    integrates only the new formal powers. Either way the table equals the
+    one :func:`formal_powers` builds.
     :func:`find_eigenvalues` calls it when its search left a root and read
     the table to within ``PERSISTENCE_EXTRA`` terms of its end.
     """

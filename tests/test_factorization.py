@@ -671,7 +671,7 @@ def test_stiff_seed_ends_in_an_error(k2, error):
     # overflows (20000), never on
     m = Mesh(0.0, 1.0, 801)
     op = make_op(m, [zeros(m), constant(m, k2)])
-    with np.errstate(all="ignore"), pytest.raises(error):
+    with pytest.raises(error):
         build_seed_system(op)
 
 
