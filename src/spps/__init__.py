@@ -45,7 +45,6 @@ from .mesh import (
     format_csv,
     format_json,
     ones,
-    reciprocal,
     tabulate,
     zeros,
 )
@@ -85,7 +84,7 @@ __all__ = [
     "WronskianFloorError",
     "FD_ACCURACY", "QUADRATURE_DEGREE", "Mesh", "SampledFunction",
     "constant", "cumulative_integral", "differentiate",
-    "format_csv", "format_json", "ones", "reciprocal", "tabulate", "zeros",
+    "format_csv", "format_json", "ones", "tabulate", "zeros",
     "OperatorSpec", "SolutionSystem", "build_seed_system",
     "operator_residual", "polya_factors", "wronskians",
     "FormalPowerTable", "compute_A", "evaluate_derivatives",

@@ -8,7 +8,7 @@ class SppsError(Exception):
 
 
 class MeshMismatchError(SppsError):
-    """Two sampled functions with different meshes were combined."""
+    """Functions that one computation reads live on different meshes."""
 
 
 class StencilError(SppsError):
@@ -16,7 +16,7 @@ class StencilError(SppsError):
 
 
 class VanishingValueError(SppsError):
-    """A function value needed in a denominator is (numerically) zero.
+    """A tabulated value is not finite (an overflow, or a NaN).
 
     Carries the offending node index and coordinate so the report can name it.
     """

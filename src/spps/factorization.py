@@ -194,15 +194,22 @@ def polya_factors(W: Sequence[SampledFunction]) -> tuple[SampledFunction, ...]:
     WronskianFloorError
         If some W_j (j >= 1) dips below ``WRONSKIAN_FLOOR`` relative to its
         max modulus; the error names j and the offending node.
+    MeshMismatchError
+        If the Wronskians live on different meshes.
     """
     n = len(W) - 1
     if n < 2:
         raise ValueError("need Wronskians W_0..W_n with n >= 2")
-    _floor_report(W)
+    mesh = W[1].mesh
+    bad = [j for j, w in enumerate(W) if w.mesh != mesh]
+    if bad:
+        raise MeshMismatchError(f"W_{bad[0]} on {W[bad[0]].mesh}, W_1 on {mesh}")
+    _floor_report(W)  # no W_j divided below has a zero
     b = [W[1]]
-    for j in range(1, n):
-        b.append(W[j - 1] * W[j + 1] / W[j] / W[j])
-    b.append(W[n - 1] / W[n])
+    for j in range(1, n):  # W_{j-1} W_{j+1} (1/W_j) (1/W_j): the order fixes the rounding
+        inv = 1.0 / W[j].values
+        b.append(SampledFunction(mesh, W[j - 1].values * W[j + 1].values * inv * inv))
+    b.append(SampledFunction(mesh, W[n - 1].values * (1.0 / W[n].values)))
     return tuple(b)
 
 

@@ -2,7 +2,7 @@
 
 This is the numerical substrate for the whole package: cumulative quadrature
 anchored at a basepoint, finite-difference differentiation of arbitrary order,
-pointwise algebra, and CSV/JSON emission.
+and CSV/JSON emission. Pointwise arithmetic is numpy's, on the value arrays.
 
 Everything here is pure: meshes and sampled functions are immutable after
 construction (the value arrays are write-protected; copies and unpickled
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MeshMismatchError, StencilError, VanishingValueError
+from .errors import StencilError, VanishingValueError
 
 #: Polynomial exactness degree of the cumulative quadrature rule.
 QUADRATURE_DEGREE = 8
@@ -31,9 +30,6 @@ _QUAD_WINDOW = QUADRATURE_DEGREE + 1
 
 #: Finite differences are at least this accurate in h.
 FD_ACCURACY = 4
-
-#: :func:`reciprocal` refuses moduli at most this fraction of the largest.
-_RECIPROCAL_FLOOR = 1e-14
 
 
 def _reduce(obj):
@@ -125,7 +121,8 @@ class SampledFunction:
     """A complex-valued function tabulated on a mesh.
 
     Values are validated to be finite and stored read-only; equality is
-    identity. Arithmetic is defined with scalars and functions on one mesh.
+    identity. It defines no arithmetic: a caller computes on ``.values``
+    and wraps the result with ``SampledFunction(mesh, ...)``.
     """
 
     mesh: Mesh
@@ -143,46 +140,6 @@ class SampledFunction:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _combine(self, other, op: Callable) -> "SampledFunction":
-        """op(self.values, other) for a scalar or a function on this mesh."""
-        if isinstance(other, SampledFunction):
-            if other.mesh != self.mesh:
-                raise MeshMismatchError(
-                    f"cannot combine functions on {self.mesh} and {other.mesh}")
-            other = other.values
-        elif not isinstance(other, (int, float, complex)):
-            return NotImplemented
-        return SampledFunction(self.mesh, op(self.values, other))
-
-    def __add__(self, other):
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other):
-        return self._combine(other, operator.sub)
-
-    def __rsub__(self, other):
-        return self._combine(other, lambda v, c: c - v)
-
-    def __mul__(self, other):
-        return self._combine(other, operator.mul)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, SampledFunction):
-            return self * reciprocal(other)
-        if isinstance(other, (int, float, complex)) and other == 0:
-            raise ZeroDivisionError("division of a sampled function by zero")
-        return self._combine(other, operator.truediv)
-
-    def __rtruediv__(self, other):  # c / f keeps the floor of reciprocal(f)
-        return self._combine(other, lambda v, c: c * reciprocal(self).values)
-
-    def __neg__(self):
-        return SampledFunction(self.mesh, -self.values)
 
     def __repr__(self) -> str:
         return f"SampledFunction(n={self.mesh.n}, max|f|={self.max_abs():.3g})"
@@ -216,26 +173,6 @@ def ones(mesh: Mesh) -> SampledFunction:
 def tabulate(mesh: Mesh, fn: Callable) -> SampledFunction:
     """Tabulate a vectorized callable of x on the mesh."""
     return SampledFunction(mesh, np.asarray(fn(mesh.nodes), dtype=np.complex128))
-
-
-# -- pointwise operations ---------------------------------------------------
-
-def reciprocal(f: SampledFunction) -> SampledFunction:
-    """Pointwise 1/f.
-
-    Refuses when some |f(node)| drops to ``_RECIPROCAL_FLOOR`` relative to
-    max|f|, naming the node: a zero here usually signals a vanishing
-    Wronskian further down the pipeline.
-    """
-    mags = np.abs(f.values)
-    top = float(np.max(mags))
-    i = int(np.argmin(mags))
-    if top == 0.0 or mags[i] <= _RECIPROCAL_FLOOR * top:
-        raise VanishingValueError(
-            f"reciprocal of a (near-)vanishing function: |f|={mags[i]:.3e} "
-            f"at node {i} (x={f.mesh.nodes[i]:.6g})",
-            node=i, x=float(f.mesh.nodes[i]))
-    return SampledFunction(f.mesh, 1.0 / f.values)
 
 
 # -- exact weight tables -----------------------------------------------------

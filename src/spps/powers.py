@@ -124,10 +124,12 @@ def formal_powers(b: Sequence[SampledFunction], r: SampledFunction,
     X_k^(j) is j times the cumulative integral of a factor times X_k^(j-1).
     The factor cycles through the b's by the offset of j from k modulo n,
     and at the wrap (j congruent to k mod n) it is b_n b_0 r, which is where
-    the weight enters. Each power must be finite.
+    the weight enters. Each power must be finite, and every factor must
+    live on the weight's mesh (else MeshMismatchError).
     """
-    if r.mesh != b[0].mesh:
-        raise ValueError("weight and factorization live on different meshes")
+    bad = [j for j, f in enumerate(b) if f.mesh != r.mesh]
+    if bad:
+        raise MeshMismatchError(f"b_{bad[0]} on {b[bad[0]].mesh}, weight on {r.mesh}")
     n = len(b) - 1
     return _grow_powers(b, r, [ones(r.mesh).values[None]] * n, [(1.0,)] * n,
                         truncation)
@@ -156,7 +158,7 @@ def _grow_powers(b: Sequence[SampledFunction], r: SampledFunction, rows, norms,
             row[:stop] for row, stop in zip(rows, stops)), tuple(
             row_norms[:stop] for row_norms, stop in zip(norms, stops)))
     # the factor at offset (k - j) mod n: b_n b_0 r at the wrap, else b_offset
-    mults = [(b[n] * b[0] * r).values] + [f.values for f in b[1:n]]
+    mults = [b[n].values * b[0].values * r.values] + [f.values for f in b[1:n]]
     h, i0 = mesh.h, mesh.i0
     block = np.empty((n, stops[-1], mesh.n), dtype=np.complex128)
     integrand, mags = np.empty(mesh.n, dtype=np.complex128), np.empty(mesh.n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import TriangularDefectError
+from .errors import RegionTruncationError, TriangularDefectError
 from .factorization import (
     RESIDUAL_TOL,
     OperatorSpec,
@@ -510,7 +510,8 @@ def _moments(charfn: CharacteristicFunction, center: complex, radius: float,
     """Radius, and power sums s_0..s_N of w = (lam - center) / radius over
     the N = s_0 roots of det T in the circle: the trapezoid rule on
     ``samples`` points (made even), doubled until it agrees with the rule on
-    every other point. A root on the contour stops that; widen then."""
+    every other point. A root on the contour stops that; widen then.
+    RegionTruncationError if no circle converges."""
     for _ in range(3):
         size = samples + samples % 2
         g = _log_derivative(charfn, center + radius * np.exp(
@@ -527,7 +528,9 @@ def _moments(charfn: CharacteristicFunction, center: complex, radius: float,
             g = np.stack([g, _log_derivative(charfn, center + radius * odd)],
                          axis=1).ravel()
         radius *= WIDEN
-    raise ValueError(f"contour integrals of det T about {center:.6g} diverge")
+    raise RegionTruncationError(
+        f"contour integrals of det T about {center:.6g} diverge: the region is "
+        f"too large for the series truncation; raise the truncation or shrink it")
 
 
 def _newton(charfn: CharacteristicFunction, z: np.ndarray, steps: int,
@@ -633,7 +636,7 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     RegionTruncationError
         If the series tail at the far edge of the circle, or of a circle
         the search went on to use, is too large for any answer there to be
-        trustworthy.
+        trustworthy, or if the contour integrals never converge.
     """
     options = options or EigenOptions()
     if isinstance(region, Interval):

@@ -112,10 +112,10 @@ def refine_eigenvalue(n, phi, r, x1, x2, left, right, lam0, spread=1e-3):
 
 def apply_coefficients(op: OperatorSpec, y: SampledFunction) -> SampledFunction:
     """L y via finite differences of y against the coefficient list."""
-    out = differentiate(y, op.n)
+    out = differentiate(y, op.n).values
     for j in range(1, op.n):
-        out = out + op.phi[j - 1] * differentiate(y, op.n - j)
-    return out + op.phi[op.n - 1] * y
+        out = out + op.phi[j - 1].values * differentiate(y, op.n - j).values
+    return SampledFunction(y.mesh, out + op.phi[op.n - 1].values * y.values)
 
 
 def apply_factorized(fac, y: SampledFunction) -> SampledFunction:
@@ -131,12 +131,12 @@ def apply_factorized(fac, y: SampledFunction) -> SampledFunction:
 def polya_system(fac) -> list[SampledFunction]:
     """The n solutions b_0, b_0*I(b_1), b_0*I(b_1 I(b_2)), ... of L y = 0,
     where I g denotes the cumulative integral of g from the basepoint."""
-    out = [fac[0]]
+    mesh, out = fac[0].mesh, [fac[0]]
     for k in range(1, len(fac) - 1):
-        g = ones(fac[0].mesh)
+        g = ones(mesh)
         for j in range(k, 0, -1):
-            g = cumulative_integral(fac[j] * g)
-        out.append(fac[0] * g)
+            g = cumulative_integral(SampledFunction(mesh, fac[j].values * g.values))
+        out.append(SampledFunction(mesh, fac[0].values * g.values))
     return out
 
 
@@ -320,12 +320,12 @@ def decimated_ladder_residual(op, y, lam=0.0):
             ys = _decimate(y, s) if s > 1 else y
             ops = OperatorSpec(op.n, tuple(_decimate(f, s) for f in op.phi),
                                _decimate(op.r, s)) if s > 1 else op
-            res = apply_coefficients(ops, ys)
+            res = apply_coefficients(ops, ys).values
             if lam != 0:
-                res = res - lam * (ops.r * ys)
+                res = res - ops.r.values * ys.values * lam
         except StencilError:
             continue
-        vals = np.abs(res.values[margin:res.mesh.n - margin])
+        vals = np.abs(res[margin:len(res) - margin])
         if vals.size:
             best = min(best, float(np.max(vals)) / scale_y)
     return best

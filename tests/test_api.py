@@ -32,14 +32,14 @@ PUBLIC = [
     "evaluate_constant", "evaluate_derivatives", "evaluate_solution",
     "find_eigenvalues", "formal_powers", "format_csv", "format_json",
     "load_config", "ones", "operator_residual", "parse_expression",
-    "polya_factors", "reciprocal", "series_coefficients_at_node",
+    "polya_factors", "series_coefficients_at_node",
     "solve_initial_value", "tabulate", "tabulate_expression", "tail_ratio",
     "with_truncation", "wronskians", "zeros",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 59
+    assert len(PUBLIC) == 58
     assert sorted(spps.__all__) == PUBLIC
 
 
@@ -118,13 +118,13 @@ def test_readers_count_only_the_package_and_no_annotation():
         "from spps import mesh\n"
         "def f(ws: spps.Workspace, *rest: Mesh) -> spps.EigenResult:\n"
         "    x: spps.Disk = np.zeros(3) + ws.ones + np.tabulate\n"
-        "    return spps.constant, p.tail_ratio, mesh.reciprocal,"
+        "    return spps.constant, p.tail_ratio, mesh.differentiate,"
         " spps.powers.compute_A, Interval\n")
     names = {"Workspace", "Mesh", "EigenResult", "Disk", "zeros", "ones",
-             "tabulate", "constant", "tail_ratio", "reciprocal", "compute_A",
+             "tabulate", "constant", "tail_ratio", "differentiate", "compute_A",
              "Interval"}
     assert readers(source) & names == {
-        "constant", "tail_ratio", "reciprocal", "compute_A", "Interval"}
+        "constant", "tail_ratio", "differentiate", "compute_A", "Interval"}
 
 
 def test_every_public_name_has_a_reader():

@@ -339,8 +339,8 @@ def test_wronskian_floor_reaches_factorization(tmp_path, capsys, monkeypatch):
 
 def test_small_wronskian_floor_is_honoured(tmp_path, capsys, monkeypatch):
     # W_1 = y1 dips to 1e-8 of its maximum at x = 1, above a floor of 1e-9;
-    # the factor W_0 W_2 / W_1^2 divides by W_1 twice, so the 1e-16 of
-    # W_1^2 must not meet a reciprocal floor of its own
+    # the factor W_0 W_2 / W_1^2 divides by W_1 twice, and WRONSKIAN_FLOOR
+    # is the only floor that W_1 meets on the way
     monkeypatch.setattr(spps.factorization, "WRONSKIAN_FLOOR", 1e-9)
     path = tmp_path / "p.ini"
     path.write_text("[problem]\norder = 2\ninterval = 0 1\n"

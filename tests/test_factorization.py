@@ -114,7 +114,7 @@ def test_nonvanishing_measures_the_chord_between_nodes():
     # x - 0.1 + 0.001i passes 0.001 from zero at x = 0.1, between the nodes
     # 0 and 0.25; the nearer one is reported
     m = Mesh(-1.0, 1.0, 9)
-    f = tabulate(m, lambda x: x) - 0.1 + 0.001j
+    f = tabulate(m, lambda x: x - 0.1 + 0.001j)
     [(rel, node)] = _relative_minima([f])
     assert rel > 1e-6
     assert rel * f.max_abs() == pytest.approx(0.001, rel=1e-12)
@@ -164,13 +164,33 @@ def test_factors_for_monomial_seed_are_one():
         np.testing.assert_allclose(bj.values, 1.0, atol=1e-6)
 
 
-def test_factors_raise_on_vanishing_wronskian():
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a division by 0 raises
+@pytest.mark.parametrize("floor", [None, 0.0])
+@pytest.mark.parametrize("order, index, node", [
+    (2, 1, 50), (4, 2, 50), (4, 3, 50),  # x on [-1, 1] is exactly 0 at node 50
+    (2, 1, 0), (4, 2, 0), (4, 3, 0), (4, 4, 0)])  # identically 0 from node 0
+def test_factors_raise_on_vanishing_wronskian(order, index, node, floor, monkeypatch):
+    # the floor check comes before the factors divide by any W_j, even
+    # where the floor is 0: no zero reaches a division
+    if floor is not None:
+        monkeypatch.setattr(spps.factorization, "WRONSKIAN_FLOOR", floor)
     m = Mesh(-1.0, 1.0, 101)
-    W = [ones(m), tabulate(m, lambda x: x), ones(m)]
+    W = [ones(m)] * (order + 1)
+    W[index] = tabulate(m, lambda x: x) if node else zeros(m)
     with pytest.raises(WronskianFloorError) as exc:
         polya_factors(W)
-    assert exc.value.index == 1
-    assert exc.value.node == 50
+    assert exc.traceback[-1].name == "_floor_report"
+    assert (exc.value.index, exc.value.node) == (index, node)
+
+
+def test_factors_refuse_wronskians_on_another_mesh():
+    # the quotients of W_j used to be formed by the mesh-checking dunders
+    m, other = Mesh(0.0, 1.0, 101), Mesh(0.0, 2.0, 101)
+    for j in (0, 2):
+        W = [ones(m)] * 3
+        W[j] = ones(other)
+        with pytest.raises(MeshMismatchError, match=rf"W_{j} on Mesh\(\[0.0, 2.0\]"):
+            polya_factors(W)
 
 
 # -- operator application ---------------------------------------------------------
@@ -226,7 +246,9 @@ def test_recombination_invariance_of_factorized_application():
     op = make_op(m, [constant(m, 0.0), constant(m, -1.0)])  # y'' - y
     e1, e2 = tabulate(m, np.exp), tabulate(m, lambda t: np.exp(-t))
     sys_a = SolutionSystem.from_functions(op, [e1, e2])
-    sys_b = SolutionSystem.from_functions(op, [e1 + 0.5 * e2, e1 - 0.25j * e2])
+    sys_b = SolutionSystem.from_functions(op, [
+        SampledFunction(m, e1.values + 0.5 * e2.values),
+        SampledFunction(m, e1.values - 0.25j * e2.values)])
     fac_a = polya_factors(wronskians(sys_a))
     fac_b = polya_factors(wronskians(sys_b))
     y = tabulate(m, lambda t: np.cos(2 * t) + 0.1 * t)
@@ -355,14 +377,14 @@ def test_from_functions_rejects_dependent_seed():
     op = make_op(m, [constant(m, 0.0), constant(m, -1.0)])
     e = tabulate(m, np.exp)
     with pytest.raises(WronskianFloorError):
-        SolutionSystem.from_functions(op, [e, 2.0 * e])
+        SolutionSystem.from_functions(op, [e, SampledFunction(m, 2.0 * e.values)])
 
 
 def test_from_functions_and_polya_factors_raise_the_same_floor_error():
     m = Mesh(0.0, 1.0, 401)
     op = make_op(m, [constant(m, 0.0), constant(m, -1.0)])
     e = tabulate(m, np.exp)
-    funcs = [e, 2.0 * e]
+    funcs = [e, SampledFunction(m, 2.0 * e.values)]
     with pytest.raises(WronskianFloorError) as seeded:
         SolutionSystem.from_functions(op, funcs)
     sys = SolutionSystem(op, [(f.values, differentiate(f, 1).values) for f in funcs])

@@ -443,6 +443,20 @@ def test_evaluate_solution_refuses_b0_on_another_mesh():
     assert evaluate_solution(table, ones(Mesh(0.0, 1.0, 101)), 1, -1.0).mesh == m
 
 
+@pytest.mark.parametrize("index", [0, 2, 3])
+def test_formal_powers_refuses_a_factor_on_another_mesh(index):
+    # a factor with the weight's node count on another interval: b_n was
+    # caught only by its product with b_0, and b_1 .. b_{n-1} not at all
+    m = Mesh(0.0, 1.0, 101)
+    op, fac = trivial_factorization(m, 3)
+    b = list(fac)
+    b[index] = ones(Mesh(0.0, 2.0, 101))
+    with pytest.raises(MeshMismatchError, match=rf"b_{index} on Mesh\(\[0.0, 2.0\]"):
+        formal_powers(b, op.r, 10)
+    with pytest.raises(MeshMismatchError, match="b_0 on"):  # the weight's mesh
+        formal_powers(fac, ones(Mesh(0.0, 2.0, 101)), 10)
+
+
 @pytest.mark.parametrize("k", [True, 1.0, 1.5, 0, 3])
 def test_tail_ratio_refuses_an_index_that_is_not_a_solution_index(k):
     # True gave u_1's ratio, 1.0 and 1.5 raised a raw TypeError, 0 gave

@@ -841,6 +841,23 @@ def test_region_truncation_error_when_series_cannot_reach():
         find_eigenvalues(ws, bc, Interval(-100.0, 0.0))
 
 
+@pytest.mark.parametrize("basepoint, region", [
+    (None, Interval(-910.0, -0.5)), (0, Interval(-410.0, -0.5))])
+def test_contour_integrals_that_never_converge_raise_region_truncation_error(
+        basepoint, region):
+    # y'' = lam y, Dirichlet on [0, pi], N = 801, M = 80: the tail at the
+    # circle's far edge passes (the basepoint-0 one with a warning), yet no
+    # circle's integrals converge. A bare ValueError made the CLI exit 2
+    mesh = Mesh(0.0, np.pi, 801, basepoint)
+    op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    ws = build_workspace(op, rng_seed=0, truncation=80)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        with pytest.raises(RegionTruncationError, match="region is too large"):
+            find_eigenvalues(ws, bc, region)
+
+
 GATED = {
     "eigenfunction": lambda ws, bc: eigenfunction(ws, bc, -1e4),
     "evaluate_derivatives": lambda ws, bc: evaluate_derivatives(
