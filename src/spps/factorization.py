@@ -357,8 +357,8 @@ def build_seed_system(op: OperatorSpec,
     ResidualVerificationError
         When the final system fails its operator-residual verification.
     """
-    from .powers import (STOP_TOL, _grow_powers, _rows, _solution_sum,
-                         compute_A, formal_powers)
+    from .powers import (STOP_TOL, _grow_powers, _series_sums, compute_A,
+                         formal_powers)
 
     mesh, n = op.mesh, op.n
     rng = np.random.default_rng(rng_seed)
@@ -385,21 +385,22 @@ def build_seed_system(op: OperatorSpec,
         table = formal_powers(b, op.phi[m - 1], 8)
         coeffs = compute_A(rows, table)
         while True:  # the sums at -1 that pass the stop test are kept
-            sums = [_solution_sum(table, k, -1.0) for k in range(1, m + 1)]
-            if all(ratio <= STOP_TOL for _, ratio in sums):
+            sums, ratios, *_ = _series_sums(table, -1.0)
+            if all(ratio <= STOP_TOL for ratio in ratios):
                 break
-            table = _grow_powers(b, table.weight, table.x, table.norms,
-                                 table.truncation + 8)
+            table = _grow_powers(b, table.weight, table.truncation + 8, table)
         truncations.append(table.truncation)
 
-        # solutions of the full order-m equation at spectral parameter -1,
-        # each derivative from the shifted series S_{k,alpha}, each summed once
-        sols = np.empty((m, m, mesh.n), dtype=np.complex128)
-        for k, (s, _) in enumerate(sums, start=1):
-            shifted = [_solution_sum(table, k, -1.0, alpha)[0]
-                       for alpha in range(1, m)]
-            sols[k - 1] = _rows(coeffs, [s] + shifted)
-            _check_finite(mesh, sols[k - 1])
+        # solutions of the full order-m equation at spectral parameter -1:
+        # u_k^(ell) = sum_{alpha <= ell} A[ell, alpha] S_{k,alpha} in the
+        # operations of powers._rows, each shift summed once for all k and
+        # added as it comes, so no two shifts are held at once
+        sols = coeffs[:m, 0] * sums[:, None]
+        for alpha in range(1, m):
+            shifted = _series_sums(table, -1.0, alpha)[0]
+            for k in range(m):
+                sols[k, alpha:] += coeffs[alpha:m, alpha] * shifted[k]
+        _check_finite(mesh, sols)
 
         # stage B: recombine the new solutions until their Wronskians pass
         level, W, attempt = _recombine_until_nonvanishing(mesh, sols, rng)

@@ -29,10 +29,11 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import MeshMismatchError, RegionTruncationError, TruncationWarning
 from .mesh import (Mesh, SampledFunction, _antiderivative, _check_finite,
-                   _is_int, _reduce, ones)
+                   _is_int, _reduce)
 
 _PACKAGE = os.path.dirname(__file__)  # warnings name the first caller outside
 
@@ -43,6 +44,7 @@ TAIL_ERROR = 1e-6
 #: A series sum stops once the norm bounds of all its later terms add up to
 #: at most this fraction of the partial sum's max modulus.
 STOP_TOL = 1e-17
+_EPS = float(np.finfo(float).eps)
 
 
 def compute_A(derivs: np.ndarray, table: "FormalPowerTable") -> np.ndarray:
@@ -81,26 +83,53 @@ def compute_A(derivs: np.ndarray, table: "FormalPowerTable") -> np.ndarray:
 class FormalPowerTable:
     """All secondary formal powers X_k^(j) for k = 1..n, j = 0..M n + k - 1.
 
-    ``x[k - 1]`` is a read-only (M n + k, N) array whose row j holds
-    X_k^(j). A built table's n arrays are views of one read-only block of
-    shape (n, M n + n, N), so a series sums its strided rows in one
-    product; a lower truncation's table views the same block, and a copy
-    or an unpickled table holds each as its own contiguous array.
-    :meth:`secondary` and :meth:`main` wrap a row as a SampledFunction. The
-    main formal power P_k^(m) is the row j = m n + k - 1.
-    ``norms[k - 1][j]`` is the sup norm of X_k^(j), which bounds a series
-    term before it is formed. ``weight`` is the r used.
+    ``block`` is one read-only complex array of shape (n, (M + 2) n - 1, N):
+    row n - 1 + j of ``block[k - 1]`` holds X_k^(j), and its first n - 1
+    rows are zero, so a shifted series reads every slot it has, its absent
+    first term included, at one stride (see :func:`_series_sums`).
+    ``norms`` is the (n, (M + 2) n - 1) array of their sup norms, which
+    bound a series term before it is formed; it is zero where the block
+    is. Rows past j = M n + k - 1 belong to no series: zero in a built
+    table, the higher powers in a lower truncation's table, which views a
+    prefix of the same block. Copies and unpickled tables keep this layout.
+
+    ``x[k - 1]`` is the read-only (M n + k, N) view of X_k^(0..Mn+k-1);
+    :meth:`secondary` and :meth:`main` wrap a row as a SampledFunction.
+    The main formal power P_k^(m) is the row j = m n + k - 1. ``weight`` is
+    the r used.
     """
 
     n: int
     truncation: int
     weight: SampledFunction
-    x: tuple[np.ndarray, ...]
-    norms: tuple[tuple[float, ...], ...]
+    block: np.ndarray
+    norms: np.ndarray
 
     def __post_init__(self):
-        for powers in self.x:
-            powers.setflags(write=False)
+        n, M, block, norms = self.n, self.truncation, self.block, self.norms
+        block.setflags(write=False)
+        norms.setflags(write=False)
+        object.__setattr__(self, "x", tuple(
+            block[k, n - 1:(M + 1) * n + k] for k in range(n)))
+        object.__setattr__(self, "_shifts", [None] * n)
+
+    def _series(self, alpha: int) -> tuple:
+        """The (n, M + 1, N) rows and (n, M + 1) norms of every S_{k,alpha},
+        slab k - 1 from row n + k - alpha - 2 on by n, and the coefficient
+        multipliers: built at a shift's first sum, then kept."""
+        views = self._shifts[alpha]
+        if views is None:
+            n, M, block, norms = self.n, self.truncation, self.block, self.norms
+            views = self._shifts[alpha] = (
+                as_strided(block[0, n - 1 - alpha:], (n, M + 1, block.shape[2]),
+                           (block.strides[0] + block.strides[1],
+                            n * block.strides[1], block.strides[2]),
+                           writeable=False),
+                as_strided(norms[0, n - 1 - alpha:], (n, M + 1),
+                           (norms.strides[0] + norms.strides[1],
+                            n * norms.strides[1]), writeable=False),
+                _multipliers(n, M)[alpha])
+        return views
 
     __reduce__ = _reduce
 
@@ -130,56 +159,54 @@ def formal_powers(b: Sequence[SampledFunction], r: SampledFunction,
     bad = [j for j, f in enumerate(b) if f.mesh != r.mesh]
     if bad:
         raise MeshMismatchError(f"b_{bad[0]} on {b[bad[0]].mesh}, weight on {r.mesh}")
-    n = len(b) - 1
-    return _grow_powers(b, r, [ones(r.mesh).values[None]] * n, [(1.0,)] * n,
-                        truncation)
+    return _grow_powers(b, r, truncation)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _check_finite names the node
-def _grow_powers(b: Sequence[SampledFunction], r: SampledFunction, rows, norms,
-                 truncation: int) -> FormalPowerTable:
-    """Table at ``truncation`` whose row k starts with ``rows[k - 1]``.
+def _grow_powers(b: Sequence[SampledFunction], r: SampledFunction,
+                 truncation: int,
+                 table: FormalPowerTable | None = None) -> FormalPowerTable:
+    """Table at ``truncation``, continuing ``table`` if one is given.
 
-    ``rows[k - 1]`` is an array of powers X_k^(0), X_k^(1), ... and
-    ``norms[k - 1]`` their sup norms. Where every row reaches the
-    truncation, the table views their prefixes and copies nothing. Else
-    the rows are copied into one new block and continued by the recursion
-    of :func:`formal_powers`. The table at a lower truncation is an exact
-    prefix of the table at a higher one, so a continued table equals a
-    rebuilt one.
+    Where ``table`` reaches the truncation, the result views a prefix of
+    its block and copies nothing. Else its block is copied into a new one
+    and continued by the recursion of :func:`formal_powers`. The table at
+    a lower truncation is an exact prefix of the table at a higher one, so
+    a continued table equals a rebuilt one.
     """
     n, mesh = len(b) - 1, r.mesh
     if not (_is_int(truncation) and truncation >= 0):
         raise ValueError(f"truncation order must be a nonnegative integer, "
                          f"got {truncation!r}")
-    stops = [truncation * n + k for k in range(1, n + 1)]
-    if all(len(row) >= stop for row, stop in zip(rows, stops)):
-        return FormalPowerTable(n, truncation, r, tuple(
-            row[:stop] for row, stop in zip(rows, stops)), tuple(
-            row_norms[:stop] for row_norms, stop in zip(norms, stops)))
+    rows = (truncation + 2) * n - 1
+    if table is not None and table.block.shape[1] >= rows:
+        return FormalPowerTable(n, truncation, r, table.block[:, :rows],
+                                table.norms[:, :rows])
     # the factor at offset (k - j) mod n: b_n b_0 r at the wrap, else b_offset
     mults = [b[n].values * b[0].values * r.values] + [f.values for f in b[1:n]]
     h, i0 = mesh.h, mesh.i0
-    block = np.empty((n, stops[-1], mesh.n), dtype=np.complex128)
+    block = np.empty((n, rows, mesh.n), dtype=np.complex128)  # zeroed by row
+    norms = np.zeros((n, rows))
+    if table is None:  # X_k^(0) = 1
+        block[:, :n - 1], block[:, n - 1], norms[:, n - 1] = 0.0, 1.0, 1.0
+        have = [1] * n
+    else:
+        block[:, :table.block.shape[1]] = table.block
+        norms[:, :table.norms.shape[1]] = table.norms
+        have = [len(x) for x in table.x]
     integrand, mags = np.empty(mesh.n, dtype=np.complex128), np.empty(mesh.n)
-    ns = []
-    for k, (row, row_norms, stop) in enumerate(zip(rows, norms, stops), start=1):
-        xs, have = block[k - 1], min(len(row), stop)
-        xs[:have] = row[:have]
-        sups = list(row_norms[:have])
-        for j in range(have, stop):
+    for k in range(1, n + 1):
+        xs, sups, stop = block[k - 1, n - 1:], norms[k - 1, n - 1:], truncation * n + k
+        for j in range(have[k - 1], stop):
             np.multiply(mults[(k - j) % n], xs[j - 1], out=integrand)
             power = _antiderivative(integrand, h, i0)
             power *= float(j)
             sup = float(np.abs(power, out=mags).max())
             if not math.isfinite(sup):  # name the node, as the check does
                 _check_finite(mesh, power)
-            xs[j] = power
-            sups.append(sup)
-        ns.append(tuple(sups))
-    block.setflags(write=False)
-    return FormalPowerTable(n, truncation, r, tuple(
-        xs[:stop] for xs, stop in zip(block, stops)), tuple(ns))
+            xs[j], sups[j] = power, sup
+        xs[stop:], sups[stop:] = 0.0, 0.0  # past the last power of X_k
+    return FormalPowerTable(n, truncation, r, block, norms)
 
 
 # -- series evaluation ---------------------------------------------------------
@@ -192,89 +219,104 @@ def _check_index(table: FormalPowerTable, k: int) -> None:
 def tail_ratio(table: FormalPowerTable, k: int, lam: complex) -> float:
     """Last term's bound |c_M| ||X_M|| over the partial sum's max modulus."""
     _check_index(table, k)
-    _, ratio = _solution_sum(table, k, lam)
-    return ratio
+    return _series_sums(table, lam)[1][k - 1]
 
 
-def _check_ratio(ratio: float, k: int, lam: complex) -> None:
-    """The one tail policy for a sum of u_k at lam: raise unless the tail
-    ratio is at most TAIL_ERROR (so NaN raises), warn above TAIL_WARN."""
-    if not ratio <= TAIL_ERROR:
-        raise RegionTruncationError(
-            f"series tail ratio {ratio:.3e} of u_{k} at lam={lam} exceeds "
-            f"{TAIL_ERROR:.1e}; raise the truncation or bring lam nearer 0")
-    if ratio > TAIL_WARN:  # told at the first caller outside the package
-        frame, level = sys._getframe(1), 2
-        while frame.f_back and os.path.dirname(frame.f_code.co_filename) == _PACKAGE:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(f"series tail ratio {ratio:.3e} of u_{k} at lam={lam}",
-                      TruncationWarning, stacklevel=level)
+def _gate(ratios: list, factors: list, ks, lam: complex) -> None:
+    """The one tail policy for the sums of u_k at lam, k in ``ks``, from the
+    tail ratios and cancellation factors of :func:`_series_sums`: raise
+    unless the tail ratio is at most TAIL_ERROR (so NaN raises), then unless
+    eps times the cancellation factor is, and warn above TAIL_WARN."""
+    for k in ks:
+        ratio, factor = ratios[k - 1], factors[k - 1]
+        if not ratio <= TAIL_ERROR:
+            raise RegionTruncationError(
+                f"series tail ratio {ratio:.3e} of u_{k} at lam={lam} exceeds "
+                f"{TAIL_ERROR:.1e}; raise the truncation or bring lam nearer 0")
+        if not factor * _EPS <= TAIL_ERROR:
+            raise RegionTruncationError(
+                f"series of u_{k} at lam={lam} cancels: its terms' bounds add "
+                f"up to {factor:.3e} times its max modulus, so rounding may "
+                f"reach {factor * _EPS:.1e} of it, above {TAIL_ERROR:.1e}; "
+                f"bring lam nearer 0 (more terms do not help)")
+        if ratio > TAIL_WARN:  # told at the first caller outside the package
+            frame, level = sys._getframe(1), 2
+            while frame.f_back and os.path.dirname(frame.f_code.co_filename) == _PACKAGE:
+                frame, level = frame.f_back, level + 1
+            warnings.warn(f"series tail ratio {ratio:.3e} of u_{k} at lam={lam}",
+                          TruncationWarning, stacklevel=level)
 
 
-def _gated_sum(table: FormalPowerTable, k: int, lam: complex) -> np.ndarray:
-    """S_{k,0} at lam once its tail ratio has passed :func:`_check_ratio`."""
-    _check_index(table, k)
-    s, ratio = _solution_sum(table, k, lam)
-    _check_ratio(ratio, k, lam)
-    return s
+@lru_cache(maxsize=64)
+def _multipliers(n: int, truncation: int) -> np.ndarray:
+    """Read-only (n, n, M + 1) array ``r[alpha, k - 1]`` from which the
+    coefficients of S_{k,alpha} advance: c_0 = r[0], c_m = c_{m-1} lam r[m].
 
-
-@lru_cache(maxsize=1024)  # a workspace reads n * n keys
-def _divisors(n: int, k: int, alpha: int, count: int) -> tuple:
-    """The divisors of the first ``count`` coefficients of S_{k,alpha}:
-    j0! for the first, then (j+1) ... (j+n) from each to the next."""
-    m0 = int(alpha >= k)
-    return (math.factorial(m0 * n + k - alpha - 1),) + tuple(
-        math.prod(range(m * n + k - alpha, m * n + n + k - alpha), start=1.0)
-        for m in range(m0, m0 + count - 1))
-
-
-def _stopped_sum(cs: list, rows: np.ndarray,
-                 tails: list[float]) -> tuple[np.ndarray, float, int]:
-    """sum_m cs[m] rows[m] through the stop, its max modulus, and the
-    number of terms read; ``tails[m]`` bounds the terms from m on.
-
-    The first terms go in one product, through the first m whose later
-    bounds are at most 2 STOP_TOL of the bound on the whole sum (all terms
-    when it is not finite): max|s| <= tails[0] up to rounding, so no
-    earlier m can pass the test. Single terms follow until the later bounds
-    are at most STOP_TOL of the partial sum's max modulus.
+    Past the first present term, whose r is 1 / j0!, each r is one over
+    (j + 1) ... (j + n) for the j of the term before. Where k <= alpha the
+    m = 0 term is absent and r[0] = 1 multiplies a zero row of the table,
+    so the first present coefficient is lam / j0! as it should be.
     """
-    stop = len(cs) - 1
-    if math.isfinite(tails[0]):
-        stop = next((m for m, t in enumerate(tails[1:])
-                     if t <= 2 * STOP_TOL * tails[0]), stop)
-    s = np.asarray(cs[:stop + 1]) @ rows[:stop + 1]
-    top = float(np.max(np.abs(s)))
-    while stop + 1 < len(cs) and tails[stop + 1] > STOP_TOL * top:
-        stop += 1
-        s += cs[stop] * rows[stop]
-        top = float(np.max(np.abs(s)))
-    return s, top, stop + 1
+    out = np.ones((n, n, truncation + 1))
+    for alpha, k in itertools.product(range(n), range(1, n + 1)):
+        m0 = int(alpha >= k)
+        out[alpha, k - 1, m0:m0 + 1] = 1.0 / math.factorial(m0 * n + k - alpha - 1)
+        for m in range(m0 + 1, truncation + 1):
+            out[alpha, k - 1, m] = 1.0 / math.prod(
+                range((m - 1) * n + k - alpha, m * n + k - alpha), start=1.0)
+    out.setflags(write=False)
+    return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the ratio reports overflow
-def _solution_sum(table: FormalPowerTable, k: int, lam: complex,
-                  alpha: int = 0) -> tuple[np.ndarray, float]:
+@np.errstate(over="ignore", invalid="ignore")  # the tail ratio reports them
+def _series_sums(table: FormalPowerTable, lam: complex, alpha: int = 0):
     """The shifted series S_{k,alpha} = sum_m lambda^m X_k^(j) / j! over
-    j = m n + k - alpha - 1 >= 0, and its tail ratio; u_k = b_0 S_{k,0}.
+    j = m n + k - alpha - 1 >= 0 at one lambda, for every k at once;
+    u_k = b_0 S_{k,0}.
 
-    Stops as :func:`evaluate_solution` describes.
+    Returns the (n, N) sums, and lists of each one's tail ratio (the last
+    term's bound |c_M| ||X_M|| over max|S|), cancellation factor (the
+    bounds of all terms added up, over max|S|) and number of terms read.
+    Each sum stops as :func:`evaluate_solution` describes: the
+    coefficients, bounds, tails and first stops of all k come as arrays,
+    the terms through each first stop as one batched product with the
+    table's strided rows, and any single terms after it per k.
     """
-    n = table.n
-    m0 = int(alpha >= k)  # j < 0 at m = 0: that term is absent
-    j0 = m0 * n + k - alpha - 1
-    rows, sups = table.x[k - 1][j0::n], table.norms[k - 1][j0::n]
-    first, *steps = _divisors(n, k, alpha, len(rows))
-    cs = [(lam if m0 else 1.0) / first][:len(rows)]  # [] if no term
-    for d in steps:
-        cs.append(cs[-1] * lam / d)
-    bounds = [abs(c) * sup for c, sup in zip(cs, sups)]
-    tails = list(itertools.accumulate(reversed(bounds), initial=0.0))[::-1]
-    s, top, _ = _stopped_sum(cs, rows, tails)
-    last = bounds[-1] if bounds else 0.0
-    ratio = math.inf if top == 0.0 and last > 0.0 else (last / top if top else 0.0)
-    return s, ratio
+    rows, sups, mults = table._series(alpha)
+    n, M = table.n, table.truncation
+    c = complex(lam) * mults
+    c[:, 0] = mults[:, 0]
+    np.multiply.accumulate(c, axis=1, out=c)
+    bounds = np.abs(c) * sups
+    tails = np.zeros((n, M + 2))  # tails[:, m]: the bounds from m on
+    np.add.accumulate(bounds[:, ::-1], axis=1, out=tails[:, M::-1])
+    # the first stop: the first m whose later bounds are at most 2 STOP_TOL
+    # of all of them (no earlier m can pass the test, as max|S| is at most
+    # that sum up to rounding), yet not before the first present term, and
+    # M where the sum is not finite. The tails fall with m, so the m that
+    # pass are the first stop and those after it
+    totals = tails[:, 0].tolist()
+    passed = (tails[:, 1:] <= 2 * STOP_TOL * tails[:, :1]).sum(axis=1).tolist()
+    stop = [min(max(M + 1 - p, int(k <= alpha)), M) if total < math.inf else M
+            for k, (p, total) in enumerate(zip(passed, totals), start=1)]
+    cut = c[:, :max(stop) + 1].copy()
+    for i, m in enumerate(stop):
+        cut[i, m + 1:] = 0.0
+    s = np.matmul(cut[:, None], rows[:, :cut.shape[1]])[:, 0]
+    top = np.abs(s).max(axis=1).tolist()
+    for i in range(n):
+        m, t = stop[i], top[i]
+        while m < M and tails[i, m + 1] > STOP_TOL * t:
+            m += 1
+            s[i] += c[i, m] * rows[i, m]
+            t = float(np.abs(s[i]).max())
+        stop[i], top[i] = m, t
+    ratios, factors = [], []
+    for t, last, total in zip(top, bounds[:, M].tolist(), totals):
+        ratios.append(last / t if t else (math.inf if last > 0.0 else 0.0))
+        factors.append(total / t if t else (math.inf if total else 0.0))
+    read = [m + 1 - (k <= alpha) for k, m in enumerate(stop, start=1)]
+    return s, ratios, factors, read
 
 
 def _rows(coeffs: np.ndarray, sums: list[np.ndarray]) -> np.ndarray:
@@ -295,20 +337,26 @@ def evaluate_solution(table: FormalPowerTable, b0: SampledFunction, k: int,
     large. The sum stops after the first term past which the bounds
     |c_m| ||X_m|| of all later terms add up to at most STOP_TOL of the
     partial sum's max modulus (all M + 1 terms when a bound is not
-    finite). The terms through the first m at which that can hold are
-    summed as one product of the coefficients with the table's strided
-    rows, and any later ones are added singly. At lambda = 0 the result
-    reduces to b_0 times the (k-1)-fold iterated integral, the k-th element
-    of the homogeneous solution family.
+    finite). Every sum goes through one kernel that sums u_1..u_n at once:
+    the terms through the first m at which that can hold are one batched
+    product of the coefficients with the table's strided rows, and any
+    later ones are added singly. At lambda = 0 the result reduces to b_0
+    times the (k-1)-fold iterated integral, the k-th element of the
+    homogeneous solution family.
 
     Raises RegionTruncationError when the :func:`tail_ratio` is above
-    TAIL_ERROR or NaN, and warns with TruncationWarning above TAIL_WARN.
-    Raises MeshMismatchError when ``b0`` lives on another mesh than the
-    table.
+    TAIL_ERROR or NaN, or when the sum cancels so far that eps times its
+    cancellation factor (its terms' bounds added up, over its max modulus)
+    is above TAIL_ERROR; warns with TruncationWarning when the tail ratio
+    is above TAIL_WARN. Raises MeshMismatchError when ``b0`` lives on
+    another mesh than the table.
     """
     if b0.mesh != table.mesh:
         raise MeshMismatchError(f"b_0 on {b0.mesh}, table on {table.mesh}")
-    return SampledFunction(b0.mesh, b0.values * _gated_sum(table, k, lam))
+    _check_index(table, k)
+    s, ratios, factors, _ = _series_sums(table, lam)
+    _gate(ratios, factors, [k], lam)
+    return SampledFunction(b0.mesh, b0.values * s[k - 1])
 
 
 def evaluate_derivatives(table: FormalPowerTable, coeffs: np.ndarray,
@@ -321,12 +369,15 @@ def evaluate_derivatives(table: FormalPowerTable, coeffs: np.ndarray,
     which pairs X_k at index j = m n + k - alpha - 1 with lambda^m / j!
     (the rising-factorial prefactor folded into the reciprocal factorial).
     Each S_{k,alpha} stops as :func:`evaluate_solution` describes, and the
-    tail of u_k itself (S_{k,0}) is gated as there.
+    sum of u_k itself (S_{k,0}) is gated as there.
     """
     if not (_is_int(ell) and 1 <= ell <= table.n - 1):
         raise ValueError(f"derivative order {ell!r} outside 1..{table.n - 1}")
-    sums = [_gated_sum(table, k, lam)] + [
-        _solution_sum(table, k, lam, alpha)[0] for alpha in range(1, ell + 1)]
+    _check_index(table, k)
+    s, ratios, factors, _ = _series_sums(table, lam)
+    _gate(ratios, factors, [k], lam)
+    sums = [s[k - 1]] + [_series_sums(table, lam, alpha)[0][k - 1]
+                         for alpha in range(1, ell + 1)]
     return SampledFunction(table.mesh, _rows(coeffs, sums)[ell])
 
 

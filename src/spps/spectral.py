@@ -34,13 +34,12 @@ from .factorization import (
 from .mesh import Mesh, SampledFunction, _is_int, _reduce
 from .powers import (
     FormalPowerTable,
-    _check_ratio,
-    _gated_sum,
+    _gate,
     _grow_powers,
+    _series_sums,
     compute_A,
     formal_powers,
     series_coefficients_at_node,
-    tail_ratio,
 )
 
 #: A diagonal initial value at most this fraction of its row's largest is 0.
@@ -134,9 +133,8 @@ def with_truncation(ws: Workspace, truncation: int) -> Workspace:
     """
     if truncation == ws.truncation:
         return ws
-    table = _grow_powers(ws.b, ws.table.weight, ws.table.x, ws.table.norms,
-                         truncation)
-    return replace(ws, table=table)
+    return replace(ws, table=_grow_powers(ws.b, ws.table.weight, truncation,
+                                          ws.table))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +153,9 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
         If a diagonal initial value is numerically zero against its row,
         which means the factorization cannot normalize that basis solution.
     RegionTruncationError
-        If a summed u_k's series tail ratio is above TAIL_ERROR or NaN.
+        If a summed u_k's series tail ratio is above TAIL_ERROR or NaN, or
+        its sum cancels past eps * factor = TAIL_ERROR (see
+        :func:`~spps.powers.evaluate_solution`).
     """
     n = ws.n
     vals = np.asarray(values, dtype=complex)
@@ -165,9 +165,10 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
     # every formal power but X^(0) = 1 vanishes at x0, so u_k^(ell)(x0) is
     # A[ell, k-1](x0) from ell = k-1 on and 0 below, whatever lam is
     mat = ws.coeffs[:, :, ws.mesh.i0]
+    tops = np.abs(mat).max(axis=1)  # A is zero above its diagonal
     c = np.zeros(n, dtype=complex)
     for ell in range(n):
-        diag, top = mat[ell, ell], max(map(abs, mat[ell, :ell + 1]))
+        diag, top = mat[ell, ell], tops[ell]
         if not abs(diag) > DIAGONAL_FLOOR * top:
             raise TriangularDefectError(
                 f"initial-value matrix diagonal {ell} is {abs(diag):.3e} of its "
@@ -177,12 +178,13 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
 
 
 def _combination(ws: Workspace, c: np.ndarray, lam: complex) -> np.ndarray:
-    """sum_k c[k - 1] u_k(.; lam) over the mesh, each summed u_k gated."""
-    acc = np.zeros(ws.mesh.n, dtype=complex)
-    for k, ck in enumerate(c, start=1):
-        if ck != 0:
-            acc += ws.b[0].values * _gated_sum(ws.table, k, complex(lam)) * ck
-    return acc
+    """sum_k c[k - 1] u_k(.; lam) over the mesh, each u_k with c_k != 0
+    gated; all n are summed in one call."""
+    lam = complex(lam)
+    s, ratios, factors, _ = _series_sums(ws.table, lam)
+    ks = np.flatnonzero(c)
+    _gate(ratios, factors, ks + 1, lam)
+    return ws.b[0].values * (c[ks] @ s[ks])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,8 @@ def eigenfunction(ws: Workspace, bc: BoundaryConditions,
     ``lam``, takes its right singular vector for the smallest singular value,
     and sums the basis solutions with those coefficients over the whole mesh,
     normalized so the largest sample is 1. A basis solution summed past
-    its truncation raises RegionTruncationError, as in ``evaluate_solution``.
+    its truncation, or whose sum cancels past eps * factor = TAIL_ERROR,
+    raises RegionTruncationError, as in ``evaluate_solution``.
     """
     if not np.isfinite(lam):
         raise ValueError(f"need a finite lambda, got {lam}")
@@ -478,8 +481,7 @@ class EigenResult:
 # ---------------------------------------------------------------------------
 
 def _check_tail(ws: Workspace, lam: complex) -> None:
-    for k in range(1, ws.n + 1):
-        _check_ratio(tail_ratio(ws.table, k, lam), k, lam)
+    _gate(*_series_sums(ws.table, lam)[1:3], range(1, ws.n + 1), lam)
 
 
 # The roots of det T in a circle are counted and located from contour
@@ -636,7 +638,9 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     RegionTruncationError
         If the series tail at the far edge of the circle, or of a circle
         the search went on to use, is too large for any answer there to be
-        trustworthy, or if the contour integrals never converge.
+        trustworthy, or the sums there cancel past the gate of
+        :func:`~spps.powers.evaluate_solution`, or if the contour integrals
+        never converge.
     """
     options = options or EigenOptions()
     if isinstance(region, Interval):

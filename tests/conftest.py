@@ -1,6 +1,7 @@
 """Set-up shared by the test modules."""
 
 import os
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -14,14 +15,18 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture
 def terms_read(monkeypatch):
-    """A list that gets the number of terms each stopped series sum reads."""
+    """A dict from (alpha, k) to the numbers of terms that the stopped sums
+    of S_{k,alpha} read, one per call of the sum kernel."""
     import spps.powers
-    read, original = [], spps.powers._stopped_sum
+    import spps.spectral
+    read, original = defaultdict(list), spps.powers._series_sums
 
-    def recording(*args):
-        out = original(*args)
-        read.append(out[2])
+    def recording(table, lam, alpha=0):
+        out = original(table, lam, alpha)
+        for k, count in enumerate(out[3], start=1):
+            read[alpha, k].append(count)
         return out
 
-    monkeypatch.setattr(spps.powers, "_stopped_sum", recording)
+    for module in (spps.powers, spps.spectral):  # each binds the kernel
+        monkeypatch.setattr(module, "_series_sums", recording)
     return read

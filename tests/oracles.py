@@ -16,9 +16,12 @@ exactly.
 ``full_derivative_sum`` and ``node_coefficients`` are the package's
 earlier series for u_k^(ell) over all M + 1 terms and its per-entry
 coefficients at one node, which its stopped sums and gathered
-coefficients must match to rounding.
+coefficients must match to rounding. ``loop_series_sum`` is its earlier
+per-(k, alpha) stopped sum, term by term, which the all-k sum kernel must
+match to rounding and in the terms it reads.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -280,6 +283,45 @@ def full_derivative_sum(table, coeffs, k, lam, ell):
             s = t
             c = c * lam / math.prod(range(j + 1, j + n + 1))
     return s
+
+
+def row_norms(table):
+    """The stored sup norms of X_k^(0..Mn+k-1), one tuple of floats per k."""
+    return tuple(tuple(table.norms[k, table.n - 1:table.n - 1 + len(x)].tolist())
+                 for k, x in enumerate(table.x))
+
+
+def loop_series_sum(table, k, lam, alpha=0):
+    """S_{k,alpha} at lam summed term by term from ``table.x``, stopped as
+    the package stops it: through the first m whose later bounds
+    |c_m| ||X_m|| add up to at most 2e-17 of all of them (every term if
+    that sum is not finite), then single terms while the later bounds
+    exceed 1e-17 of max|S|. Returns the sum, its tail ratio, the number of
+    terms read and the bounds of all terms."""
+    n, M = table.n, table.truncation
+    m0 = int(alpha >= k)  # at m = 0, j < 0: no term
+    js = [m * n + k - alpha - 1 for m in range(m0, M + 1)]
+    cs = []
+    for j in js:
+        cs.append(cs[-1] * lam / math.prod(range(j - n + 1, j + 1), start=1.0)
+                  if cs else (lam if m0 else 1.0) / math.factorial(j))
+    rows = [table.x[k - 1][j] for j in js]
+    bounds = [abs(c) * float(np.max(np.abs(x))) for c, x in zip(cs, rows)]
+    tails = list(itertools.accumulate(reversed(bounds), initial=0.0))[::-1]
+    stop = len(cs) - 1
+    if math.isfinite(tails[0]):
+        stop = next(m for m in range(len(cs)) if tails[m + 1] <= 2e-17 * tails[0])
+    s = np.zeros(table.mesh.n, dtype=np.complex128)
+    for m in range(stop + 1):
+        s += cs[m] * rows[m]
+    top = float(np.max(np.abs(s)))
+    while stop + 1 < len(cs) and tails[stop + 1] > 1e-17 * top:
+        stop += 1
+        s += cs[stop] * rows[stop]
+        top = float(np.max(np.abs(s)))
+    last = bounds[-1] if bounds else 0.0
+    ratio = math.inf if top == 0.0 and last > 0.0 else (last / top if top else 0.0)
+    return s, ratio, stop + 1, bounds
 
 
 def node_coefficients(table, coeffs, k, ell, node):

@@ -15,6 +15,8 @@ UNREAD = {
     "evaluate_solution": "the paper's u_k; documented, traced by name",
     "evaluate_derivatives": "the paper's u_k^(ell); documented, traced by name",
     "eigenfunction": "documented, traced by name; the search sums its own",
+    "tail_ratio": "the documented query behind the tail policy, traced by "
+                  "name; the package gates through the sum kernel itself",
     "__version__": "the package version",
 }
 

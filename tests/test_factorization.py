@@ -659,17 +659,17 @@ def test_seed_builds_wherever_the_basepoint_sits(n, i0):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_seed_truncation_stops_where_the_tail_is_negligible(n, monkeypatch):
-    original = spps.powers._solution_sum
+    original = spps.powers._series_sums
     sums = {}  # (order, truncation) -> (k, alpha, tail ratio) of sums at -1
 
-    def recording(table, k, lam, alpha=0):
-        s, ratio = original(table, k, lam, alpha)
+    def recording(table, lam, alpha=0):
+        out = original(table, lam, alpha)
         if lam == -1.0:
-            sums.setdefault((table.n, table.truncation), []).append(
-                (k, alpha, ratio))
-        return s, ratio
+            sums.setdefault((table.n, table.truncation), []).extend(
+                (k, alpha, ratio) for k, ratio in enumerate(out[1], start=1))
+        return out
 
-    monkeypatch.setattr(spps.powers, "_solution_sum", recording)
+    monkeypatch.setattr(spps.powers, "_series_sums", recording)
     op = seed_op(n)
     for rng_seed in range(4):
         sums.clear()

@@ -1,6 +1,8 @@
 """Formal powers, derivative coefficient tables, and series evaluation."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -22,8 +24,9 @@ from spps.factorization import (
     wronskians,
 )
 from spps.powers import (
-    _divisors,
+    _multipliers,
     _rows,
+    _series_sums,
     compute_A,
     evaluate_derivatives,
     evaluate_solution,
@@ -37,7 +40,9 @@ from oracles import (
     full_derivative_sum,
     loop_formal_powers,
     loop_rows,
+    loop_series_sum,
     node_coefficients,
+    row_norms,
 )
 
 
@@ -161,7 +166,7 @@ def test_powers_match_the_recursion_loop(n):
     assert any(np.any(f.values.imag != 0) for f in ws.b)
     want, want_norms = loop_formal_powers(ws.b, r, 7)
     for table in (formal_powers(ws.b, r, 7), with_truncation(ws, 7).table):
-        assert table.norms == tuple(map(tuple, want_norms))
+        assert row_norms(table) == tuple(map(tuple, want_norms))
         for got_row, want_row in zip(table.x, want, strict=True):
             assert len(got_row) == len(want_row)
             assert all(np.all(g == w) for g, w in zip(got_row, want_row))
@@ -341,7 +346,7 @@ def test_tail_ratio_and_solution_from_kahan_sum(terms_read):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TruncationWarning)
                 u = evaluate_solution(table, fac[0], k, lam)
-            assert terms_read == [stop + 1]
+            assert terms_read[0, k] == [stop + 1]
             # an uncompensated sum is within a few ulp of the sum of its
             # terms' moduli (2 ulp here; 140 ulp of max|s| at -40 + 5i,
             # where the terms cancel)
@@ -366,14 +371,15 @@ def test_cancelling_sum_stops_later_than_a_largest_term_rule(terms_read):
     u = evaluate_solution(table, fac[0], 1, -400.0)
     largest_term_stop = next(mm for mm in range(81) if sum(
         bounds[mm + 1:]) <= 1e-17 * max(bounds))
-    assert len(terms_read) == 1 and largest_term_stop + 1 < terms_read[0] < 81
+    (read,) = terms_read[0, 1]
+    assert largest_term_stop + 1 < read < 81
     # what the largest-term rule drops would matter; what the sum drops cannot
     top = np.max(np.abs(sums[-1]))
-    assert sum(bounds[terms_read[0]:]) <= 1e-17 * top < sum(bounds[largest_term_stop + 1:])
+    assert sum(bounds[read:]) <= 1e-17 * top < sum(bounds[largest_term_stop + 1:])
     # b_0 = 1; the uncompensated sum is within a few ulp of its terms' moduli
     # (5.4e-9 from the full compensated sum, against a slack of 1.2e-7)
     full = fac[0].values * sums[-1]
-    assert np.max(np.abs(u.values - full)) <= 4 * np.spacing(sum(bounds[:terms_read[0]]))
+    assert np.max(np.abs(u.values - full)) <= 4 * np.spacing(sum(bounds[:read]))
 
 
 @pytest.mark.parametrize("nodes, compensated", [(401, 2.009e-8), (1601, 3.837e-8)])
@@ -399,25 +405,55 @@ def test_no_warning_when_series_converged():
 
 
 def test_cached_divisors_match_the_inline_recurrence():
-    # the coefficients of S_{k,alpha} advanced as _solution_sum did before
-    # its divisors were cached: j0! first, then (j+1) ... (j+n) by math.prod
+    # the coefficients of S_{k,alpha} advanced as the per-k sum did before
+    # its divisors were cached: j0! first, then (j+1) ... (j+n) by
+    # math.prod; the kernel's multipliers are their reciprocals, after a 1
+    # where the m = 0 term is absent
     for n in range(2, 6):
-        for k in range(1, n + 1):
-            for alpha in range(n):
-                m0 = int(alpha >= k)
-                j0 = m0 * n + k - alpha - 1
-                for count in (0, 1, 2, 41):
-                    for lam in (1.0, -40.0 + 5.0j):
-                        cs = [(lam if m0 else 1.0) / math.factorial(j0)][:count]
-                        for m in range(m0, m0 + count - 1):
-                            cs.append(cs[-1] * lam / math.prod(range(
-                                m * n + k - alpha, m * n + n + k - alpha),
-                                start=1.0))
-                        first, *steps = _divisors(n, k, alpha, count)
-                        got = [(lam if m0 else 1.0) / first][:count]
-                        for d in steps:
-                            got.append(got[-1] * lam / d)
-                        assert got == cs
+        for M in (0, 1, 40):
+            got = _multipliers(n, M)
+            assert got.shape == (n, n, M + 1) and not got.flags.writeable
+            for k in range(1, n + 1):
+                for alpha in range(n):
+                    m0 = int(alpha >= k)
+                    divisors = [math.factorial(m0 * n + k - alpha - 1)] + [
+                        math.prod(range(m * n + k - alpha, m * n + n + k - alpha),
+                                  start=1.0) for m in range(m0, M)]
+                    assert got[alpha, k - 1].tolist() == [1.0] * m0 + [
+                        1.0 / d for d in divisors[:M + 1 - m0]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_series_kernel_matches_the_per_term_loop(n):
+    # every S_{k,alpha} of the all-k kernel against the per-(k, alpha) loop
+    # sum, on a built table, a prefix view, and copies and pickles of both:
+    # the same terms read, and a sum within 4 ulp of the bounds it read.
+    # The seed's residual check is loosened, as it needs finer meshes at
+    # order 5 and the table's use here does not depend on it
+    m = Mesh(0.0, 1.0, 201)
+    phi = tuple(tabulate(m, lambda x, j=j: np.cos((j + 1) * x) + 0.5j * x)
+                for j in range(n))
+    op = OperatorSpec(n, phi, tabulate(m, lambda x: 1.0 + 0.25 * np.sin(3 * x)))
+    ws = build_workspace(op, truncation=12, rng_seed=1, residual_tol=1e-3)
+    view = with_truncation(ws, 7).table
+    assert np.shares_memory(view.block, ws.table.block)
+    tables = [t for table in (ws.table, view) for t in (
+        table, copy.deepcopy(table), pickle.loads(pickle.dumps(table)))]
+    for table in tables:
+        for alpha in range(n):
+            for lam in (0.0, 2.5 - 1.0j, -30.0, 15.0j):
+                got, ratios, factors, counts = _series_sums(table, lam, alpha)
+                assert got.shape == (n, m.n)
+                for k in range(1, n + 1):
+                    want, ratio, count, bounds = loop_series_sum(
+                        table, k, lam, alpha)
+                    assert counts[k - 1] == count
+                    slack = 4 * np.spacing(sum(bounds[:count]))
+                    assert np.max(np.abs(got[k - 1] - want)) <= slack
+                    top = np.max(np.abs(want))
+                    assert ratios[k - 1] == pytest.approx(ratio, rel=1e-12)
+                    assert factors[k - 1] == pytest.approx(
+                        sum(bounds) / top if top else 0.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [True, 1.0, 1.5])
@@ -579,7 +615,8 @@ def test_derivatives_stop_early_and_match_the_full_sum(lam, terms_read):
             terms_read.clear()
             got = evaluate_derivatives(table, A, k, lam, ell).values
             # each shifted series stops well before its M + 1 = 31 terms
-            assert len(terms_read) == ell + 1 and sum(terms_read) <= 16 * (ell + 1)
+            reads = [c for alpha in range(ell + 1) for c in terms_read[alpha, k]]
+            assert len(reads) == ell + 1 and sum(reads) <= 16 * (ell + 1)
             want = full_derivative_sum(table, A, k, lam, ell)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 

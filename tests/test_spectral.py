@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import pickle
 import warnings
 from pathlib import Path
@@ -47,7 +48,12 @@ from spps.spectral import (
     with_truncation,
 )
 
-from oracles import integrate_ivp, refine_eigenvalue, shooting_determinant
+from oracles import (
+    integrate_ivp,
+    refine_eigenvalue,
+    row_norms,
+    shooting_determinant,
+)
 
 
 def monomial_seed(op):
@@ -847,15 +853,64 @@ def test_contour_integrals_that_never_converge_raise_region_truncation_error(
         basepoint, region):
     # y'' = lam y, Dirichlet on [0, pi], N = 801, M = 80: the tail at the
     # circle's far edge passes (the basepoint-0 one with a warning), yet no
-    # circle's integrals converge. A bare ValueError made the CLI exit 2
+    # circle's integrals converge, as the sums cancel to rounding there. The
+    # cancellation gate now refuses the edge before the integrals start; a
+    # bare ValueError made the CLI exit 2
     mesh = Mesh(0.0, np.pi, 801, basepoint)
     op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
     ws = build_workspace(op, rng_seed=0, truncation=80)
     bc = BoundaryConditions.separated(2, [0], [0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        with pytest.raises(RegionTruncationError, match="region is too large"):
+        with pytest.raises(RegionTruncationError, match="cancels"):
             find_eigenvalues(ws, bc, region)
+
+
+def test_contour_integrals_capped_short_of_converging_name_the_region(monkeypatch):
+    # seven roots in a circle the rule samples at no more than 16 points:
+    # the count never settles, which the error lays at the region's size
+    monkeypatch.setattr(spps.spectral, "MAX_POINTS", 16)
+    ws = dirichlet_workspace(truncation=40)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    with pytest.raises(RegionTruncationError, match="region is too large"):
+        find_eigenvalues(ws, bc, Interval(-50.0, -0.5), EigenOptions(samples=4))
+
+
+@functools.lru_cache(maxsize=1)
+def cancelling_workspace():
+    """y'' = lam y on [0, pi], N = 801, M = 80, rng_seed 0, middle basepoint."""
+    mesh = Mesh(0.0, np.pi, 801)
+    op = OperatorSpec(2, (zeros(mesh), zeros(mesh)), ones(mesh))
+    return build_workspace(op, rng_seed=0, truncation=80)
+
+
+@pytest.mark.parametrize("lam", [-410.3, -910.3])
+def test_ivp_whose_sums_cancel_raises(lam):
+    # data (0, 1) sum u_2 alone. Its tails are below 1e-32, but its terms'
+    # bounds add up to 3.3e13 (-410.3) and 1.9e15 (-910.3) times the sum, so
+    # eps times that factor is 7.3e-3 and 0.43: the solutions were off by
+    # 1.3e-2 and 1e5
+    with pytest.raises(RegionTruncationError, match="u_2 at lam=.* cancels"):
+        solve_initial_value(cancelling_workspace(), [0.0, 1.0], lam)
+
+
+def test_ivp_short_of_the_cancellation_gate_solves():
+    # eps times the cancellation factor is 7.5e-10 at -100.3: no error or
+    # warning, and the solution is sin(mu (x - x0)) / mu to 2.3e-9
+    ws, lam = cancelling_workspace(), -100.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = solve_initial_value(ws, [0.0, 1.0], lam)
+    mu = np.sqrt(-lam)
+    want = np.sin(mu * (ws.mesh.nodes - ws.mesh.x0)) / mu
+    assert np.max(np.abs(y.values - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_interval_whose_sums_cancel_raises():
+    # it accepted 12 of its 20 eigenvalues and rejected 8, with no warning
+    bc = BoundaryConditions.separated(2, [0], [0])
+    with pytest.raises(RegionTruncationError, match="cancels"):
+        find_eigenvalues(cancelling_workspace(), bc, Interval(-410.0, -0.5))
 
 
 GATED = {
@@ -1098,7 +1153,7 @@ def test_seed_does_not_depend_on_the_truncation(case):
         assert [getattr(ws.seed, f) for f in fields] == [
             getattr(wide.seed, f) for f in fields]
         short = with_truncation(wide, M)
-        assert short.table.norms == ws.table.norms
+        assert row_norms(short.table) == row_norms(ws.table)
         for got, want in zip(short.table.x, ws.table.x, strict=True):
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -1119,13 +1174,16 @@ def test_with_truncation_lower_keeps_prefix():
 
 def test_with_truncation_norms_match_rebuild_and_share_prefix():
     ws = dirichlet_workspace(truncation=10)
-    assert ws.table.norms == tuple(tuple(
+    assert row_norms(ws.table) == tuple(tuple(
         float(np.max(np.abs(x))) for x in row) for row in ws.table.x)
     for t in (15, 6):
-        norms = with_truncation(ws, t).table.norms
-        assert norms == formal_powers(ws.b, ws.op.r, t).norms
-        for row, old in zip(norms, ws.table.norms):
-            assert all(a is b for a, b in zip(row, old))
+        table = with_truncation(ws, t).table
+        assert row_norms(table) == row_norms(formal_powers(ws.b, ws.op.r, t))
+    # a lower truncation views the norms, a higher one copies them first
+    assert np.shares_memory(with_truncation(ws, 6).table.norms, ws.table.norms)
+    for row, old in zip(row_norms(with_truncation(ws, 15).table),
+                        row_norms(ws.table)):
+        assert row[:len(old)] == old
 
 
 def test_ivp_series_sums_stop_after_few_terms(terms_read):
@@ -1141,8 +1199,10 @@ def test_ivp_series_sums_stop_after_few_terms(terms_read):
     lams = [85.0, -85.0, 85j, 60.0 - 60.0j, -60.0 + 60.0j, 0.0, 3.0 + 1.0j]
     for lam in lams:
         solve_initial_value(ws, [1.0, -0.5j, 0.25, 2.0], lam)
-    assert len(terms_read) == 4 * len(lams)
-    assert max(terms_read) <= 10
+    assert set(terms_read) == {(0, k) for k in range(1, 5)}
+    reads = [c for counts in terms_read.values() for c in counts]
+    assert len(reads) == 4 * len(lams)
+    assert max(reads) <= 10
 
 
 @pytest.mark.parametrize("bad", [
