@@ -30,7 +30,8 @@ from .errors import (
 )
 from .mesh import SampledFunction, format_csv, format_json
 from .problem import ProblemConfig, load_config
-from .spectral import EigenOptions, find_eigenvalues, solve_initial_value
+from .spectral import (EigenOptions, find_eigenvalues, solve_initial_value,
+                       with_truncation)
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -133,6 +134,7 @@ def _cmd_factorize(args) -> int:
 def _cmd_powers(args) -> int:
     cfg = _load(args)
     ws = cfg.make_workspace()
+    ws = with_truncation(ws, ws.truncation)  # every power up to the cap
     report = _quality(ws)
     report["truncation"] = ws.truncation
     report["count"] = ws.n * (ws.truncation + 1)

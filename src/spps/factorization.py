@@ -334,11 +334,12 @@ def build_seed_system(op: OperatorSpec,
     each factorization comes from the family's rows
     (:func:`~spps.powers.compute_A`), so derivative tables propagate
     analytically through every level, with no finite difference anywhere.
-    The series at -1 converges fast: its table starts at 8 terms and grows
-    by 8 while some tail ratio there exceeds STOP_TOL (1e-17); this ends, as
-    1/(m n + k - 1)! underflows to 0 by m n ~ 175 unless a power overflows
-    first. ``truncations`` records where it stopped, and the sums of that
-    last test are the solutions. The result passes the residual and floor
+    The series at -1 converges fast: its table is filled in place, and
+    its tail ratios there are tested at 8 terms and every 8 more, until
+    all are at most STOP_TOL (1e-17); this ends, as 1/(m n + k - 1)!
+    underflows to 0 by m n ~ 180 unless a power overflows first.
+    ``truncations`` records where it stopped, and the sums of that last
+    test are the solutions. The result passes the residual and floor
     check of :meth:`SolutionSystem.from_functions`.
 
     ``retries`` counts the draws beyond the first, at most ``MAX_RETRIES``
@@ -382,13 +383,26 @@ def build_seed_system(op: OperatorSpec,
         # leaves them as they are and only changes the rows' rounding
         rows = _recombine(family, _combination_matrix(rng, m, 0))
         b = polya_factors([ones(mesh)] + W)
-        table = formal_powers(b, op.phi[m - 1], 8)
-        coeffs = compute_A(rows, table)
-        while True:  # the sums at -1 that pass the stop test are kept
+        tested = []  # the sums at -1 of each test, and whether it passed
+
+        def settled(table) -> bool:  # tested every 8 levels from 8 on
+            if table.truncation % 8 or not table.truncation:
+                return False
             sums, ratios, *_ = _series_sums(table, -1.0)
-            if all(ratio <= STOP_TOL for ratio in ratios):
-                break
-            table = _grow_powers(b, table.weight, table.truncation + 8, table)
+            tested.append((sums, all(ratio <= STOP_TOL for ratio in ratios)))
+            return tested[-1][1]
+
+        # at truncation t >= 180 / m, 1 / (t m + k - 1)! is 0 for every k,
+        # and so is every tail ratio. The block is allocated at 16 terms,
+        # where the series mostly settles, and continued past them only if
+        # it does not: freed blocks at t (up to 20 MB on 1601 nodes) left
+        # the allocator placing later ones where they raised peak memory
+        top = 8 * math.ceil(180 / (8 * m))
+        table = formal_powers(b, op.phi[m - 1], min(16, top), _done=settled)
+        if not tested[-1][1]:
+            table = _grow_powers(b, table.weight, top, table, done=settled)
+        sums = tested[-1][0]
+        coeffs = compute_A(rows, table)
         truncations.append(table.truncation)
 
         # solutions of the full order-m equation at spectral parameter -1:

@@ -128,7 +128,10 @@ class FormalPowerTable:
                 as_strided(norms[0, n - 1 - alpha:], (n, M + 1),
                            (norms.strides[0] + norms.strides[1],
                             n * norms.strides[1]), writeable=False),
-                _multipliers(n, M)[alpha])
+                # the multipliers do not depend on the truncation: a prefix of
+                # those cached per 16 levels, so a table filled level by level
+                # adds few cache entries
+                _multipliers(n, -(-(M + 1) // 16) * 16)[alpha, :, :M + 1])
         return views
 
     __reduce__ = _reduce
@@ -145,7 +148,7 @@ class FormalPowerTable:
 
 
 def formal_powers(b: Sequence[SampledFunction], r: SampledFunction,
-                  truncation: int) -> FormalPowerTable:
+                  truncation: int, *, _done=None) -> FormalPowerTable:
     """Tabulate the secondary formal powers by recursive integration.
 
     ``b`` is the factor tuple (b_0, ..., b_n) that
@@ -159,20 +162,30 @@ def formal_powers(b: Sequence[SampledFunction], r: SampledFunction,
     bad = [j for j, f in enumerate(b) if f.mesh != r.mesh]
     if bad:
         raise MeshMismatchError(f"b_{bad[0]} on {b[bad[0]].mesh}, weight on {r.mesh}")
-    return _grow_powers(b, r, truncation)
+    return _grow_powers(b, r, truncation, done=_done)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _check_finite names the node
 def _grow_powers(b: Sequence[SampledFunction], r: SampledFunction,
-                 truncation: int,
-                 table: FormalPowerTable | None = None) -> FormalPowerTable:
-    """Table at ``truncation``, continuing ``table`` if one is given.
+                 truncation: int, table: FormalPowerTable | None = None,
+                 done=None) -> FormalPowerTable:
+    """Table at ``truncation``, continuing ``table`` if one is given, or
+    its prefix at the first level where ``done`` holds.
+
+    The block is allocated once, at ``truncation``, and filled in place
+    by the recursion of :func:`formal_powers` one level at a time: level
+    m holds, for every k, the powers X_k^(j), (m - 1) n + k <= j <=
+    m n + k - 1, that the table at truncation m reads beyond the one at
+    m - 1 (level 0: X_k^(1..k-1)). After each level, the last included,
+    ``done`` (if given) sees the table filled so far, and the fill stops at
+    the first level where it returns true: the result is that table, a
+    view of a prefix of the block, whose rows past it are never touched.
 
     Where ``table`` reaches the truncation, the result views a prefix of
-    its block and copies nothing. Else its block is copied into a new one
-    and continued by the recursion of :func:`formal_powers`. The table at
-    a lower truncation is an exact prefix of the table at a higher one, so
-    a continued table equals a rebuilt one.
+    its block and copies nothing. Else its block is copied into the new
+    one, which is filled from the level after it. The table at a lower
+    truncation is an exact prefix of the table at a higher one, so a
+    continued or stopped table equals one built at its truncation.
     """
     n, mesh = len(b) - 1, r.mesh
     if not (_is_int(truncation) and truncation >= 0):
@@ -185,28 +198,41 @@ def _grow_powers(b: Sequence[SampledFunction], r: SampledFunction,
     # the factor at offset (k - j) mod n: b_n b_0 r at the wrap, else b_offset
     mults = [b[n].values * b[0].values * r.values] + [f.values for f in b[1:n]]
     h, i0 = mesh.h, mesh.i0
-    block = np.empty((n, rows, mesh.n), dtype=np.complex128)  # zeroed by row
+    # rows of all k interleaved in memory, so the levels filled are a prefix
+    # of it, and the pages of the rest are never touched
+    memory = np.empty((rows, n, mesh.n), dtype=np.complex128)
+    block = memory.transpose(1, 0, 2)
     norms = np.zeros((n, rows))
     if table is None:  # X_k^(0) = 1
         block[:, :n - 1], block[:, n - 1], norms[:, n - 1] = 0.0, 1.0, 1.0
-        have = [1] * n
+        first = 0
     else:
         block[:, :table.block.shape[1]] = table.block
         norms[:, :table.norms.shape[1]] = table.norms
-        have = [len(x) for x in table.x]
+        first = table.truncation + 1
     integrand, mags = np.empty(mesh.n, dtype=np.complex128), np.empty(mesh.n)
-    for k in range(1, n + 1):
-        xs, sups, stop = block[k - 1, n - 1:], norms[k - 1, n - 1:], truncation * n + k
-        for j in range(have[k - 1], stop):
-            np.multiply(mults[(k - j) % n], xs[j - 1], out=integrand)
-            power = _antiderivative(integrand, h, i0)
-            power *= float(j)
-            sup = float(np.abs(power, out=mags).max())
-            if not math.isfinite(sup):  # name the node, as the check does
-                _check_finite(mesh, power)
-            xs[j], sups[j] = power, sup
-        xs[stop:], sups[stop:] = 0.0, 0.0  # past the last power of X_k
-    return FormalPowerTable(n, truncation, r, block, norms)
+    # X_k^(j) and its norm at slabs[k - 1][0][j] and slabs[k - 1][1][j]
+    slabs = list(zip(block[:, n - 1:], norms[:, n - 1:]))
+    for level in range(first, truncation + 1):
+        for k, (xs, sups) in enumerate(slabs, start=1):
+            for j in range(max((level - 1) * n + k, 1), level * n + k):
+                np.multiply(mults[(k - j) % n], xs[j - 1], out=integrand)
+                power = _antiderivative(integrand, h, i0)
+                power *= float(j)
+                sup = float(np.abs(power, out=mags).max())
+                if not math.isfinite(sup):  # name the node, as the check does
+                    _check_finite(mesh, power)
+                xs[j], sups[j] = power, sup
+        stop = (level + 2) * n - 1
+        if done is not None and done(FormalPowerTable(
+                n, level, r, block[:, :stop], norms[:, :stop])) or level == truncation:
+            break
+    for k, (xs, sups) in enumerate(slabs[:-1], start=1):  # past X_k's last power
+        past = slice(level * n + k, (level + 1) * n)
+        xs[past], sups[past] = 0.0, 0.0
+    memory.setflags(write=False)
+    norms.setflags(write=False)
+    return FormalPowerTable(n, level, r, block[:, :stop], norms[:, :stop])
 
 
 # -- series evaluation ---------------------------------------------------------
@@ -268,6 +294,28 @@ def _multipliers(n: int, truncation: int) -> np.ndarray:
     return out
 
 
+def _terms(table: FormalPowerTable, lam: complex, alpha: int):
+    """The rows of every S_{k,alpha} at one lambda, their (n, M + 1)
+    coefficients and the bounds |c_m| ||X|| of their terms."""
+    rows, sups, mults = table._series(alpha)
+    c = complex(lam) * mults
+    c[:, 0] = mults[:, 0]
+    np.multiply.accumulate(c, axis=1, out=c)
+    return rows, c, np.abs(c) * sups
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _settled(table: FormalPowerTable, lam: complex) -> bool:
+    """Whether every tail ratio of the sums of u_1..u_n at lam is at most
+    STOP_TOL. The sums are formed only when the last terms' bounds are at
+    most 2 STOP_TOL of all bounds: else no ratio can be, as max|S| is at
+    most their sum up to rounding."""
+    bounds = _terms(table, lam, 0)[2]
+    if not np.all(bounds[:, -1] <= 2 * STOP_TOL * bounds.sum(axis=1)):
+        return False
+    return all(ratio <= STOP_TOL for ratio in _series_sums(table, lam)[1])
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the tail ratio reports them
 def _series_sums(table: FormalPowerTable, lam: complex, alpha: int = 0):
     """The shifted series S_{k,alpha} = sum_m lambda^m X_k^(j) / j! over
@@ -282,12 +330,8 @@ def _series_sums(table: FormalPowerTable, lam: complex, alpha: int = 0):
     the terms through each first stop as one batched product with the
     table's strided rows, and any single terms after it per k.
     """
-    rows, sups, mults = table._series(alpha)
+    rows, c, bounds = _terms(table, lam, alpha)
     n, M = table.n, table.truncation
-    c = complex(lam) * mults
-    c[:, 0] = mults[:, 0]
-    np.multiply.accumulate(c, axis=1, out=c)
-    bounds = np.abs(c) * sups
     tails = np.zeros((n, M + 2))  # tails[:, m]: the bounds from m on
     np.add.accumulate(bounds[:, ::-1], axis=1, out=tails[:, M::-1])
     # the first stop: the first m whose later bounds are at most 2 STOP_TOL

@@ -68,6 +68,7 @@ from .spectral import (
     EigenOptions,
     Interval,
     Workspace,
+    _search,
     build_workspace,
 )
 
@@ -170,11 +171,25 @@ class ProblemConfig:
                                              residual_tol=self.residual_tol)
 
     def make_workspace(self) -> Workspace:
+        """The file's workspace, its truncation the cap of its table.
+
+        The table is filled only as far as the file's own queries read the
+        series: the [eig] search (at the points of
+        :func:`spectral._search <spps.spectral._search>`) and the [initial]
+        lambda; to the cap with neither. ``ws.table.truncation`` is the
+        filled depth. A query that reads past it fills the table to the
+        cap first, so every answer is the one at the cap.
+        """
         op = self.make_operator()
         seed = self.make_seed(op)
+        reads = None
+        if self.region is not None:
+            reads = _search(self.region)[2]
+        if self.initial_values is not None:
+            reads = (reads or ()) + (complex(self.initial_lambda),)
         return build_workspace(
             op, seed=seed, truncation=self.truncation, rng_seed=self.rng_seed,
-            residual_tol=self.residual_tol)
+            residual_tol=self.residual_tol, _reads=reads)
 
     def make_boundary(self) -> BoundaryConditions | None:
         if self.boundary_rows is None:

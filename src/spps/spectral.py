@@ -33,10 +33,12 @@ from .factorization import (
 )
 from .mesh import Mesh, SampledFunction, _is_int, _reduce
 from .powers import (
+    STOP_TOL,
     FormalPowerTable,
     _gate,
     _grow_powers,
     _series_sums,
+    _settled,
     compute_A,
     formal_powers,
     series_coefficients_at_node,
@@ -54,6 +56,13 @@ class Workspace:
     power table, and the read-only derivative-coefficient triangle
     ``coeffs[ell, alpha]`` of :func:`~spps.powers.compute_A`. Build one
     with :func:`build_workspace`.
+
+    ``truncation`` is a cap: ``table`` may hold a filled prefix of it, to
+    ``table.truncation``, as a problem file's workspace does when it fills
+    what its own query reads
+    (:meth:`~spps.problem.ProblemConfig.make_workspace`). Every reader
+    that needs more fills the table up to the cap first, so answers are
+    those of the table at the cap.
     """
 
     op: OperatorSpec
@@ -61,6 +70,7 @@ class Workspace:
     table: FormalPowerTable
     coeffs: np.ndarray
     seed: SolutionSystem
+    truncation: int
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)  # again on a copy
@@ -75,10 +85,6 @@ class Workspace:
     def n(self) -> int:
         return self.op.n
 
-    @property
-    def truncation(self) -> int:
-        return self.table.truncation
-
 
 def build_workspace(
     op: OperatorSpec,
@@ -86,6 +92,8 @@ def build_workspace(
     truncation: int = 30,
     rng_seed: int = 0,
     residual_tol: float = RESIDUAL_TOL,
+    *,
+    _reads: tuple[complex, ...] | None = None,
 ) -> Workspace:
     """Factorize the operator and precompute its formal power table.
 
@@ -99,13 +107,19 @@ def build_workspace(
         else ValueError. When omitted, one is constructed by random
         recombination of iterated integrals.
     truncation : int
-        Number of series terms in the spectral parameter (not the seed's).
+        Number of series terms in the spectral parameter (not the seed's):
+        the workspace's cap, to which its table is filled.
     rng_seed : int
         Passed through to the seed builder when ``seed`` is omitted.
     residual_tol : float
         Residual check of the seed builder, and of a ``seed`` constructed
         directly (its ``residual_max`` is NaN), measured here; its floor
         check reads the Wronskians the factors are formed from.
+
+    A problem file's workspace passes the lambdas its [eig] or [initial]
+    query reads the series at as ``_reads``: its table is then filled only
+    until the tail ratios there settle (:func:`_query_fill`), and
+    ``ws.table.truncation`` is that filled depth, at most the cap.
     """
     if seed is None:
         seed = build_seed_system(op, rng_seed=rng_seed, residual_tol=residual_tol)
@@ -117,24 +131,48 @@ def build_workspace(
         seed = _accepted(seed.op, seed.derivs, W, residual_tol,
                          retries=seed.retries, truncations=seed.truncations)
     b = polya_factors(W)
-    table = formal_powers(b, op.r, truncation)
-    return Workspace(op, b, table, compute_A(seed.derivs, table), seed)
+    table = formal_powers(b, op.r, truncation,
+                          _done=None if _reads is None else _query_fill(_reads))
+    return Workspace(op, b, table, compute_A(seed.derivs, table), seed,
+                     truncation)
+
+
+def _query_fill(lams):
+    """Stop rule of a table filled for a query that reads the series at
+    ``lams``: the first level with ``PERSISTENCE_EXTRA`` terms past the
+    first level at which every tail ratio at every lam is at most STOP_TOL,
+    as if the query's trimmed polynomials kept the terms through it."""
+    first = None
+
+    def done(table: FormalPowerTable) -> bool:
+        nonlocal first
+        if first is None:
+            if not all(_settled(table, lam) for lam in lams):
+                return False
+            first = table.truncation
+        return _persists(first + 1, table.truncation)
+    return done
 
 
 def with_truncation(ws: Workspace, truncation: int) -> Workspace:
-    """Same workspace with the power table at another truncation.
+    """Same workspace with its cap at another truncation, and its power
+    table filled to it.
 
-    A smaller truncation views a prefix of the existing table's block and
-    copies nothing. A larger one copies the table into a new block and
-    integrates only the new formal powers. Either way the table equals the
-    one :func:`formal_powers` builds.
-    :func:`find_eigenvalues` calls it when its search left a root and read
-    the table to within ``PERSISTENCE_EXTRA`` terms of its end.
+    A truncation the table reaches views a prefix of its block and copies
+    nothing. A larger one copies the table into a new block and integrates
+    only the new formal powers. Either way the table equals the one
+    :func:`formal_powers` builds. ``with_truncation(ws, ws.truncation)``
+    fills a table that stops short of its cap (``ws.table.truncation`` <
+    ``ws.truncation``), as a problem file's workspace filled for its
+    [eig] or [initial] query does; readers of a workspace do so where they
+    need terms past the filled ones.
+    :func:`find_eigenvalues` calls it too when its search left a root and
+    read the table to within ``PERSISTENCE_EXTRA`` terms of its end.
     """
-    if truncation == ws.truncation:
+    if truncation == ws.truncation == ws.table.truncation:
         return ws
-    return replace(ws, table=_grow_powers(ws.b, ws.table.weight, truncation,
-                                          ws.table))
+    return replace(ws, truncation=truncation, table=_grow_powers(
+        ws.b, ws.table.weight, truncation, ws.table))
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +217,14 @@ def solve_initial_value(ws: Workspace, values, lam: complex) -> SampledFunction:
 
 def _combination(ws: Workspace, c: np.ndarray, lam: complex) -> np.ndarray:
     """sum_k c[k - 1] u_k(.; lam) over the mesh, each u_k with c_k != 0
-    gated; all n are summed in one call."""
+    gated; all n are summed in one call, on the table filled to the cap
+    where a gated sum's tail ratio on a shorter one is above STOP_TOL."""
     lam = complex(lam)
     s, ratios, factors, _ = _series_sums(ws.table, lam)
     ks = np.flatnonzero(c)
+    if ws.table.truncation < ws.truncation and not all(
+            ratios[k] <= STOP_TOL for k in ks):
+        return _combination(with_truncation(ws, ws.truncation), c, lam)
     _gate(ratios, factors, ks + 1, lam)
     return ws.b[0].values * (c[ks] @ s[ks])
 
@@ -256,10 +298,14 @@ def eigenfunction(ws: Workspace, bc: BoundaryConditions,
     and sums the basis solutions with those coefficients over the whole mesh,
     normalized so the largest sample is 1. A basis solution summed past
     its truncation, or whose sum cancels past eps * factor = TAIL_ERROR,
-    raises RegionTruncationError, as in ``evaluate_solution``.
+    raises RegionTruncationError, as in ``evaluate_solution``. A table
+    short of its cap is filled to it first unless its tails at ``lam``
+    settle.
     """
     if not np.isfinite(lam):
         raise ValueError(f"need a finite lambda, got {lam}")
+    if ws.table.truncation < ws.truncation and not _settled(ws.table, lam):
+        ws = with_truncation(ws, ws.truncation)
     charfn = characteristic_polynomials(ws, bc)
     return _null_combination(ws, charfn.matrix(lam), lam)
 
@@ -360,12 +406,17 @@ class CharacteristicFunction:
 
 def characteristic_polynomials(ws: Workspace,
                                bc: BoundaryConditions) -> CharacteristicFunction:
-    """Assemble the boundary matrix as polynomials in the spectral parameter."""
+    """Assemble the boundary matrix as polynomials in the spectral parameter.
+
+    They read the table as filled: their degree is ``ws.table.truncation``,
+    which is below the cap ``ws.truncation`` where the table stops short
+    of it (``with_truncation(ws, ws.truncation)`` fills it).
+    """
     n = ws.n
     _check_order(ws, bc)
     cl, cr = series_coefficients_at_node(ws.table, ws.coeffs,
                                          [0, ws.mesh.n - 1])
-    poly = np.zeros((n, n, ws.truncation + 1), dtype=complex)
+    poly = np.zeros((n, n, ws.table.truncation + 1), dtype=complex)
     for ell in range(n):  # per entry: ascending ell, left end then right
         poly += bc.left[:, ell, None, None] * cl[ell]
         poly += bc.right[:, ell, None, None] * cr[ell]
@@ -480,8 +531,22 @@ class EigenResult:
 # eigenvalue search
 # ---------------------------------------------------------------------------
 
-def _check_tail(ws: Workspace, lam: complex) -> None:
-    _gate(*_series_sums(ws.table, lam)[1:3], range(1, ws.n + 1), lam)
+def _persists(kept: int, truncation: int) -> bool:
+    """Whether a table at ``truncation`` holds at least PERSISTENCE_EXTRA
+    terms past the ``kept`` a search's trimmed polynomials kept."""
+    return truncation + 1 - kept >= PERSISTENCE_EXTRA
+
+
+def _check_tail(ws: Workspace, lam: complex) -> Workspace:
+    """Gate the sums of every u_k at lam; on the table filled to the cap
+    where it stops short of it and a tail ratio there is above STOP_TOL.
+    Returns the workspace gated."""
+    _, ratios, factors, _ = _series_sums(ws.table, lam)
+    if ws.table.truncation < ws.truncation and not all(
+            ratio <= STOP_TOL for ratio in ratios):
+        return _check_tail(with_truncation(ws, ws.truncation), lam)
+    _gate(ratios, factors, range(1, ws.n + 1), lam)
+    return ws
 
 
 # The roots of det T in a circle are counted and located from contour
@@ -570,6 +635,25 @@ def _farthest(center: complex, radius: float) -> complex:
     return center + radius * (center / abs(center) if center else 1.0)
 
 
+def _search(region):
+    """The box (center, half width, half height) a search of ``region``
+    covers, the radius of its first circle, and the points at which it
+    reads the series farthest out: that circle's far edge, and the far
+    edge of the circle widened twice, as far as :func:`_moments` widens
+    it. The first circle passes every point within a window of the region,
+    were the region narrow. A problem file's workspace is filled for the
+    same points (:meth:`~spps.problem.ProblemConfig.make_workspace`)."""
+    if isinstance(region, Interval):
+        box = ((region.lo + region.hi) / 2, region.extent / 2, 0.0)
+    elif isinstance(region, Disk):
+        box = (complex(region.center), region.radius, region.radius)
+    else:
+        raise TypeError(f"unsupported region type {type(region).__name__}")
+    radius = max(WIDEN * box[1], box[1] + 2 * _window(abs(box[0]) + box[1]))
+    return box, radius, (_farthest(box[0], radius),
+                         _farthest(box[0], WIDEN ** 2 * radius))
+
+
 def _roots_in(charfn: CharacteristicFunction, box, options: EigenOptions,
               radius: float | None = None, splits: int = 6):
     """Roots of det T in a box (center, half width, half height) grown by
@@ -633,6 +717,12 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     interval's roots are real; one whose imaginary part exceeds that window
     is rejected as off the axis.
 
+    A table short of the workspace's cap is read as stored where its tails
+    settle at the far edge of the circle (and of any circle the search went
+    on to use) and it holds ``PERSISTENCE_EXTRA`` more terms than the
+    search kept; else it is filled to the cap first, so the answer is the
+    one at the cap.
+
     Raises
     ------
     RegionTruncationError
@@ -643,30 +733,30 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
         never converge.
     """
     options = options or EigenOptions()
+    box, radius, (edge, _) = _search(region)
     if isinstance(region, Interval):
-        box = ((region.lo + region.hi) / 2, region.extent / 2, 0.0)
-
         def place(lam: complex) -> complex | None:
             w = _window(lam)
             real = region.lo - w <= lam.real <= region.hi + w and \
                 abs(lam.imag) <= w
             return complex(lam.real) if real else None
-    elif isinstance(region, Disk):
-        box = (complex(region.center), region.radius, region.radius)
-
+    else:
         def place(lam: complex) -> complex | None:
             inside = abs(lam - region.center) <= region.radius + _window(lam)
             return complex(lam) if inside else None
-    else:
-        raise TypeError(f"unsupported region type {type(region).__name__}")
-    # past every point within a window of the region, were the region narrow
-    radius = max(WIDEN * box[1], box[1] + 2 * _window(abs(box[0]) + box[1]))
-    edge = _farthest(box[0], radius)
     _check_order(ws, bc)
-    _check_tail(ws, edge)
+    ws = _check_tail(ws, edge)
     charfn = characteristic_polynomials(ws, bc)
     roots, unconfirmed, far, kept = _roots_in(charfn, box, options, radius)
-    if abs(far) > abs(edge):  # a widened or split circle reached past it
+    widened = abs(far) > abs(edge)  # a widened or split circle reached past it
+    if ws.table.truncation < ws.truncation and not (
+            _persists(kept, ws.table.truncation)
+            and (not widened or _settled(ws.table, far))):
+        # the search read near the end of the filled terms or past where
+        # they settle: search as the table at the cap does
+        return find_eigenvalues(with_truncation(ws, ws.truncation), bc,
+                                region, options)
+    if widened:
         _check_tail(ws, far)
     rejected = [(lam, "counted but not confirmed as a root")
                 for lam in unconfirmed if place(lam) is not None]
@@ -680,7 +770,7 @@ def find_eigenvalues(ws: Workspace, bc: BoundaryConditions, region,
     # persistence reads the table as stored, unless a kept term lies within
     # PERSISTENCE_EXTRA of its end and some root is left to confirm
     fine = ws
-    if len(roots) and kept + PERSISTENCE_EXTRA > ws.truncation:
+    if len(roots) and not _persists(kept, ws.table.truncation):
         fine = with_truncation(ws, ws.truncation + PERSISTENCE_EXTRA)
         charfn = characteristic_polynomials(fine, bc)
     refined = []

@@ -88,13 +88,15 @@ def test_factorize_writes_factors(config, capsys, tmp_path):
     assert float(x) == 0.0 and float(re) == 1.0 and float(im) == 0.0
 
 
-def test_powers_reports_count(config, capsys):
+@pytest.mark.parametrize("order", [5, 30])
+def test_powers_reports_count(config, capsys, tmp_path, order):
+    # the file's queries read fewer than 30 terms, the dump all up to M
     code, out, _ = run_main(capsys, "powers", "--config", config,
-                            "--order", "5")
+                            "--order", str(order), "--out", str(tmp_path))
     assert code == 0
     report = json.loads(out)
-    assert report["truncation"] == 5
-    assert report["count"] == 2 * 6
+    assert report["truncation"] == order
+    assert report["count"] == len(report["files"]) == 2 * (order + 1)
 
 
 def test_powers_writes_files(config, capsys, tmp_path):

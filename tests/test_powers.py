@@ -155,8 +155,9 @@ def test_powers_third_order_monomials_from_interior_basepoint():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_powers_match_the_recursion_loop(n):
-    # complex factors from a built seed; the table built at once and the
-    # one grown from a lower truncation must both be the loop's to the bit
+    # complex factors from a built seed; the table built at once, the one
+    # grown from a lower truncation and the one stopped short of its cap
+    # must all be the loop's to the bit
     m = Mesh(0.0, 1.0, 201)
     phi = tuple(tabulate(m, lambda x, j=j: np.cos((j + 1) * x) + 0.5j * x)
                 for j in range(n))
@@ -165,7 +166,10 @@ def test_powers_match_the_recursion_loop(n):
     ws = build_workspace(op, build_seed_system(op, rng_seed=1), truncation=3)
     assert any(np.any(f.values.imag != 0) for f in ws.b)
     want, want_norms = loop_formal_powers(ws.b, r, 7)
-    for table in (formal_powers(ws.b, r, 7), with_truncation(ws, 7).table):
+    stopped = formal_powers(ws.b, r, 12, _done=lambda t: t.truncation == 7)
+    for table in (formal_powers(ws.b, r, 7), with_truncation(ws, 7).table,
+                  stopped):
+        assert table.truncation == 7
         assert row_norms(table) == tuple(map(tuple, want_norms))
         for got_row, want_row in zip(table.x, want, strict=True):
             assert len(got_row) == len(want_row)
@@ -208,16 +212,17 @@ def test_powers_are_integrated_as_arrays(n, monkeypatch):
     monkeypatch.setattr(spps.powers, "_antiderivative", integrating)
     monkeypatch.setattr(SampledFunction, "__init__", wrapping)
     built = {}
-    for M in (2, 6):
+    for M, cap in ((2, 2), (6, 6), (6, 11)):  # the last one stops short
         kernel.clear()
         wrapped.clear()
-        table = formal_powers(fac, op.r, M)
+        table = formal_powers(fac, op.r, cap,
+                              _done=lambda t, M=M: t.truncation == M)
         powers = sum(len(row) - 1 for row in table.x)
         assert powers == n * M * n + n * (n - 1) // 2
         assert len(kernel) == powers  # one integration per power
-        built[M] = len(wrapped)
+        built[cap] = len(wrapped)
         assert all(not x.flags.writeable for row in table.x for x in row)
-    assert built[2] == built[6]  # no SampledFunction per power
+    assert built[2] == built[6] == built[11]  # no SampledFunction per power
 
 
 def test_overflowing_power_names_the_first_node():

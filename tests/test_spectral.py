@@ -678,17 +678,49 @@ def _counting_truncations(monkeypatch):
     return calls
 
 
+PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
+
+
 def test_persistence_reads_the_stored_table_when_it_reaches(monkeypatch):
     calls = _counting_truncations(monkeypatch)
     bc = BoundaryConditions.separated(2, [0], [0])
     result = find_eigenvalues(dirichlet_workspace(), bc, Interval(-10.0, -0.5))
     np.testing.assert_allclose(result.values, [-9.0, -4.0, -1.0], atol=1e-8)
-    problem = Path(__file__).resolve().parents[1] / "bench" / "problems"
-    cfg = load_config(str(problem / "double_well.ini"))
-    result = find_eigenvalues(cfg.make_workspace(), cfg.make_boundary(),
-                              cfg.region, EigenOptions(samples=cfg.samples))
-    assert len(result.values) == 8
+    for name, count in (("dirichlet", 3), ("beam", 3), ("double_well", 8)):
+        cfg = load_config(str(PROBLEMS / f"{name}.ini"))
+        result = find_eigenvalues(cfg.make_workspace(), cfg.make_boundary(),
+                                  cfg.region, EigenOptions(samples=cfg.samples))
+        assert len(result.values) == count
     assert calls == []
+
+
+def _recording_kept(monkeypatch):
+    kept = []
+
+    def recording(*args, **kwargs):
+        out = _roots_in(*args, **kwargs)
+        kept.append(out[3])
+        return out
+    monkeypatch.setattr(spps.spectral, "_roots_in", recording)
+    return kept
+
+
+def test_persistence_needs_extra_terms_past_those_the_search_kept(monkeypatch):
+    # a table holding PERSISTENCE_EXTRA terms past the kept ones is read as
+    # stored; with one term fewer it is extended by PERSISTENCE_EXTRA
+    extra = spps.spectral.PERSISTENCE_EXTRA
+    kept = _recording_kept(monkeypatch)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    region = Interval(-10.0, -0.5)
+    want = find_eigenvalues(dirichlet_workspace(), bc, region)
+    calls = _counting_truncations(monkeypatch)
+    for M, extended in ((kept[0] - 1 + extra, False),
+                        (kept[0] - 2 + extra, True)):
+        calls.clear()
+        got = find_eigenvalues(dirichlet_workspace(truncation=M), bc, region)
+        assert kept[-1] == kept[0]
+        assert calls == ([(M, M + extra)] if extended else [])
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
 
 
 def test_persistence_extends_a_table_the_search_read_to_its_end(monkeypatch):
@@ -718,6 +750,114 @@ def test_persistence_leaves_the_table_alone_without_a_root(monkeypatch):
         result = find_eigenvalues(ws, bc, Interval(-15.5, -10.0))
     assert result.values == [] and result.rejected == ()
     assert calls == []
+
+
+# -- a problem file's workspace, filled for its own query ---------------------------
+
+def file_workspaces(name, seed=0):
+    """A benchmark problem file with ``seed``, its workspace filled for its
+    [eig] search, and the workspace at its cap built alike."""
+    cfg = dataclasses.replace(load_config(str(PROBLEMS / f"{name}.ini")),
+                              rng_seed=seed)
+    ws = cfg.make_workspace()
+    full = build_workspace(ws.op, seed=ws.seed if cfg.seeds else None,
+                           truncation=cfg.truncation, rng_seed=seed,
+                           residual_tol=cfg.residual_tol)
+    return cfg, ws, full
+
+
+def outcome(call):
+    """What a call gives: its result or the text of its error, and the
+    texts of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = call()
+        except RegionTruncationError as exc:
+            got = str(exc)
+    return got, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["dirichlet", "beam", "double_well"])
+def test_file_search_on_its_filled_table_is_the_search_at_the_cap(
+        name, seed, monkeypatch):
+    cfg, ws, full = file_workspaces(name, seed)
+    assert ws.truncation == full.truncation == cfg.truncation
+    assert ws.table.truncation < cfg.truncation
+    options = EigenOptions(samples=cfg.samples, max_count=cfg.max_count,
+                           residual_tol=100.0 * cfg.residual_tol)
+    bc = cfg.make_boundary()
+    want = find_eigenvalues(full, bc, cfg.region, options)
+    calls = _counting_truncations(monkeypatch)
+    assert find_eigenvalues(ws, bc, cfg.region, options) == want
+    assert calls == []
+
+
+def test_queries_past_the_fill_answer_as_the_table_at_the_cap():
+    # dirichlet.ini's table is filled for its search of [-10, -0.5]; the
+    # cap M = 30 reaches past -60 with no warning, and not to -150 or -200
+    cfg, ws, full = file_workspaces("dirichlet")
+    bc = cfg.make_boundary()
+    calls = [lambda w, lo=lo: find_eigenvalues(w, bc, Interval(lo, -0.5))
+             for lo in (-60.0, -100.0, -200.0)]
+    calls += [lambda w, lam=lam: solve_initial_value(w, [0.0, 1.0], lam).values
+              for lam in (-40.0, -150.0)]
+    calls += [lambda w, lam=lam: eigenfunction(w, bc, lam).values
+              for lam in (-49.0, -200.0)]
+    got = [outcome(functools.partial(call, ws)) for call in calls]
+    want = [outcome(functools.partial(call, full)) for call in calls]
+    for (g, g_warned), (w, w_warned) in zip(got, want, strict=True):
+        assert g_warned == w_warned
+        assert np.array_equal(g, w) if isinstance(w, np.ndarray) else g == w
+    assert len(want[0][0].values) == 7 and not want[0][1]
+    assert want[1][1] and all(isinstance(w, str) for w, _ in want[2::2])
+    assert isinstance(want[5][0], np.ndarray)
+    assert ws.table.truncation < ws.truncation  # filled on copies alone
+
+
+@pytest.mark.parametrize("depth", [20, 21])
+def test_search_past_the_margin_of_a_filled_table_fills_it_to_the_cap(
+        depth, monkeypatch):
+    # at depth 20 the tails settle at the far edge, but the search keeps 18
+    # terms and a table there holds fewer than PERSISTENCE_EXTRA past them
+    full = dirichlet_workspace()
+    short = dataclasses.replace(with_truncation(full, depth),
+                                truncation=full.truncation)
+    bc = BoundaryConditions.separated(2, [0], [0])
+    kept = _recording_kept(monkeypatch)
+    want = find_eigenvalues(full, bc, Interval(-10.0, -0.5))
+    calls = _counting_truncations(monkeypatch)
+    assert find_eigenvalues(short, bc, Interval(-10.0, -0.5)) == want
+    assert kept[0] == 18
+    assert calls == [(30, 30)]
+
+
+def test_copies_of_a_table_short_of_its_cap_answer_alike():
+    cfg, ws, _ = file_workspaces("dirichlet")
+    bc = cfg.make_boundary()
+    want = [find_eigenvalues(ws, bc, Interval(-60.0, -0.5)),
+            solve_initial_value(ws, [0.0, 1.0], -40.0).values]
+    for w in (copy.deepcopy(ws), pickle.loads(pickle.dumps(ws))):
+        assert (w.truncation, w.table.truncation) == (
+            ws.truncation, ws.table.truncation)
+        assert find_eigenvalues(w, bc, Interval(-60.0, -0.5)) == want[0]
+        assert np.array_equal(
+            solve_initial_value(w, [0.0, 1.0], -40.0).values, want[1])
+
+
+def test_a_file_fills_for_its_initial_value_problem_or_to_the_cap():
+    cfg = dataclasses.replace(load_config(str(PROBLEMS / "dirichlet.ini")),
+                              region=None)
+    assert cfg.make_workspace().table.truncation == cfg.truncation
+    cfg = dataclasses.replace(cfg, initial_values=(0.0, 1.0),
+                              initial_lambda=-4.0)
+    ws = cfg.make_workspace()
+    assert ws.table.truncation < cfg.truncation
+    full = with_truncation(ws, ws.truncation)
+    assert full.table.truncation == cfg.truncation
+    assert np.array_equal(solve_initial_value(ws, [0.0, 1.0], -4.0).values,
+                          solve_initial_value(full, [0.0, 1.0], -4.0).values)
 
 
 @pytest.mark.parametrize("case", ["dirichlet", "double_well", "disk"])
