@@ -286,7 +286,8 @@ def _recombine(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _recombine_until_nonvanishing(mesh: Mesh, rows: np.ndarray,
                                   rng: np.random.Generator):
     """Draw recombinations of ``rows`` until all nested Wronskians clear the
-    floor; the accepted rows, their Wronskians and the draws beyond the first."""
+    floor; the accepted rows, their Wronskians, the least relative minimum
+    of W_1..W_m and the draws beyond the first."""
     m = len(rows)
     best = -math.inf
     for attempt in range(MAX_RETRIES + 1):
@@ -294,7 +295,7 @@ def _recombine_until_nonvanishing(mesh: Mesh, rows: np.ndarray,
         W = _nested_wronskians(mesh, trial)
         worst = min(rel for rel, _ in _relative_minima(W[1:]))
         if worst > WRONSKIAN_FLOOR:
-            return trial, W, attempt
+            return trial, W, worst, attempt
         best = max(best, worst)
     raise SeedConstructionError(
         f"order-{m} recombination exhausted {MAX_RETRIES} retries",
@@ -302,21 +303,25 @@ def _recombine_until_nonvanishing(mesh: Mesh, rows: np.ndarray,
 
 
 def _accepted(op: OperatorSpec, derivs: np.ndarray, W: Sequence[SampledFunction],
-              tol: float, **fields) -> SolutionSystem:
+              tol: float, wmin: float | None = None, **fields) -> SolutionSystem:
     """The solution system of the rows ``derivs`` with nested Wronskians
     ``W``, once each solution's ladder residual is at most ``tol`` and ``W``
-    clears the floor; explicit and generated seeds both end here."""
+    clears the floor; explicit and generated seeds both end here. ``wmin``
+    is W's least relative minimum where the caller measured it against the
+    floor already."""
     res = max(operator_residual(op, SampledFunction(op.mesh, y)) for y in derivs[:, 0])
     if not res <= tol:
         raise ResidualVerificationError(
             f"seed residual {res:.3e} exceeds {tol:.1e}", residual=res)
-    wmin = _floor_report(W)
+    if wmin is None:
+        wmin = _floor_report(W)
     return SolutionSystem(op, derivs, wronskian_min=wmin, residual_max=res, **fields)
 
 
 def build_seed_system(op: OperatorSpec,
                       rng_seed: int = 0,
-                      residual_tol: float = RESIDUAL_TOL) -> SolutionSystem:
+                      residual_tol: float = RESIDUAL_TOL, *,
+                      _wronskians: list | None = None) -> SolutionSystem:
     """Construct a verified solution system of L y = 0 for arbitrary smooth
     coefficients by induction on the order.
 
@@ -334,13 +339,20 @@ def build_seed_system(op: OperatorSpec,
     each factorization comes from the family's rows
     (:func:`~spps.powers.compute_A`), so derivative tables propagate
     analytically through every level, with no finite difference anywhere.
-    The series at -1 converges fast: its table is filled in place, and
-    its tail ratios there are tested at 8 terms and every 8 more, until
-    all are at most STOP_TOL (1e-17); this ends, as 1/(m n + k - 1)!
-    underflows to 0 by m n ~ 180 unless a power overflows first.
-    ``truncations`` records where it stopped, and the sums of that last
-    test are the solutions. The result passes the residual and floor
-    check of :meth:`SolutionSystem.from_functions`.
+    The series at -1 converges fast: its table is filled in place, level
+    by level, in a block of 16 levels that doubles only when they do not
+    suffice, and its tail ratios there are tested after every level until
+    all are at most STOP_TOL (1e-17); this ends by level ceil(180 / m),
+    where 1/(t m + k - 1)! underflows to 0, unless a power overflows
+    first. A test forms the sums only where the last terms' norm bounds
+    let it pass (:func:`~spps.powers._tail_sums`). ``truncations`` records
+    where it stopped, and the sums of that last test are the solutions,
+    unless their terms cancel past the rule of the series gate (eps times
+    the cancellation factor above TAIL_ERROR). The result passes the
+    residual and floor check of :meth:`SolutionSystem.from_functions`;
+    the floor is read from the draw the recombination accepted, whose
+    Wronskians a list given as ``_wronskians`` receives, so that
+    :func:`~spps.spectral.build_workspace` forms none again.
 
     ``retries`` counts the draws beyond the first, at most ``MAX_RETRIES``
     (25) per order. Deterministic for a fixed ``rng_seed``.
@@ -352,14 +364,15 @@ def build_seed_system(op: OperatorSpec,
         recombination can lift (W_m scales by det c).
     SeedConstructionError
         When an order's draws exhaust ``MAX_RETRIES`` (reports the best
-        relative Wronskian minimum achieved).
+        relative Wronskian minimum achieved), or an order's series at -1
+        cancels (names its cancellation factor).
     VanishingValueError
         When a formal power overflows before the series at -1 stops.
     ResidualVerificationError
         When the final system fails its operator-residual verification.
     """
-    from .powers import (STOP_TOL, _grow_powers, _series_sums, compute_A,
-                         formal_powers)
+    from .powers import (_EPS, STOP_TOL, TAIL_ERROR, _cancels, _series_sums,
+                         _tail_sums, compute_A, formal_powers)
 
     mesh, n = op.mesh, op.n
     rng = np.random.default_rng(rng_seed)
@@ -383,25 +396,28 @@ def build_seed_system(op: OperatorSpec,
         # leaves them as they are and only changes the rows' rounding
         rows = _recombine(family, _combination_matrix(rng, m, 0))
         b = polya_factors([ones(mesh)] + W)
-        tested = []  # the sums at -1 of each test, and whether it passed
+        tested = None  # the level and sums at -1 of the last test that formed them
 
-        def settled(table) -> bool:  # tested every 8 levels from 8 on
-            if table.truncation % 8 or not table.truncation:
+        def settled(table) -> bool:  # tested after every level
+            nonlocal tested
+            out = _tail_sums(table, -1.0)
+            if out is None:
                 return False
-            sums, ratios, *_ = _series_sums(table, -1.0)
-            tested.append((sums, all(ratio <= STOP_TOL for ratio in ratios)))
-            return tested[-1][1]
+            tested = table.truncation, out
+            return all(ratio <= STOP_TOL for ratio in out[1])
 
         # at truncation t >= 180 / m, 1 / (t m + k - 1)! is 0 for every k,
-        # and so is every tail ratio. The block is allocated at 16 terms,
-        # where the series mostly settles, and continued past them only if
-        # it does not: freed blocks at t (up to 20 MB on 1601 nodes) left
-        # the allocator placing later ones where they raised peak memory
-        top = 8 * math.ceil(180 / (8 * m))
-        table = formal_powers(b, op.phi[m - 1], min(16, top), _done=settled)
-        if not tested[-1][1]:
-            table = _grow_powers(b, table.weight, top, table, done=settled)
-        sums = tested[-1][0]
+        # and so is every tail ratio
+        table = formal_powers(b, op.phi[m - 1], math.ceil(180 / m), _done=settled)
+        if tested is None or tested[0] != table.truncation:
+            tested = table.truncation, _series_sums(table, -1.0)
+        sums, _, factors, _ = tested[1]
+        factor = max(factors)
+        if _cancels(factor):  # the rule of powers._gate
+            raise SeedConstructionError(
+                f"order-{m} seed series at -1 cancels: its terms' bounds add "
+                f"up to {factor:.3e} times its max modulus, so rounding may "
+                f"reach {factor * _EPS:.1e} of it, above {TAIL_ERROR:.1e}")
         coeffs = compute_A(rows, table)
         truncations.append(table.truncation)
 
@@ -417,8 +433,10 @@ def build_seed_system(op: OperatorSpec,
         _check_finite(mesh, sols)
 
         # stage B: recombine the new solutions until their Wronskians pass
-        level, W, attempt = _recombine_until_nonvanishing(mesh, sols, rng)
+        level, W, wmin, attempt = _recombine_until_nonvanishing(mesh, sols, rng)
         retries += attempt
 
-    return _accepted(op, level, W, residual_tol,
-                     retries=retries, truncations=tuple(truncations))
+    if _wronskians is not None:
+        _wronskians[:] = W
+    return _accepted(op, level, W, residual_tol, wmin, retries=retries,
+                     truncations=tuple(truncations))

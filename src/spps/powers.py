@@ -172,20 +172,26 @@ def _grow_powers(b: Sequence[SampledFunction], r: SampledFunction,
     """Table at ``truncation``, continuing ``table`` if one is given, or
     its prefix at the first level where ``done`` holds.
 
-    The block is allocated once, at ``truncation``, and filled in place
-    by the recursion of :func:`formal_powers` one level at a time: level
-    m holds, for every k, the powers X_k^(j), (m - 1) n + k <= j <=
-    m n + k - 1, that the table at truncation m reads beyond the one at
-    m - 1 (level 0: X_k^(1..k-1)). After each level, the last included,
-    ``done`` (if given) sees the table filled so far, and the fill stops at
-    the first level where it returns true: the result is that table, a
-    view of a prefix of the block, whose rows past it are never touched.
+    The block is filled in place by the recursion of :func:`formal_powers`
+    one level at a time: level m holds, for every k, the powers X_k^(j),
+    (m - 1) n + k <= j <= m n + k - 1, that the table at truncation m
+    reads beyond the one at m - 1 (level 0: X_k^(1..k-1)). After each
+    level, the last included, ``done`` (if given) sees the table filled so
+    far, and the fill stops at the first level where it returns true: the
+    result is that table, a view of a prefix of the block, whose rows past
+    it are never touched.
 
-    Where ``table`` reaches the truncation, the result views a prefix of
-    its block and copies nothing. Else its block is copied into the new
-    one, which is filled from the level after it. The table at a lower
-    truncation is an exact prefix of the table at a higher one, so a
-    continued or stopped table equals one built at its truncation.
+    Without ``done`` the block is allocated once, at ``truncation``. With
+    it, the block holds 16 levels, and each time it fills without
+    ``done`` holding, it is copied into one twice as deep (at most
+    ``truncation``): a block far deeper than the levels it fills raises
+    peak memory through the allocator, even where its pages are never
+    touched. Where ``table`` reaches the truncation, the result views a
+    prefix of its block and copies nothing. Else its block is copied into
+    the new one, which is filled from the level after it, the same way.
+    The table at a lower truncation is an exact prefix of the table at a
+    higher one, so a continued or stopped table equals one built at its
+    truncation.
     """
     n, mesh = len(b) - 1, r.mesh
     if not (_is_int(truncation) and truncation >= 0):
@@ -198,41 +204,44 @@ def _grow_powers(b: Sequence[SampledFunction], r: SampledFunction,
     # the factor at offset (k - j) mod n: b_n b_0 r at the wrap, else b_offset
     mults = [b[n].values * b[0].values * r.values] + [f.values for f in b[1:n]]
     h, i0 = mesh.h, mesh.i0
-    # rows of all k interleaved in memory, so the levels filled are a prefix
-    # of it, and the pages of the rest are never touched
-    memory = np.empty((rows, n, mesh.n), dtype=np.complex128)
-    block = memory.transpose(1, 0, 2)
-    norms = np.zeros((n, rows))
-    if table is None:  # X_k^(0) = 1
-        block[:, :n - 1], block[:, n - 1], norms[:, n - 1] = 0.0, 1.0, 1.0
-        first = 0
-    else:
-        block[:, :table.block.shape[1]] = table.block
-        norms[:, :table.norms.shape[1]] = table.norms
-        first = table.truncation + 1
     integrand, mags = np.empty(mesh.n, dtype=np.complex128), np.empty(mesh.n)
-    # X_k^(j) and its norm at slabs[k - 1][0][j] and slabs[k - 1][1][j]
-    slabs = list(zip(block[:, n - 1:], norms[:, n - 1:]))
-    for level in range(first, truncation + 1):
-        for k, (xs, sups) in enumerate(slabs, start=1):
-            for j in range(max((level - 1) * n + k, 1), level * n + k):
-                np.multiply(mults[(k - j) % n], xs[j - 1], out=integrand)
-                power = _antiderivative(integrand, h, i0)
-                power *= float(j)
-                sup = float(np.abs(power, out=mags).max())
-                if not math.isfinite(sup):  # name the node, as the check does
-                    _check_finite(mesh, power)
-                xs[j], sups[j] = power, sup
-        stop = (level + 2) * n - 1
-        if done is not None and done(FormalPowerTable(
-                n, level, r, block[:, :stop], norms[:, :stop])) or level == truncation:
-            break
+    level, stopped = -1 if table is None else table.truncation, False
+    while not stopped and level < truncation:
+        depth = truncation if done is None else min(truncation, max(16, 2 * level))
+        rows = (depth + 2) * n - 1
+        # rows of all k interleaved in memory, so the levels filled are a
+        # prefix of it, and the pages of the rest are never touched
+        memory = np.empty((rows, n, mesh.n), dtype=np.complex128)
+        block = memory.transpose(1, 0, 2)
+        norms = np.zeros((n, rows))
+        if table is None:  # X_k^(0) = 1
+            block[:, :n - 1], block[:, n - 1], norms[:, n - 1] = 0.0, 1.0, 1.0
+        else:
+            block[:, :table.block.shape[1]] = table.block
+            norms[:, :table.norms.shape[1]] = table.norms
+        # X_k^(j) and its norm at slabs[k - 1][0][j] and slabs[k - 1][1][j]
+        slabs = list(zip(block[:, n - 1:], norms[:, n - 1:]))
+        for level in range(level + 1, depth + 1):
+            for k, (xs, sups) in enumerate(slabs, start=1):
+                for j in range(max((level - 1) * n + k, 1), level * n + k):
+                    np.multiply(mults[(k - j) % n], xs[j - 1], out=integrand)
+                    power = _antiderivative(integrand, h, i0)
+                    power *= float(j)
+                    sup = float(np.abs(power, out=mags).max())
+                    if not math.isfinite(sup):  # name the node, as the check does
+                        _check_finite(mesh, power)
+                    xs[j], sups[j] = power, sup
+            stop = (level + 2) * n - 1
+            table = FormalPowerTable(n, level, r, block[:, :stop], norms[:, :stop])
+            if done is not None and done(table):
+                stopped = True
+                break
     for k, (xs, sups) in enumerate(slabs[:-1], start=1):  # past X_k's last power
         past = slice(level * n + k, (level + 1) * n)
         xs[past], sups[past] = 0.0, 0.0
     memory.setflags(write=False)
     norms.setflags(write=False)
-    return FormalPowerTable(n, level, r, block[:, :stop], norms[:, :stop])
+    return table
 
 
 # -- series evaluation ---------------------------------------------------------
@@ -259,7 +268,7 @@ def _gate(ratios: list, factors: list, ks, lam: complex) -> None:
             raise RegionTruncationError(
                 f"series tail ratio {ratio:.3e} of u_{k} at lam={lam} exceeds "
                 f"{TAIL_ERROR:.1e}; raise the truncation or bring lam nearer 0")
-        if not factor * _EPS <= TAIL_ERROR:
+        if _cancels(factor):
             raise RegionTruncationError(
                 f"series of u_{k} at lam={lam} cancels: its terms' bounds add "
                 f"up to {factor:.3e} times its max modulus, so rounding may "
@@ -271,6 +280,12 @@ def _gate(ratios: list, factors: list, ks, lam: complex) -> None:
                 frame, level = frame.f_back, level + 1
             warnings.warn(f"series tail ratio {ratio:.3e} of u_{k} at lam={lam}",
                           TruncationWarning, stacklevel=level)
+
+
+def _cancels(factor: float) -> bool:
+    """Whether a sum whose terms' bounds add up to ``factor`` times its max
+    modulus may lose more than TAIL_ERROR of it to rounding (NaN does)."""
+    return not factor * _EPS <= TAIL_ERROR
 
 
 @lru_cache(maxsize=64)
@@ -305,15 +320,23 @@ def _terms(table: FormalPowerTable, lam: complex, alpha: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _settled(table: FormalPowerTable, lam: complex) -> bool:
-    """Whether every tail ratio of the sums of u_1..u_n at lam is at most
-    STOP_TOL. The sums are formed only when the last terms' bounds are at
-    most 2 STOP_TOL of all bounds: else no ratio can be, as max|S| is at
-    most their sum up to rounding."""
+def _tail_sums(table: FormalPowerTable, lam: complex):
+    """The sums of u_1..u_n at lam, as :func:`_series_sums` returns them,
+    where their tail ratios can be at most STOP_TOL, else None. They are
+    formed only when the last terms' bounds are at most 2 STOP_TOL of all
+    bounds: else no ratio can be, as max|S| is at most their sum up to
+    rounding."""
     bounds = _terms(table, lam, 0)[2]
     if not np.all(bounds[:, -1] <= 2 * STOP_TOL * bounds.sum(axis=1)):
-        return False
-    return all(ratio <= STOP_TOL for ratio in _series_sums(table, lam)[1])
+        return None
+    return _series_sums(table, lam)
+
+
+def _settled(table: FormalPowerTable, lam: complex) -> bool:
+    """Whether every tail ratio of the sums of u_1..u_n at lam is at most
+    STOP_TOL."""
+    out = _tail_sums(table, lam)
+    return out is not None and all(ratio <= STOP_TOL for ratio in out[1])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the tail ratio reports them

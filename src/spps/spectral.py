@@ -116,20 +116,30 @@ def build_workspace(
         directly (its ``residual_max`` is NaN), measured here; its floor
         check reads the Wronskians the factors are formed from.
 
+    Each seed's nested Wronskians are formed once: a built seed's by the
+    builder, which hands over those of the draw it accepted, and a given
+    seed's here.
+
     A problem file's workspace passes the lambdas its [eig] or [initial]
     query reads the series at as ``_reads``: its table is then filled only
     until the tail ratios there settle (:func:`_query_fill`), and
-    ``ws.table.truncation`` is that filled depth, at most the cap.
+    ``ws.table.truncation`` is that filled depth, at most the cap. Such a
+    fill allocates 16 levels and grows by doubling where they do not
+    suffice (:func:`~spps.powers._grow_powers`), so its block holds at
+    most about twice the levels it fills, not the cap's.
     """
-    if seed is None:
-        seed = build_seed_system(op, rng_seed=rng_seed, residual_tol=residual_tol)
+    if seed is None:  # the builder hands over the Wronskians it accepted
+        W = []
+        seed = build_seed_system(op, rng_seed=rng_seed, residual_tol=residual_tol,
+                                 _wronskians=W)
     elif (seed.op.n, seed.op.mesh) != (op.n, op.mesh) or not all(
             np.array_equal(p.values, q.values) for p, q in zip(seed.op.phi, op.phi)):
         raise ValueError("the seed solves another order, mesh or coefficients")
-    W = wronskians(seed)
-    if np.isnan(seed.residual_max):  # constructed directly, never measured
-        seed = _accepted(seed.op, seed.derivs, W, residual_tol,
-                         retries=seed.retries, truncations=seed.truncations)
+    else:
+        W = wronskians(seed)
+        if np.isnan(seed.residual_max):  # constructed directly, never measured
+            seed = _accepted(seed.op, seed.derivs, W, residual_tol,
+                             retries=seed.retries, truncations=seed.truncations)
     b = polya_factors(W)
     table = formal_powers(b, op.r, truncation,
                           _done=None if _reads is None else _query_fill(_reads))

@@ -395,7 +395,7 @@ def test_verify_reports_seed_truncations(config, tmp_path, capsys):
             warnings.simplefilter("error")
             code, out, _ = run_main(capsys, "verify", "--config", str(path), *argv)
         assert code == 0
-        assert json.loads(out)["truncations"] == [8, 8]
+        assert json.loads(out)["truncations"] == [8, 6]
 
 def test_wronskian_floor_reaches_random_seed(tmp_path, capsys):
     # W_2 = exp(-40 x) spans e^-40 on [0, 1], below the floor at x = 1, and

@@ -631,7 +631,8 @@ def _stacked_determinants(monkeypatch):
 def test_no_wronskian_is_formed_twice(monkeypatch):
     # the builder forms each stage-B draw's Wronskians once (orders 2, 3, 4:
     # 1 + 2 + 3 determinants) and climbs on them; build_workspace forms a
-    # given seed's once, measured or not, and a built one's once more
+    # given seed's once, measured or not, and takes a built one's from the
+    # builder
     callers = _stacked_determinants(monkeypatch)
     op = seed_op(4, nodes=401)
     seed = build_seed_system(op, rng_seed=1)
@@ -642,8 +643,11 @@ def test_no_wronskian_is_formed_twice(monkeypatch):
         build_workspace(op, seed=given)
         assert callers == ["_nested_wronskians"] * 3
     callers.clear()
-    build_workspace(op, rng_seed=1)
-    assert callers == ["_nested_wronskians"] * 9
+    ws = build_workspace(op, rng_seed=1)
+    assert callers == ["_nested_wronskians"] * 6
+    assert np.array_equal(ws.seed.derivs, seed.derivs)
+    assert all(np.array_equal(p.values, q.values) for p, q in
+               zip(ws.b, build_workspace(op, seed=seed).b, strict=True))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -685,15 +689,32 @@ def test_seed_truncation_stops_where_the_tail_is_negligible(n, monkeypatch):
                 <= 1e-17
 
 
-@pytest.mark.parametrize("k2, error", [(4000.0, ResidualVerificationError),
-                                       (20000.0, VanishingValueError)])
-def test_stiff_seed_ends_in_an_error(k2, error):
-    # y'' + k2 y on [0, 1]: the series at -1 runs until its tail stops it
-    # (4000, whose terms cancel to a wrong seed) or a formal power
-    # overflows (20000), never on
+def test_seed_series_no_test_reached_is_summed_at_its_top(monkeypatch):
+    # where no level's bounds let the stop test form the sums, the table
+    # grows (16, 32, 64 levels) to ceil(180 / m), and the sums there are the
+    # solutions: the seed of the levels where the tails settle, to rounding
+    op = seed_op(3)
+    want = build_seed_system(op, rng_seed=1)
+    monkeypatch.setattr(spps.powers, "_tail_sums", lambda table, lam: None)
+    got = build_seed_system(op, rng_seed=1)
+    assert got.truncations == (90, 60)
+    np.testing.assert_allclose(got.derivs, want.derivs, rtol=0,
+                               atol=1e-12 * np.abs(want.derivs).max())
+
+
+@pytest.mark.parametrize("k2, error, text", [
+    (400.0, ResidualVerificationError, "seed residual"),
+    (4000.0, SeedConstructionError, "order-2 seed series at -1 cancels"),
+    (20000.0, SeedConstructionError, "order-2 seed series at -1 cancels")])
+def test_stiff_seed_ends_in_an_error(k2, error, text):
+    # y'' + k2 y on [0, 1]: the series at -1 stops by its tail, but past
+    # k2 = 400 (eps times the factor 2.4e-12) its terms cancel so far that
+    # eps times the factor is above TAIL_ERROR (6e-3 and 1.2), the rule of
+    # the series gate: the seed fails by name, not by its residual or the
+    # draws of a seed of rounding
     m = Mesh(0.0, 1.0, 801)
     op = make_op(m, [zeros(m), constant(m, k2)])
-    with pytest.raises(error):
+    with pytest.raises(error, match=text):
         build_seed_system(op)
 
 

@@ -212,7 +212,8 @@ def test_powers_are_integrated_as_arrays(n, monkeypatch):
     monkeypatch.setattr(spps.powers, "_antiderivative", integrating)
     monkeypatch.setattr(SampledFunction, "__init__", wrapping)
     built = {}
-    for M, cap in ((2, 2), (6, 6), (6, 11)):  # the last one stops short
+    # the last two stop short; the last grows its block from 16 levels to 32
+    for M, cap in ((2, 2), (6, 6), (6, 11), (20, 40)):
         kernel.clear()
         wrapped.clear()
         table = formal_powers(fac, op.r, cap,
@@ -222,7 +223,9 @@ def test_powers_are_integrated_as_arrays(n, monkeypatch):
         assert len(kernel) == powers  # one integration per power
         built[cap] = len(wrapped)
         assert all(not x.flags.writeable for row in table.x for x in row)
-    assert built[2] == built[6] == built[11]  # no SampledFunction per power
+    assert table.block.base.shape[0] == 34 * n - 1
+    # no SampledFunction per power
+    assert built[2] == built[6] == built[11] == built[40]
 
 
 def test_overflowing_power_names_the_first_node():

@@ -794,6 +794,33 @@ def test_file_search_on_its_filled_table_is_the_search_at_the_cap(
     assert calls == []
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name, depths", [("beam", [16]),
+                                          ("double_well", [16, 32, 60])])
+def test_a_file_table_grows_instead_of_sitting_at_the_cap(
+        name, depths, seed, monkeypatch):
+    # the fill allocates 16 levels and doubles them while its stop rule
+    # fails: beam.ini fills 15 of M = 40, double_well.ini 38 of M = 60
+    held = []
+    original = spps.spectral._query_fill
+
+    def recording(lams):
+        done = original(lams)
+
+        def seen(table):
+            held.append(table.block.base.shape[0])
+            return done(table)
+        return seen
+    monkeypatch.setattr(spps.spectral, "_query_fill", recording)
+    cfg, ws, full = file_workspaces(name, seed)
+    filled = ws.table.block.shape[1]
+    assert sorted(set(held)) == [(d + 2) * ws.n - 1 for d in depths]
+    assert held[-1] == ws.table.block.base.shape[0] <= 2 * filled
+    # the powers are the cap's, so the answers are too (the test above)
+    for x, whole in zip(ws.table.x, full.table.x, strict=True):
+        assert np.array_equal(x, whole[:len(x)])
+
+
 def test_queries_past_the_fill_answer_as_the_table_at_the_cap():
     # dirichlet.ini's table is filled for its search of [-10, -0.5]; the
     # cap M = 30 reaches past -60 with no warning, and not to -150 or -200
